@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-core serve-stress prefetch-stress tier-stress serve-demo shard-demo stream-demo tier-demo bench bench-baseline bench-check check
+.PHONY: build vet test race race-core serve-stress prefetch-stress tier-stress wire-stress serve-demo shard-demo stream-demo tier-demo bench bench-baseline bench-check check
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,16 @@ serve-stress:
 	$(GO) test -race -count=1 -v \
 		-run 'TestOpenLoopOverloadSheds|TestRefreshStormCoalesces|TestEngineShedsUnderHeldCapacity|TestAdmission|TestHTTPServerShutdownNoLeak|TestFlushKeySharedCoalesces' \
 		./internal/serve ./internal/serve/loadgen ./internal/p2f
+
+# The batched wire training path under the race detector at several
+# GOMAXPROCS values: frames per worker-step and per flusher batch over
+# two loopback shards, a slow shard holding flusher batches in flight
+# with the gate invariant checked every step, the in-flight floor unit
+# tests, and sharded serve-while-training with its staleness pair.
+wire-stress:
+	$(GO) test -race -cpu 1,2,4 -count=3 \
+		-run 'TestWireTrainFrameCounts|TestSlowShardGate|TestUncoordinatedScatterSkipsIdleShards|TestInFlight|TestShardedServeWhileTraining|TestShardedStalenessSamplesWatermarkFirst' \
+		./internal/shard ./internal/p2f ./internal/serve ./internal/store
 
 # Train a small checkpoint, then hammer it with the serving load
 # generator for 5s and print the latency report.

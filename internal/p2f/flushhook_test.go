@@ -43,7 +43,7 @@ func TestFlushHookFiresOnEveryFlushPath(t *testing.T) {
 	if !c.FlushKey(1) {
 		t.Fatal("FlushKey(1) flushed nothing")
 	}
-	// Path 2: drainSync / flushEntry (the flusher-pool path).
+	// Path 2: drainSync / flushBatch (the flusher-pool path).
 	c.CommitStep(1, []KeyDelta{{Key: 2, Delta: []float32{1}}})
 	c.DrainAll()
 

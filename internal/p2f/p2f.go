@@ -42,7 +42,8 @@ type Batch struct {
 
 // FlushSink receives the pending updates of one parameter when a flushing
 // thread drains its g-entry. Implementations apply them to host memory.
-// Flush is called with the g-entry lock held, serialising flushes per key.
+// Flushes of one key never overlap and arrive in step order: a key whose
+// write set is in flight is not handed to the sink again until it lands.
 // The updates slice is owned by the controller and reused after Flush
 // returns: implementations must not retain it (retaining the Delta buffers
 // is equally off-limits — the runtime pools them).
@@ -66,6 +67,19 @@ func (f FlushSinkFunc) Flush(key uint64, updates []pq.Update) { f(key, updates) 
 type TierSink interface {
 	FlushSink
 	FlushTiered(key uint64, updates []pq.Update, deferred bool)
+}
+
+// BatchSink is an optional FlushSink extension for sinks that apply many
+// write sets in one call — a remote slab ships them as one frame per
+// shard instead of one round trip per key. When the sink implements it,
+// every flusher batch reaches the sink through a single FlushBatch call,
+// with no g-entry lock held; the in-flight floor (see WaitForStep) keeps
+// the gate closed for the batch's readers until the call returns. Sets
+// of one key appear in step order. The same retention rules as Flush
+// apply to every set.
+type BatchSink interface {
+	FlushSink
+	FlushBatch(sets []pq.WriteSet)
 }
 
 // TraceSource provides the upcoming global batches, in training order.
@@ -188,7 +202,8 @@ type Controller struct {
 	// tierSink caches the Sink's TierSink extension (nil when the sink
 	// implements only Flush), so the flush hot path pays a nil check
 	// instead of a per-flush type assertion.
-	tierSink TierSink
+	tierSink  TierSink
+	batchSink BatchSink
 
 	sample chan Batch // the sample queue: capacity = Lookahead
 
@@ -196,6 +211,13 @@ type Controller struct {
 	gate          *sync.Cond
 	commits       map[int64]int
 	committedStep int64 // all trainers have committed steps ≤ this
+
+	// stages lists every live flushing stage (copy-on-write, guarded by
+	// stageMu for writers) so the gate can read their in-flight floors;
+	// staged counts the g-entries claimed by a stage and not yet landed.
+	stages  atomic.Pointer[[]*stage]
+	stageMu sync.Mutex
+	staged  atomic.Int64
 
 	// watermark mirrors committedStep for lock-free readers (the serving
 	// layer checks it on every bounded-staleness read; taking c.mu there
@@ -274,6 +296,8 @@ func NewController(opt Options) (*Controller, error) {
 		faultObs:      opt.Obs.FaultSink(),
 	}
 	c.tierSink, _ = opt.Sink.(TierSink)
+	c.batchSink, _ = opt.Sink.(BatchSink)
+	c.stages.Store(new([]*stage))
 	c.watermark.Store(-1)
 	c.degradedStep.Store(-1)
 	c.slots = make([]*flusherSlot, opt.FlushThreads)
@@ -373,20 +397,16 @@ func (c *Controller) registerReads(step int64, keys []uint64) {
 		g, _ := c.dir.GetOrInsert(k, func() *pq.GEntry { return pq.NewGEntry(k) })
 		g.Mu.Lock()
 		g.AddRead(step)
-		newP := g.ComputePriority()
 		switch {
+		case g.InFlight != nil:
+			// A write set of this key is on its way to the sink (and any
+			// newer one waits for it outside the queue): keep the gate
+			// closed for the new reader until the stage lands.
+			lowerFloor(g.InFlight, step)
 		case g.InQueue:
-			if newP != g.Priority {
+			if newP := g.ComputePriority(); newP != g.Priority {
 				c.queue.AdjustPriority(g, g.Priority, newP)
 			}
-		case len(g.W) > 0:
-			// The entry is checked out by a flusher (claimed but not yet
-			// flushed). The new read makes its pending write urgent again;
-			// re-enqueueing keeps it visible to the consistency gate —
-			// without this, a read registered in the claim→flush window
-			// could slip past Top() and observe a stale host row. The
-			// flusher's eventual TakeWrites leaves a benign empty residue.
-			c.queue.Enqueue(g, newP)
 		}
 		g.Mu.Unlock()
 	}
@@ -417,10 +437,11 @@ func (c *Controller) SampleDepth() int { return len(c.sample) }
 // Consistency gate
 
 // WaitForStep blocks until training step s may start: all trainers have
-// committed step s-1 (so every pending update is visible to the queue) and
-// the priority at the front of the queue is strictly greater than s
-// (invariant (2) of §3.3 — no g-entry has both a pending write and an
-// upcoming read at a step ≤ s). It returns the time spent blocked.
+// committed step s-1 (so every pending update is visible to the queue),
+// and both the priority at the front of the queue and every flushing
+// stage's in-flight floor are strictly greater than s (invariant (2) of
+// §3.3 — no g-entry has a pending or in-flight write and an upcoming read
+// at a step ≤ s). It returns the time spent blocked.
 func (c *Controller) WaitForStep(s int64) time.Duration {
 	c.waiters.Add(1)
 	defer c.waiters.Add(-1)
@@ -456,11 +477,31 @@ func (c *Controller) WaitForStep(s int64) time.Duration {
 }
 
 // stepReady evaluates the gate condition. Caller holds c.mu.
+//
+// The floors are read on both sides of Top(). Entries cross between the
+// queue and a stage in both directions, each time with the floor covering
+// the crossing: a claim publishes the floor before the entry leaves the
+// queue (so a Top() that misses it is followed by a floor read that sees
+// it), and a landing enqueues the key's newer write set before the floor
+// drops (so a floor read that misses it is followed by a Top() that sees
+// it).
 func (c *Controller) stepReady(s int64) bool {
 	if c.committedStep < s-1 {
 		return false
 	}
-	return c.queue.Top() > s
+	return c.inflightFloor() > s && c.queue.Top() > s && c.inflightFloor() > s
+}
+
+// inflightFloor is the minimum in-flight floor over all flushing stages
+// (Inf when nothing is in flight).
+func (c *Controller) inflightFloor() int64 {
+	m := pq.Inf
+	for _, st := range *c.stages.Load() {
+		if f := st.floor.Load(); f < m {
+			m = f
+		}
+	}
+	return m
 }
 
 // ----------------------------------------------------------------------
@@ -490,11 +531,17 @@ func (c *Controller) CommitStep(s int64, updates []KeyDelta) {
 		g.RemoveRead(s)
 		g.AddWriteState(s, kd.Delta, kd.StateDelta)
 		newP := g.ComputePriority()
-		if g.InQueue {
+		switch {
+		case g.InFlight != nil:
+			// The stage applying the key's previous write set enqueues
+			// this one when it lands, so the key's adds stay in step
+			// order; until then its floor stands in for it at the gate.
+			lowerFloor(g.InFlight, newP)
+		case g.InQueue:
 			if newP != g.Priority {
 				c.queue.AdjustPriority(g, g.Priority, newP)
 			}
-		} else {
+		default:
 			c.queue.Enqueue(g, newP)
 		}
 		g.Mu.Unlock()
@@ -565,7 +612,8 @@ func (c *Controller) AddFlushHook(fn func(key uint64)) {
 }
 
 // notifyFlush invokes the registered flush hooks. Called with g.Mu held
-// at every Sink.Flush site; lock-free for the common no-hook case.
+// once a write set has reached the sink; lock-free for the common no-hook
+// case.
 func (c *Controller) notifyFlush(key uint64) {
 	v := c.flushHooks.Load()
 	if v == nil {
@@ -599,7 +647,9 @@ func (c *Controller) RowStaleness(key uint64) (lag, watermark int64) {
 	}
 	oldest := int64(-1)
 	g.Mu.Lock()
-	if len(g.W) > 0 {
+	if g.InFlight != nil {
+		oldest = g.InFlightStep // an in-flight set predates everything in W
+	} else if len(g.W) > 0 {
 		oldest = g.W[0].Step // W is appended in commit order: oldest first
 	}
 	g.Mu.Unlock()
@@ -622,13 +672,14 @@ func (c *Controller) RowStaleness(key uint64) (lag, watermark int64) {
 // AdjustPriority path to the ∞ slot so the consistency gate's Top() scan
 // stops charging it for work that is already on the host. The residue
 // node left in the queue is culled by the next flusher visit, exactly
-// like a crash-redistributed entry.
+// like a crash-redistributed entry. A write set a flusher has in flight
+// is waited for first, so the key's updates still land in step order.
 func (c *Controller) FlushKey(key uint64) bool {
 	g, ok := c.dir.Get(key)
 	if !ok {
 		return false
 	}
-	g.Mu.Lock()
+	c.lockLanded(g)
 	if len(g.W) == 0 {
 		g.Mu.Unlock()
 		return false
@@ -645,6 +696,20 @@ func (c *Controller) FlushKey(key uint64) bool {
 	g.Mu.Unlock()
 	c.broadcast() // the gate may have been waiting on exactly this entry
 	return true
+}
+
+// lockLanded locks g.Mu once no write set of g is in flight, so a direct
+// sink apply never overtakes a staged one (float adds must land in step
+// order for runs to stay bit-identical).
+func (c *Controller) lockLanded(g *pq.GEntry) {
+	for {
+		g.Mu.Lock()
+		if g.InFlight == nil {
+			return
+		}
+		g.Mu.Unlock()
+		time.Sleep(5 * time.Microsecond)
+	}
 }
 
 // sinkFlush hands a drained write set to the sink, routing through the
@@ -712,22 +777,20 @@ func (c *Controller) FlushKeyShared(key uint64) bool {
 // Flusher pool
 
 // flusherLoop is one background flushing thread (§3.2 component 4): it
-// processes the highest-priority g-entries in batches, applying their
-// pending updates through the sink. ProcessBatch runs flushEntry while
-// the entry is still visible to the queue, so the consistency gate never
-// opens for a step whose parameters are mid-flush.
+// claims the highest-priority g-entries in batches and applies their
+// pending updates through the sink, one sink call per batch (see stage).
 //
 // gen is the slot generation this goroutine was spawned under: the loop
 // exits as soon as the supervisor bumps the slot's generation (a stalled
 // thread that wakes up finds itself superseded by its replacement). Each
 // iteration heartbeats, then consults the fault injector with the slot's
-// lifetime dequeue-batch ordinal.
+// lifetime dequeue-batch ordinal. Faults fire only between batches, so a
+// crashing thread never holds staged work.
 func (c *Controller) flusherLoop(id int, gen int64) {
 	defer c.wg.Done()
 	slot := c.slots[id]
-	flush := func(g *pq.GEntry, slotPriority int64) bool {
-		return c.flushEntry(id, g, slotPriority)
-	}
+	st := c.newStage(id)
+	defer c.releaseStage(st)
 	for {
 		if c.stopping.Load() || slot.gen.Load() != gen {
 			return
@@ -745,13 +808,9 @@ func (c *Controller) flusherLoop(id int, gen int64) {
 			c.sleepFault(dur)
 			continue
 		}
-		n := c.queue.ProcessBatch(c.opt.DequeueBatchSize, flush)
-		if n > 0 {
-			// Flushes applied or residues culled: the gate may be open.
-			c.broadcast()
-			continue
+		if !c.flushBatch(st) {
+			time.Sleep(30 * time.Microsecond)
 		}
-		time.Sleep(30 * time.Microsecond)
 	}
 }
 
@@ -764,40 +823,153 @@ func actionKind(a fault.Action) fault.Kind {
 	return fault.KindFlusherStall
 }
 
-// flushEntry drains one g-entry's write set through the sink. Called by
-// ProcessBatch with g.Mu held; reports whether the entry was claimed.
-// flusher identifies the calling thread for the observability layer.
-func (c *Controller) flushEntry(flusher int, g *pq.GEntry, slotPriority int64) bool {
+// stage is one flushing goroutine's batch in transit: the write sets it
+// has claimed out of the queue and not yet applied, and the in-flight
+// floor that stands in for them at the gate. A claimed entry leaves the
+// queue's Top() before its writes reach the sink, so the stage publishes
+// the smallest slot priority it has staged as its floor first. Until the
+// batch lands the stage owns its entries: a read registered for one, or
+// a newer write set committed to one, lowers the floor instead of
+// entering the queue, and the landing enqueues that newer set — so no
+// other flusher can apply a key's updates out of step order. The floor
+// returns to Inf once the batch has landed.
+type stage struct {
+	floor   atomic.Int64
+	id      int // flusher id for observability (-1 for drainers)
+	visit   func(g *pq.GEntry, slotPriority int64) bool
+	sets    []pq.WriteSet
+	entries []*pq.GEntry // aligned with sets
+	claimed int          // queue entries claimed in the current batch
+}
+
+// newStage registers a stage so the gate reads its floor.
+func (c *Controller) newStage(id int) *stage {
+	st := &stage{id: id}
+	st.floor.Store(pq.Inf)
+	st.visit = func(g *pq.GEntry, slotPriority int64) bool { return c.claim(st, g, slotPriority) }
+	c.stageMu.Lock()
+	old := *c.stages.Load()
+	next := make([]*stage, len(old), len(old)+1)
+	copy(next, old)
+	next = append(next, st)
+	c.stages.Store(&next)
+	c.stageMu.Unlock()
+	return st
+}
+
+// releaseStage unregisters a stage whose last batch has landed.
+func (c *Controller) releaseStage(st *stage) {
+	c.stageMu.Lock()
+	old := *c.stages.Load()
+	next := make([]*stage, 0, len(old))
+	for _, o := range old {
+		if o != st {
+			next = append(next, o)
+		}
+	}
+	c.stages.Store(&next)
+	c.stageMu.Unlock()
+}
+
+// lowerFloor moves an in-flight floor down to step.
+func lowerFloor(f *atomic.Int64, step int64) {
+	for {
+		cur := f.Load()
+		if step >= cur || f.CompareAndSwap(cur, step) {
+			return
+		}
+	}
+}
+
+// claim is a stage's ProcessBatch visit, called with g.Mu held while the
+// entry is still visible to Top(). It takes the entry's write set into
+// the stage, publishing the floor first. Queued entries are never in
+// flight (see stage), so the write set is always the key's oldest.
+func (c *Controller) claim(st *stage, g *pq.GEntry, slotPriority int64) bool {
 	if !g.InQueue || g.Priority != slotPriority {
 		return false // stale residue, or a duplicate concurrent visit
 	}
 	g.InQueue = false
-	w := g.TakeWrites()
-	if len(w) == 0 {
-		return true // residue of a commit that re-queued a claimed entry
+	st.claimed++
+	if len(g.W) == 0 {
+		return true // emptied by FlushKey or a degraded commit
 	}
+	lowerFloor(&st.floor, slotPriority)
+	c.staged.Add(1)
+	w := g.TakeWrites()
+	g.InFlight, g.InFlightStep = &st.floor, w[0].Step
 	deferred := slotPriority == pq.Inf
 	if deferred {
 		c.deferredFlushes.Add(1)
 	} else {
 		c.urgentFlushes.Add(1)
 	}
-	var start time.Time
-	if c.fl != nil {
-		c.fl.Dequeued(flusher, g.Key, len(w))
-		start = time.Now()
-	}
-	c.sinkFlush(g.Key, w, deferred)
-	c.notifyFlush(g.Key)
-	c.flushedUpdates.Add(int64(len(w)))
-	// g.Mu has been held since TakeWrites and the sink is done with the
-	// slice (FlushSink must not retain it), so the entry can reuse its
-	// capacity for the next write burst.
-	g.FlushedWrites(w)
-	if c.fl != nil {
-		c.fl.Applied(flusher, g.Key, len(w), deferred, time.Since(start))
-	}
+	c.fl.Dequeued(st.id, g.Key, len(w))
+	st.sets = append(st.sets, pq.WriteSet{Key: g.Key, Updates: w, Deferred: deferred})
+	st.entries = append(st.entries, g)
 	return true
+}
+
+// flushBatch runs one batch of a stage: claim up to DequeueBatchSize
+// entries, apply their write sets with one sink call, then clear their
+// in-flight marks (running the flush hooks and enqueueing any newer write
+// set under each entry's lock), drop the floor, and wake the gate. It
+// reports whether it did anything.
+func (c *Controller) flushBatch(st *stage) (progress bool) {
+	processed := c.queue.ProcessBatch(c.opt.DequeueBatchSize, st.visit)
+	progress = processed > 0 || st.claimed > 0
+	if len(st.sets) > 0 {
+		var start time.Time
+		if c.fl != nil {
+			start = time.Now()
+		}
+		if c.batchSink != nil {
+			c.batchSink.FlushBatch(st.sets)
+		} else {
+			for _, ws := range st.sets {
+				c.sinkFlush(ws.Key, ws.Updates, ws.Deferred)
+			}
+		}
+		var took time.Duration // each set's share of the one sink call
+		if c.fl != nil {
+			took = time.Since(start) / time.Duration(len(st.sets))
+		}
+		for i, g := range st.entries {
+			ws := &st.sets[i]
+			g.Mu.Lock()
+			g.InFlight = nil
+			c.notifyFlush(g.Key)
+			// The sink is done with the slice (it must not retain it), so
+			// the entry can reuse its capacity for the next write burst.
+			g.FlushedWrites(ws.Updates)
+			if len(g.W) > 0 && !g.InQueue {
+				c.queue.Enqueue(g, g.ComputePriority())
+			}
+			g.Mu.Unlock()
+			c.flushedUpdates.Add(int64(len(ws.Updates)))
+			c.fl.Applied(st.id, g.Key, len(ws.Updates), ws.Deferred, took)
+		}
+	}
+	c.staged.Add(-int64(len(st.entries)))
+	st.floor.Store(pq.Inf)
+	clear(st.sets)
+	clear(st.entries)
+	st.sets, st.entries, st.claimed = st.sets[:0], st.entries[:0], 0
+	// Any claim may have let the gate open: a landed or culled entry left
+	// Top(), and a floor that held a waiter shut just dropped.
+	// ProcessBatch's count alone cannot decide this: a concurrent visitor
+	// may unlink a node this stage claimed.
+	if progress {
+		c.broadcast()
+	}
+	return progress
+}
+
+// idle reports that no update is pending in the queue or staged in a
+// flushing batch. Len is read again after staged: a landing enqueues a
+// key's newer write set before the stage leaves the staged count.
+func (c *Controller) idle() bool {
+	return c.queue.Len() == 0 && c.staged.Load() == 0 && c.queue.Len() == 0
 }
 
 // DrainAll blocks until every pending update has been flushed to the sink
@@ -837,6 +1009,7 @@ func (c *Controller) Entry(key uint64) (*pq.GEntry, bool) { return c.dir.Get(key
 // (unflushed) write. It returns an error naming the first violating key.
 // The runtime calls this after the gate in tests and debug builds; it
 // must observe no violation, ever — that is the formal guarantee of P²F.
+// A write set a flusher has taken but not yet applied counts as pending.
 func (c *Controller) CheckInvariant(s int64, keys []uint64) error {
 	for _, k := range keys {
 		g, ok := c.dir.Get(k)
@@ -844,10 +1017,13 @@ func (c *Controller) CheckInvariant(s int64, keys []uint64) error {
 			continue
 		}
 		g.Mu.Lock()
-		bad := len(g.W) > 0
+		bad := len(g.W) > 0 || g.InFlight != nil
 		detail := ""
 		if bad {
 			detail = g.String()
+			if g.InFlight != nil {
+				detail += fmt.Sprintf(" in-flight@%d", g.InFlightStep)
+			}
 			for _, u := range g.W {
 				detail += fmt.Sprintf(" w@%d", u.Step)
 			}

@@ -201,19 +201,18 @@ func (c *Controller) degrade() {
 }
 
 // drainSync drains the priority queue from the caller's goroutine until
-// it is empty, applying pending writes through the sink. It is the shared
-// engine of DrainAll (the end-of-training epilogue), the degraded-mode
-// gate path, and the supervisor's drainer-of-last-resort tick; safe for
-// concurrent callers. id identifies the drainer to the observability
+// it is empty and no flushing batch has writes in flight, applying
+// pending writes through the sink. It is the shared engine of DrainAll
+// (the end-of-training epilogue), the degraded-mode gate path, and the
+// supervisor's drainer-of-last-resort tick; safe for concurrent callers. id identifies the drainer to the observability
 // layer (-1 for non-pool drainers).
 func (c *Controller) drainSync(id int) {
-	flush := func(g *pq.GEntry, slotPriority int64) bool {
-		return c.flushEntry(id, g, slotPriority)
-	}
-	for !c.stopping.Load() && c.queue.Len() > 0 {
-		if c.queue.ProcessBatch(c.opt.DequeueBatchSize, flush) == 0 {
-			// Remaining entries are mid-visit in a concurrent drainer's
-			// batch; yield until they land.
+	st := c.newStage(id)
+	defer c.releaseStage(st)
+	for !c.stopping.Load() && !c.idle() {
+		if !c.flushBatch(st) {
+			// Remaining entries are mid-visit or in flight in a concurrent
+			// drainer's batch; yield until they land.
 			time.Sleep(5 * time.Microsecond)
 		}
 	}
@@ -224,12 +223,13 @@ func (c *Controller) drainSync(id int) {
 // semantics, §4 baseline): updates go straight to host memory instead of
 // the priority queue. Any backlog a key still carries from before the
 // degradation is flushed first inside the same critical section, which
-// preserves per-key step order. Entries stay out of the queue, so the
+// preserves per-key step order (a write set a flusher still has in flight
+// is waited for first). Entries stay out of the queue, so the
 // gate's Top() check is trivially satisfied once the old backlog drains.
 func (c *Controller) commitDegraded(s int64, updates []KeyDelta) {
 	for _, kd := range updates {
 		g, _ := c.dir.GetOrInsert(kd.Key, func() *pq.GEntry { return pq.NewGEntry(kd.Key) })
-		g.Mu.Lock()
+		c.lockLanded(g)
 		g.RemoveRead(s)
 		g.AddWriteState(s, kd.Delta, kd.StateDelta)
 		w := g.TakeWrites()

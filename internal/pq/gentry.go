@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Inf is the priority of a g-entry no upcoming step will read
@@ -52,6 +53,21 @@ type GEntry struct {
 	// InQueue reports whether the entry currently lives in the priority
 	// queue (i.e. it has a non-empty write set).
 	InQueue bool
+	// InFlight is non-nil while a flusher has taken a write set of this
+	// entry out of the queue and not yet applied it: it points at that
+	// flusher's in-flight floor, which the consistency gate reads beside
+	// Top(). InFlightStep is the oldest step of the in-flight set.
+	InFlight     *atomic.Int64
+	InFlightStep int64
+}
+
+// WriteSet is one key's drained write set, in step order, as a batched
+// flush hands it to its sink. Deferred reports that it was drained from
+// the ∞ slot (no reader waiting inside the lookahead window).
+type WriteSet struct {
+	Key      uint64
+	Updates  []Update
+	Deferred bool
 }
 
 // NewGEntry returns a g-entry for key with empty R/W sets and priority ∞.
@@ -118,10 +134,10 @@ func (g *GEntry) TakeWrites() []Update {
 
 // FlushedWrites hands the storage of a flushed write set back to the entry
 // so future AddWrite calls reuse its capacity instead of growing a fresh
-// slice from nil. Callers must have held Mu continuously since the
-// TakeWrites that produced w (otherwise concurrent AddWrites may already
-// have started a new W) and must be done with w's elements — the delta
-// buffers they reference have been applied and returned to their pool.
+// slice from nil. Callers must hold Mu and must be done with w's
+// elements — the delta buffers they reference have been applied and
+// returned to their pool. A write set started since the TakeWrites that
+// produced w is kept as it is.
 func (g *GEntry) FlushedWrites(w []Update) {
 	if g.W != nil {
 		return // defensive: a new write set already exists

@@ -486,8 +486,8 @@ func newJob(cfg Config, steps int64, samplesPerStep int,
 	return j, nil
 }
 
-// frugalSink is the P²F flush sink for the Frugal engine: it applies a
-// drained write set to the parameter store and recycles the delta
+// frugalSink is the P²F flush sink for the Frugal engine: it applies
+// drained write sets to the parameter store and recycles the delta
 // buffers (the gate guarantees no reader still needs them once
 // applied). On a tiered host it also feeds the tier maintainer the
 // flush-boundary access signal — promotion and demotion ride the flush
@@ -517,6 +517,19 @@ func (s *frugalSink) FlushTiered(key uint64, updates []pq.Update, deferred bool)
 	s.job.rowPool.PutUpdates(updates)
 	if s.tier != nil {
 		s.tier.TierMaintain(key, deferred)
+	}
+}
+
+// FlushBatch applies one flusher batch with a single slab write, then
+// recycles its buffers and runs tier maintenance per key — still before
+// the batch's in-flight floor drops, so tier moves stay gate-covered.
+func (s *frugalSink) FlushBatch(sets []pq.WriteSet) {
+	s.job.slab.ApplyWriteSets(sets)
+	for i := range sets {
+		s.job.rowPool.PutUpdates(sets[i].Updates)
+		if s.tier != nil {
+			s.tier.TierMaintain(sets[i].Key, sets[i].Deferred)
+		}
 	}
 }
 

@@ -107,6 +107,15 @@ func (t *keyTable) get(key uint64) (s *ktSlot, fresh bool) {
 	}
 }
 
+// reserve grows the table until n distinct keys fit without another grow,
+// so slot pointers taken while claiming a step's keys stay valid for the
+// whole step. Called right after reset; after warm-up it never grows.
+func (t *keyTable) reserve(n int) {
+	for n >= len(t.slots)-len(t.slots)/4 {
+		t.grow()
+	}
+}
+
 // grow doubles the table and rehashes the current generation's entries.
 // Amortised: after warm-up the table is sized for the batch and grow never
 // runs again, keeping the steady state allocation-free.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"frugal/internal/cache"
 	"frugal/internal/comm"
 	"frugal/internal/fault"
 	"frugal/internal/obs"
@@ -98,6 +99,16 @@ type workerState struct {
 	// upd is the reusable CommitStep batch (EngineFrugal); the controller
 	// does not retain the slice, only the delta buffers inside it.
 	upd []p2f.KeyDelta
+	// Gather batches, reused across steps: the keyTable slot of every
+	// occurrence, the owned keys whose versions the step probes (with
+	// their first-occurrence index), and the keys read from the slab with
+	// their destination rows.
+	occ      []*ktSlot
+	verKeys  []uint64
+	verIdx   []int
+	vers     []uint64
+	readKeys []uint64
+	readDsts [][]float32
 }
 
 func (j *Job) newWorkerState(id int) *workerState {
@@ -113,10 +124,12 @@ func (j *Job) newWorkerState(id int) *workerState {
 func (ws *workerState) ensure(n, dim int) {
 	for len(ws.rows) < n {
 		ws.rows = append(ws.rows, nil)
+		ws.occ = append(ws.occ, nil)
 		ws.grads = append(ws.grads, make([]float32, dim))
 		ws.scratch = append(ws.scratch, make([]float32, dim))
 	}
 	ws.kt.reset()
+	ws.kt.reserve(n)
 }
 
 // workerLoop is one trainer process (one GPU).
@@ -223,80 +236,84 @@ func (j *Job) step(ws *workerState, msg stepMsg) {
 // keep host rows stable for the whole gather phase (commits of the
 // previous step land before it, commits of this step after it), so every
 // occurrence of a key reads the same bytes by construction.
-func (j *Job) gather(ws *workerState, keys []uint64) {
-	if j.caches != nil {
-		// New pinning epoch: rows the cache hands out this step stay valid
-		// until the next step even if later gathers fill the same set.
-		j.caches[ws.id].BeginEpoch()
-	}
-	adagrad := j.cfg.Optimizer == OptAdagrad
-	for i, k := range keys {
-		s, fresh := ws.kt.get(k)
-		if !fresh {
-			ws.rows[i] = s.row
-			continue
-		}
-		if adagrad {
-			s.state = j.slab.OptState(k)
-		}
-		switch j.cfg.Engine {
-		case EngineDirect, EngineAsync:
-			j.slab.ReadRowLocked(k, ws.scratch[i])
-			s.row = ws.scratch[i]
-		case EngineFrugalSync:
-			j.gatherCached(ws, s, i, k, true)
-		case EngineFrugal:
-			j.gatherCached(ws, s, i, k, false)
-		}
-		ws.rows[i] = s.row
-	}
-}
-
-// gatherCached reads one key through the sharded cache hierarchy: owned
-// keys go through the local cache (version-checked against host), foreign
-// keys are read straight from host memory (the UVA path of §3.1, safe
-// without locks under the gate's no-pending-writes guarantee). locked
-// selects the locked host read used by the write-through engine.
+//
+// The slab sees two batched calls per step, so a remote slab pays two
+// round trips per shard rather than one per row:
+//
+//  1. one Versions call for the owned keys of a cached engine, whose
+//     cache lookups and inserts then run against those versions;
+//  2. one GatherRows call for the cache misses and every other key —
+//     foreign keys are read straight from host memory (the UVA path of
+//     §3.1, safe without locks under the gate's no-pending-writes
+//     guarantee), and the uncached engines read everything here.
 //
 // Cache rows are NOT copied out: the epoch pin taken by the hit (or fill)
 // keeps the slot's storage untouched for the rest of the step, so the
 // compute phase reads the slab directly — a hit costs zero copies and a
 // miss exactly one (host → slab). Only when every way of the set is
 // pinned by this step's earlier keys does the access fall back to the
-// worker's private scratch row.
-func (j *Job) gatherCached(ws *workerState, s *ktSlot, i int, k uint64, locked bool) {
-	if comm.Owner(k, j.cfg.NumGPUs) != ws.id {
-		j.readRow(k, ws.scratch[i], locked)
-		s.row = ws.scratch[i]
-		return
+// worker's private scratch row. Reads are direct (unlocked,
+// gate-protected) under EngineFrugal and locked under the write-through
+// and gate-less engines.
+func (j *Job) gather(ws *workerState, keys []uint64) {
+	var c *cache.Cache
+	if j.caches != nil {
+		c = j.caches[ws.id]
+		// New pinning epoch: rows the cache hands out this step stay valid
+		// until the next step even if later gathers fill the same set.
+		c.BeginEpoch()
 	}
-	c := j.caches[ws.id]
-	ver := j.slab.Version(k)
-	s.ver = ver
-	if row, hit := c.Lookup(k, ver); hit {
-		s.row = row
-		return
+	adagrad := j.cfg.Optimizer == OptAdagrad
+	ws.verKeys, ws.verIdx = ws.verKeys[:0], ws.verIdx[:0]
+	ws.readKeys, ws.readDsts = ws.readKeys[:0], ws.readDsts[:0]
+	// ensure reserved the table for the whole batch, so slot pointers
+	// taken here stay valid for the step.
+	for i, k := range keys {
+		s, fresh := ws.kt.get(k)
+		ws.occ[i] = s
+		if !fresh {
+			continue
+		}
+		if adagrad {
+			s.state = j.slab.OptState(k)
+		}
+		if c != nil && comm.Owner(k, j.cfg.NumGPUs) == ws.id {
+			ws.verKeys = append(ws.verKeys, k)
+			ws.verIdx = append(ws.verIdx, i)
+			continue
+		}
+		ws.read(s, ws.scratch[i])
 	}
-	if dst, _, _ := c.Insert(k, ver); dst != nil {
-		j.readRow(k, dst, locked)
-		s.row = dst
-		return
+	if len(ws.verKeys) > 0 {
+		if cap(ws.vers) < len(ws.verKeys) {
+			ws.vers = make([]uint64, len(ws.verKeys))
+		}
+		vers := ws.vers[:len(ws.verKeys)]
+		j.slab.Versions(ws.verKeys, vers)
+		for n, i := range ws.verIdx {
+			s := ws.occ[i]
+			s.ver = vers[n]
+			if row, hit := c.Lookup(s.key, s.ver); hit {
+				s.row = row
+			} else if dst, _, _ := c.Insert(s.key, s.ver); dst != nil {
+				ws.read(s, dst)
+			} else {
+				// Whole set pinned by this step's gathers: bypass the cache.
+				ws.read(s, ws.scratch[i])
+			}
+		}
 	}
-	// Whole set pinned by this step's gathers: bypass the cache.
-	j.readRow(k, ws.scratch[i], locked)
-	s.row = ws.scratch[i]
+	j.slab.GatherRows(ws.readKeys, ws.readDsts, j.cfg.Engine != EngineFrugal)
+	for i := range keys {
+		ws.rows[i] = ws.occ[i].row
+	}
 }
 
-// readRow is the gather read: direct (unlocked, gate-protected) by
-// default, locked for the write-through engine. Explicit branches rather
-// than a method value — bound methods of an interface-typed slab would
-// allocate a closure per call in the 0-alloc step path.
-func (j *Job) readRow(k uint64, dst []float32, locked bool) {
-	if locked {
-		j.slab.ReadRowLocked(k, dst)
-	} else {
-		j.slab.ReadRowDirect(k, dst)
-	}
+// read queues s's row for the step's slab read into dst.
+func (ws *workerState) read(s *ktSlot, dst []float32) {
+	s.row = dst
+	ws.readKeys = append(ws.readKeys, s.key)
+	ws.readDsts = append(ws.readDsts, dst)
 }
 
 // commit aggregates the per-occurrence gradients into one per-key

@@ -427,6 +427,17 @@ func (fs *followerStore) Gather(keys []uint64, dst []float32, versions []uint64)
 	return nil
 }
 
+func (fs *followerStore) Versions(keys []uint64, out []uint64) error {
+	for i, k := range keys {
+		v, err := fs.Version(k)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
 func (fs *followerStore) Scatter(int64, []store.KeyDelta) error {
 	return fmt.Errorf("serve: follower replicas are read-only")
 }

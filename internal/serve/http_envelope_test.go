@@ -51,6 +51,13 @@ func (s *gateStore) Gather(keys []uint64, dst []float32, versions []uint64) erro
 	return nil
 }
 
+func (s *gateStore) Versions(keys []uint64, out []uint64) error {
+	for i := range keys {
+		out[i] = 1
+	}
+	return nil
+}
+
 func (s *gateStore) Scatter(step int64, updates []store.KeyDelta) error { return nil }
 func (s *gateStore) Version(key uint64) (uint64, error)                 { return 1, nil }
 func (s *gateStore) Watermark() int64                                   { return s.wm }

@@ -50,6 +50,58 @@ type RemoteStore struct {
 
 	pool   chan *clientConn
 	closed atomic.Bool
+
+	// traffic counts request frames and wire bytes per op code.
+	traffic [numOps]opCounter
+}
+
+// numOps bounds the op codes the client counts (op codes are < numOps).
+const numOps = 16
+
+// opNames names the counted ops for Stats.
+var opNames = [numOps]string{
+	opInfo: "info", opReadRow: "read_row", opGather: "gather", opScatter: "scatter",
+	opVersion: "version", opWatermark: "watermark", opStaleness: "staleness",
+	opFlushKey: "flush_key", opTopK: "topk", opPing: "ping", opVersions: "versions",
+}
+
+// opCounter is one op's traffic, padded to its own cache line so
+// concurrent callers of different ops do not share one.
+type opCounter struct {
+	frames, sent, recv atomic.Int64
+	_                  [40]byte
+}
+
+// OpStats is one op's client-side traffic: request frames sent, and wire
+// bytes sent and received (frame headers included).
+type OpStats struct {
+	Frames, BytesSent, BytesRecv int64
+}
+
+// ClientStats is a snapshot of a RemoteStore's traffic per op.
+type ClientStats struct {
+	ops [numOps]OpStats
+}
+
+// Op returns the traffic of the op named name ("gather", "versions",
+// "scatter", "read_row", "version", …); the zero value for unknown names.
+func (c ClientStats) Op(name string) OpStats {
+	for op, n := range opNames {
+		if n == name && n != "" {
+			return c.ops[op]
+		}
+	}
+	return OpStats{}
+}
+
+// Stats snapshots the store's traffic counters.
+func (s *RemoteStore) Stats() ClientStats {
+	var c ClientStats
+	for op := range s.traffic {
+		t := &s.traffic[op]
+		c.ops[op] = OpStats{Frames: t.frames.Load(), BytesSent: t.sent.Load(), BytesRecv: t.recv.Load()}
+	}
+	return c
 }
 
 // Dial connects to a shard node, fetches its Info (global rows, dim,
@@ -130,6 +182,9 @@ func (s *RemoteStore) put(cc *clientConn) {
 // Transport errors close the connection and come back wrapped; the caller
 // must not reuse cc then.
 func (s *RemoteStore) exchange(cc *clientConn, op byte, payload []byte) ([]byte, error) {
+	t := &s.traffic[op%numOps]
+	t.frames.Add(1)
+	t.sent.Add(int64(5 + len(payload)))
 	if err := writeFrame(cc.bw, op, payload); err != nil {
 		cc.Close()
 		return nil, &store.ShardUnavailableError{Addr: s.addr, Err: err}
@@ -146,6 +201,7 @@ func (s *RemoteStore) exchange(cc *clientConn, op byte, payload []byte) ([]byte,
 		cc.Close()
 		return nil, &store.ShardUnavailableError{Addr: s.addr, Err: err}
 	}
+	t.recv.Add(int64(5 + len(resp)))
 	if status == statusErr {
 		return nil, fmt.Errorf("shard %s: %s", s.addr, string(resp))
 	}
@@ -240,6 +296,20 @@ func (s *RemoteStore) Gather(keys []uint64, dst []float32, versions []uint64) er
 			}
 			d.f32s(dst)
 		})
+}
+
+// Versions reads rows' update counters by global key in a single round
+// trip, without shipping the rows.
+func (s *RemoteStore) Versions(keys []uint64, out []uint64) error {
+	if len(out) != len(keys) {
+		return fmt.Errorf("shard: versions out %d, want %d", len(out), len(keys))
+	}
+	return s.roundTrip(opVersions,
+		func(b []byte) []byte {
+			b = appendU32(b, uint32(len(keys)))
+			return appendU64s(b, keys)
+		},
+		func(d *decoder) { d.u64s(out) })
 }
 
 // Scatter ships one step's updates (possibly empty — the pure commit

@@ -180,6 +180,21 @@ func (n *Node) Gather(keys []uint64, dst []float32, versions []uint64) error {
 	return nil
 }
 
+// Versions reads owned rows' update counters by global key.
+func (n *Node) Versions(keys []uint64, out []uint64) error {
+	if len(out) != len(keys) {
+		return fmt.Errorf("shard: versions out %d, want %d", len(out), len(keys))
+	}
+	for i, k := range keys {
+		local, err := n.local(k)
+		if err != nil {
+			return err
+		}
+		out[i] = n.host.Version(uint64(local))
+	}
+	return nil
+}
+
 // Scatter commits one step's updates for this shard. Every key must be
 // owned here. An empty updates slice is the pure commit signal that lets
 // the shard's watermark advance on steps whose batch missed it.

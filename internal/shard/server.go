@@ -141,6 +141,7 @@ type connScratch struct {
 	keys []uint64  // gather key batch
 	rows []float32 // gather row batch / topk query
 	vers []uint64  // gather version batch
+	upd  []store.KeyDelta
 }
 
 // growKeys returns a length-n key slice backed by the scratch.
@@ -165,6 +166,25 @@ func (sc *connScratch) growVers(n int) []uint64 {
 		sc.vers = make([]uint64, n)
 	}
 	return sc.vers[:n]
+}
+
+// decodeKeys decodes a count-prefixed key list into the key scratch. The
+// count must be at most max and match the bytes left in the payload, so
+// a corrupt or hostile count is refused before anything is sized by it.
+func (sc *connScratch) decodeKeys(d *decoder, max int) ([]uint64, error) {
+	count := int(d.u32())
+	if d.err != nil {
+		return nil, d.err
+	}
+	if count > max {
+		return nil, fmt.Errorf("shard: key count %d exceeds %d", count, max)
+	}
+	if 8*count != len(d.b)-d.off {
+		return nil, fmt.Errorf("shard: key count %d does not match %d payload bytes", count, len(d.b)-d.off)
+	}
+	keys := sc.growKeys(count)
+	d.u64s(keys)
+	return keys, d.finish()
 }
 
 // handle dispatches one request and appends the response payload to out.
@@ -205,43 +225,67 @@ func (s *Server) handle(op byte, req []byte, sc *connScratch, out []byte) ([]byt
 		return appendF32s(out, sc.row), nil
 
 	case opGather:
-		count := int(d.u32())
-		if count > maxFrame/8 {
-			return nil, fmt.Errorf("shard: gather count %d too large", count)
-		}
-		keys := sc.growKeys(count)
-		d.u64s(keys)
-		if err := d.finish(); err != nil {
+		dim := s.st.Dim()
+		// The response carries a version and a row per key; it must fit
+		// in one frame too.
+		keys, err := sc.decodeKeys(d, (maxFrame-1)/(8+4*dim))
+		if err != nil {
 			return nil, err
 		}
-		dim := s.st.Dim()
-		rows := sc.growRows(count * dim)
-		vers := sc.growVers(count)
+		rows := sc.growRows(len(keys) * dim)
+		vers := sc.growVers(len(keys))
 		if err := s.st.Gather(keys, rows, vers); err != nil {
 			return nil, err
 		}
 		out = appendU64s(out, vers)
 		return appendF32s(out, rows), nil
 
+	case opVersions:
+		keys, err := sc.decodeKeys(d, (maxFrame-1)/8)
+		if err != nil {
+			return nil, err
+		}
+		vers := sc.growVers(len(keys))
+		if err := s.st.Versions(keys, vers); err != nil {
+			return nil, err
+		}
+		return appendU64s(out, vers), nil
+
 	case opScatter:
 		step := d.i64()
 		count := int(d.u32())
 		dim := s.st.Dim()
-		if count > maxFrame/(8+4+4*dim) {
-			return nil, fmt.Errorf("shard: scatter count %d too large", count)
+		// Every update is a key, a state delta and a row: the count must
+		// match the bytes actually sent before anything is sized by it.
+		if d.err == nil && count != (len(d.b)-d.off)/(12+4*dim) {
+			return nil, fmt.Errorf("shard: scatter count %d does not match a %d-byte payload", count, len(d.b))
 		}
-		updates := make([]store.KeyDelta, count)
+		// An uncoordinated store applies the deltas before Scatter returns,
+		// so they decode into connection scratch; a coordinated one keeps
+		// them in its write sets, so they get a block of their own.
+		var block []float32
+		if s.st.Coordinated() {
+			block = make([]float32, count*dim)
+		} else {
+			block = sc.growRows(count * dim)
+		}
+		if cap(sc.upd) < count {
+			sc.upd = make([]store.KeyDelta, count)
+		}
+		updates := sc.upd[:count]
 		for i := range updates {
 			key := d.u64()
 			sd := d.f32()
-			delta := make([]float32, dim)
+			delta := block[i*dim : (i+1)*dim : (i+1)*dim]
 			d.f32s(delta)
 			updates[i] = store.KeyDelta{Key: key, Delta: delta, StateDelta: sd}
 		}
-		if err := d.finish(); err != nil {
-			return nil, err
+		err := d.finish()
+		if err == nil {
+			err = s.st.Scatter(step, updates)
 		}
-		if err := s.st.Scatter(step, updates); err != nil {
+		clear(updates)
+		if err != nil {
 			return nil, err
 		}
 		return out, nil

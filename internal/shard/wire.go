@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Wire protocol (DESIGN §5h). Every message — request and response — is
@@ -28,6 +29,7 @@ const (
 	opFlushKey  = 0x08 // key u64 → flushed u8
 	opTopK      = 0x09 // k u32, dim u32, query dim·f32 → count u32, {key u64, version u64, score f32}…
 	opPing      = 0x0a // () → ()
+	opVersions  = 0x0b // count u32, keys count·u64 → versions count·u64
 
 	statusOK  = 0x00
 	statusErr = 0x01
@@ -81,13 +83,23 @@ func readFrameInto(r io.Reader, buf []byte) (op byte, payload []byte, err error)
 	}
 	op = hdr[4]
 	need := int(n) - 1
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	payload = buf[:need]
-	if need > 0 {
+	if cap(buf) >= need {
+		payload = buf[:need]
 		if _, err = io.ReadFull(r, payload); err != nil {
 			return 0, payload, err
+		}
+		return op, payload, nil
+	}
+	// Grow with the bytes that actually arrive: a corrupt or hostile
+	// length prefix costs at most twice what the peer really sent.
+	payload = buf[:0]
+	for len(payload) < need {
+		chunk := min(need-len(payload), max(len(payload), 4<<10))
+		payload = slices.Grow(payload, chunk)
+		got, rerr := io.ReadFull(r, payload[len(payload):len(payload)+chunk])
+		payload = payload[:len(payload)+got]
+		if rerr != nil {
+			return 0, payload, rerr
 		}
 	}
 	return op, payload, nil

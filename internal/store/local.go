@@ -75,6 +75,20 @@ func (s *LocalStore) Gather(keys []uint64, dst []float32, versions []uint64) err
 	return nil
 }
 
+// Versions reads each key's update counter.
+func (s *LocalStore) Versions(keys []uint64, out []uint64) error {
+	if len(out) != len(keys) {
+		return fmt.Errorf("store: versions out %d, want %d", len(out), len(keys))
+	}
+	for i, k := range keys {
+		if k >= uint64(s.host.Rows()) {
+			return keyRangeError(k, s.host.Rows())
+		}
+		out[i] = s.host.Version(k)
+	}
+	return nil
+}
+
 // Scatter commits one step's updates: through the controller's P²F
 // commit path when coordinated (the write sets drain asynchronously and
 // the watermark advances), straight onto the slab otherwise.

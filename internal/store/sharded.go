@@ -31,16 +31,109 @@ type ShardedStore struct {
 	wmAt time.Time
 	wm   int64
 
-	// gatherPool recycles the per-shard working buffers of Gather — a
-	// trainer gathering every step would otherwise allocate (and the
-	// runtime zero) shard-sized float batches on each call.
-	gatherPool sync.Pool // *gatherScratch
+	// fanouts recycles the per-call working set of the batched fan-outs
+	// — a trainer gathering and flushing every step would otherwise
+	// allocate per-shard buckets and shard-sized row batches on each call.
+	fanouts sync.Pool // *fanout
 }
 
-// gatherScratch is one pooled per-shard gather working set.
-type gatherScratch struct {
-	buf  []float32
-	vers []uint64
+// fanout is one batched call's per-shard working set: the keys (or
+// updates) routed to each shard with their positions in the caller's
+// slices, each shard's private row and version buffers, and its error.
+type fanout struct {
+	keys   [][]uint64
+	pos    [][]int
+	upd    [][]KeyDelta
+	buf    [][]float32
+	vers   [][]uint64
+	active []bool
+	errs   []error
+	wg     sync.WaitGroup
+}
+
+// getFanout returns an emptied working set sized for the shard count.
+func (s *ShardedStore) getFanout() *fanout {
+	f, _ := s.fanouts.Get().(*fanout)
+	n := len(s.shards)
+	if f == nil {
+		f = &fanout{
+			keys: make([][]uint64, n), pos: make([][]int, n), upd: make([][]KeyDelta, n),
+			buf: make([][]float32, n), vers: make([][]uint64, n),
+			active: make([]bool, n), errs: make([]error, n),
+		}
+	}
+	for sh := 0; sh < n; sh++ {
+		f.keys[sh], f.pos[sh], f.upd[sh] = f.keys[sh][:0], f.pos[sh][:0], f.upd[sh][:0]
+		f.active[sh], f.errs[sh] = false, nil
+	}
+	return f
+}
+
+// putFanout pools f, dropping its references to the caller's deltas.
+func (s *ShardedStore) putFanout(f *fanout) {
+	for _, u := range f.upd {
+		clear(u)
+	}
+	s.fanouts.Put(f)
+}
+
+// route buckets keys by owner, recording each key's position.
+func (f *fanout) route(keys []uint64) {
+	n := len(f.keys)
+	for i, k := range keys {
+		o := comm.Owner(k, n)
+		f.keys[o] = append(f.keys[o], k)
+		f.pos[o] = append(f.pos[o], i)
+	}
+	for sh := range f.active {
+		f.active[sh] = len(f.keys[sh]) > 0
+	}
+}
+
+// do runs op for every active shard concurrently — the last one on the
+// calling goroutine — and returns the first error in shard order.
+func (f *fanout) do(op func(sh int) error) error {
+	last := -1
+	for sh, a := range f.active {
+		if a {
+			last = sh
+		}
+	}
+	for sh, a := range f.active {
+		if !a || sh == last {
+			continue
+		}
+		f.wg.Add(1)
+		go func(sh int) {
+			defer f.wg.Done()
+			f.errs[sh] = op(sh)
+		}(sh)
+	}
+	if last >= 0 {
+		f.errs[last] = op(last)
+	}
+	f.wg.Wait()
+	for _, err := range f.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// growF32 / growU64 resize a pooled buffer to n elements.
+func growF32(b *[]float32, n int) []float32 {
+	if cap(*b) < n {
+		*b = make([]float32, n)
+	}
+	return (*b)[:n]
+}
+
+func growU64(b *[]uint64, n int) []uint64 {
+	if cap(*b) < n {
+		*b = make([]uint64, n)
+	}
+	return (*b)[:n]
 }
 
 // wmCacheTTL bounds how stale the cached composed watermark may be.
@@ -92,7 +185,7 @@ func (s *ShardedStore) ReadRow(key uint64, dst []float32) (uint64, error) {
 }
 
 // Gather buckets keys by owner and fans out one batched Gather per shard.
-// Each shard goroutine gathers into a private contiguous buffer, then
+// Each shard gathers into a private contiguous buffer, then
 // scatter-copies rows back to their original positions in dst — the
 // positions are disjoint across shards, so the copies race with nothing.
 func (s *ShardedStore) Gather(keys []uint64, dst []float32, versions []uint64) error {
@@ -102,101 +195,87 @@ func (s *ShardedStore) Gather(keys []uint64, dst []float32, versions []uint64) e
 	if versions != nil && len(versions) != len(keys) {
 		return fmt.Errorf("store: gather versions %d, want %d", len(versions), len(keys))
 	}
+	if err := s.checkKeys(keys); err != nil {
+		return err
+	}
+	f := s.getFanout()
+	defer s.putFanout(f)
+	f.route(keys)
+	return f.do(func(sh int) error {
+		ks, pos := f.keys[sh], f.pos[sh]
+		buf := growF32(&f.buf[sh], len(ks)*s.dim)
+		vers := growU64(&f.vers[sh], len(ks))
+		if err := s.shards[sh].Gather(ks, buf, vers); err != nil {
+			return err
+		}
+		for j, p := range pos {
+			copy(dst[p*s.dim:(p+1)*s.dim], buf[j*s.dim:(j+1)*s.dim])
+			if versions != nil {
+				versions[p] = vers[j]
+			}
+		}
+		return nil
+	})
+}
+
+// Versions buckets keys by owner and fans out one batched Versions per
+// shard.
+func (s *ShardedStore) Versions(keys []uint64, out []uint64) error {
+	if len(out) != len(keys) {
+		return fmt.Errorf("store: versions out %d, want %d", len(out), len(keys))
+	}
+	if err := s.checkKeys(keys); err != nil {
+		return err
+	}
+	f := s.getFanout()
+	defer s.putFanout(f)
+	f.route(keys)
+	return f.do(func(sh int) error {
+		vers := growU64(&f.vers[sh], len(f.keys[sh]))
+		if err := s.shards[sh].Versions(f.keys[sh], vers); err != nil {
+			return err
+		}
+		for j, p := range f.pos[sh] {
+			out[p] = vers[j]
+		}
+		return nil
+	})
+}
+
+// checkKeys rejects keys outside the global table.
+func (s *ShardedStore) checkKeys(keys []uint64) error {
 	for _, k := range keys {
 		if k >= uint64(s.rows) {
 			return keyRangeError(k, s.rows)
-		}
-	}
-	n := len(s.shards)
-	shardKeys := make([][]uint64, n)
-	shardPos := make([][]int, n)
-	for i, k := range keys {
-		o := comm.Owner(k, n)
-		shardKeys[o] = append(shardKeys[o], k)
-		shardPos[o] = append(shardPos[o], i)
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for sh := 0; sh < n; sh++ {
-		if len(shardKeys[sh]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			ks, pos := shardKeys[sh], shardPos[sh]
-			sc, _ := s.gatherPool.Get().(*gatherScratch)
-			if sc == nil {
-				sc = &gatherScratch{}
-			}
-			if cap(sc.buf) < len(ks)*s.dim {
-				sc.buf = make([]float32, len(ks)*s.dim)
-			}
-			buf := sc.buf[:len(ks)*s.dim]
-			var vers []uint64
-			if versions != nil {
-				if cap(sc.vers) < len(ks) {
-					sc.vers = make([]uint64, len(ks))
-				}
-				vers = sc.vers[:len(ks)]
-			}
-			if err := s.shards[sh].Gather(ks, buf, vers); err != nil {
-				errs[sh] = err
-				s.gatherPool.Put(sc)
-				return
-			}
-			for j, p := range pos {
-				copy(dst[p*s.dim:(p+1)*s.dim], buf[j*s.dim:(j+1)*s.dim])
-				if versions != nil {
-					versions[p] = vers[j]
-				}
-			}
-			s.gatherPool.Put(sc)
-		}(sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
 // Scatter buckets the step's updates by owner and sends one batch per
-// shard — including an empty batch to shards that own none of the
-// touched keys, because a coordinated shard's watermark only advances
-// when every configured trainer commits the step. The empty Scatter is
-// that pure commit signal; without it the composed min-watermark would
-// stall on whichever shard the batch happened to miss.
+// shard. A coordinated store also sends an empty batch to every shard
+// that owns none of the touched keys: its watermark only advances when
+// every configured trainer commits the step, so the empty Scatter is the
+// pure commit signal without which the composed min-watermark would stall
+// on whichever shard the batch happened to miss. Uncoordinated shards
+// have no watermark, so they are sent nothing they do not own.
 func (s *ShardedStore) Scatter(step int64, updates []KeyDelta) error {
 	for _, u := range updates {
 		if u.Key >= uint64(s.rows) {
 			return keyRangeError(u.Key, s.rows)
 		}
 	}
+	f := s.getFanout()
+	defer s.putFanout(f)
 	n := len(s.shards)
-	buckets := make([][]KeyDelta, n)
 	for _, u := range updates {
 		o := comm.Owner(u.Key, n)
-		buckets[o] = append(buckets[o], u)
+		f.upd[o] = append(f.upd[o], u)
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for sh := 0; sh < n; sh++ {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			errs[sh] = s.shards[sh].Scatter(step, buckets[sh])
-		}(sh)
+	for sh := range f.active {
+		f.active[sh] = s.coordinated || len(f.upd[sh]) > 0
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.do(func(sh int) error { return s.shards[sh].Scatter(step, f.upd[sh]) })
 }
 
 // Version routes to the owning shard.
@@ -233,19 +312,23 @@ func (s *ShardedStore) Watermark() int64 {
 }
 
 // RowStaleness returns the owning shard's flush lag against the composed
-// global watermark. Substituting the global minimum wm_g for the owner's
-// wm_o (wm_g ≤ wm_o) is one-sided safe: the stored row misses at most
-// `lag` of the steps committed at wm_o, so it misses at most `lag` of
-// the steps committed at the smaller wm_g too.
+// global watermark. The composed watermark wm_g is sampled at t1 before
+// the owner measures its lag against its own wm_o at t2 > t1. The owner
+// reports that the row holds every step ≤ wm_o(t2) − lag, and
+// wm_g(t1) ≤ wm_o(t1) ≤ wm_o(t2), so the row holds every step
+// ≤ wm_g(t1) − lag too: the pair is one-sided safe. Sampled the other
+// way round, a commit landing between the two reads could lift wm_g past
+// the wm_o the lag was measured against and overstate the row's freshness.
 func (s *ShardedStore) RowStaleness(key uint64) (lag, watermark int64, err error) {
 	if key >= uint64(s.rows) {
 		return 0, 0, keyRangeError(key, s.rows)
 	}
+	wm := s.Watermark()
 	lag, _, err = s.owner(key).RowStaleness(key)
 	if err != nil {
 		return 0, 0, err
 	}
-	return lag, s.Watermark(), nil
+	return lag, wm, nil
 }
 
 // FlushKey routes the urgent flush to the owning shard.

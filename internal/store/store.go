@@ -68,6 +68,11 @@ type Store interface {
 	// len(keys)), receives each row's version. Sharded implementations
 	// bucket the keys per shard and fan out one batched request per shard.
 	Gather(keys []uint64, dst []float32, versions []uint64) error
+	// Versions writes the version of row keys[i] to out[i] (len(out) ==
+	// len(keys)) without shipping the rows — a cache validating its
+	// copies needs only this. Sharded implementations fan out one batched
+	// request per shard.
+	Versions(keys []uint64, out []uint64) error
 	// Scatter stages the updates of training step `step`. A coordinated
 	// store routes them through its P²F commit path (the watermark
 	// advances once every configured trainer has scattered the step — an

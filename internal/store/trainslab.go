@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sync"
 
 	"frugal/internal/pq"
 	"frugal/internal/runtime"
@@ -15,11 +16,14 @@ import (
 // surface).
 //
 // The store must be uncoordinated: the step loop's write path is
-// write-through (ApplyDelta applies immediately), and routing it through
-// a store-side P²F gate would double-coordinate every commit. Writes map
-// to single-key Scatter calls and reads to single-key ReadRow calls — one
-// round trip each on remote stores, so this path trades throughput for
-// placement; the in-process engines remain the fast path.
+// write-through (every write applies immediately), and routing it through
+// a store-side P²F gate would double-coordinate every commit.
+//
+// The step loop drives the batch methods, so on a sharded remote store a
+// worker-step costs one Versions frame (the cache's version probe) and
+// one Gather frame (misses and foreign keys) per shard, and each flusher
+// batch one Scatter frame per shard. The per-row methods map to
+// single-key round trips; only the prefetcher still uses them.
 //
 // RowStore's read/write surface carries no errors (host memory cannot
 // fail), so store errors — an unreachable shard mid-step, an unowned
@@ -28,6 +32,15 @@ import (
 // instead of training on garbage.
 type TrainSlab struct {
 	st Store
+	// scratch recycles the contiguous row buffer of GatherRows and the
+	// update list of the writes across calls (*slabScratch).
+	scratch sync.Pool
+}
+
+// slabScratch is one call's pooled working set.
+type slabScratch struct {
+	rows []float32
+	kd   []KeyDelta
 }
 
 var _ runtime.RowStore = (*TrainSlab)(nil)
@@ -67,6 +80,27 @@ func (t *TrainSlab) ReadRowDirect(key uint64, dst []float32) { t.ReadRow(key, ds
 // ReadRowLocked reads one row (stores serialise their own writes).
 func (t *TrainSlab) ReadRowLocked(key uint64, dst []float32) { t.ReadRow(key, dst) }
 
+// GatherRows reads every key with one store Gather and copies the rows
+// out to dsts. Direct and locked reads are the same call.
+func (t *TrainSlab) GatherRows(keys []uint64, dsts [][]float32, _ bool) {
+	if len(keys) == 0 {
+		return
+	}
+	d := t.st.Dim()
+	sc := t.get()
+	defer t.scratch.Put(sc)
+	if cap(sc.rows) < len(keys)*d {
+		sc.rows = make([]float32, len(keys)*d)
+	}
+	buf := sc.rows[:len(keys)*d]
+	if err := t.st.Gather(keys, buf, nil); err != nil {
+		panic(fmt.Sprintf("store: slab gather of %d keys failed: %v", len(keys), err))
+	}
+	for i := range keys {
+		copy(dsts[i], buf[i*d:(i+1)*d])
+	}
+}
+
 // Version returns the row's update counter.
 func (t *TrainSlab) Version(key uint64) uint64 {
 	v, err := t.st.Version(key)
@@ -74,6 +108,16 @@ func (t *TrainSlab) Version(key uint64) uint64 {
 		panic(fmt.Sprintf("store: slab version of key %d failed: %v", key, err))
 	}
 	return v
+}
+
+// Versions reads every key's update counter with one store Versions.
+func (t *TrainSlab) Versions(keys []uint64, out []uint64) {
+	if len(keys) == 0 {
+		return
+	}
+	if err := t.st.Versions(keys, out[:len(keys)]); err != nil {
+		panic(fmt.Sprintf("store: slab versions of %d keys failed: %v", len(keys), err))
+	}
 }
 
 // OptState returns 0: the Store surface carries no optimizer accumulator,
@@ -91,13 +135,51 @@ func (t *TrainSlab) ApplyDelta(key uint64, delta []float32, stateDelta float32) 
 // ApplyUpdates writes one key's update batch through as one scatter,
 // bumping the version once per update like the host slab does.
 func (t *TrainSlab) ApplyUpdates(key uint64, updates []pq.Update) {
-	kd := make([]KeyDelta, len(updates))
-	for i, u := range updates {
-		kd[i] = KeyDelta{Key: key, Delta: u.Delta, StateDelta: u.StateDelta}
+	sc := t.get()
+	defer t.put(sc)
+	for _, u := range updates {
+		sc.kd = append(sc.kd, KeyDelta{Key: key, Delta: u.Delta, StateDelta: u.StateDelta})
+	}
+	t.scatter(sc.kd)
+}
+
+// ApplyWriteSets writes a flusher batch through as one scatter — one
+// frame per shard on a sharded store. Sets of one key keep their order,
+// and so do their updates.
+func (t *TrainSlab) ApplyWriteSets(sets []pq.WriteSet) {
+	sc := t.get()
+	defer t.put(sc)
+	for i := range sets {
+		for _, u := range sets[i].Updates {
+			sc.kd = append(sc.kd, KeyDelta{Key: sets[i].Key, Delta: u.Delta, StateDelta: u.StateDelta})
+		}
+	}
+	t.scatter(sc.kd)
+}
+
+// scatter writes kd through, panicking on a store error.
+func (t *TrainSlab) scatter(kd []KeyDelta) {
+	if len(kd) == 0 {
+		return
 	}
 	if err := t.st.Scatter(0, kd); err != nil {
-		panic(fmt.Sprintf("store: slab write of key %d failed: %v", key, err))
+		panic(fmt.Sprintf("store: slab write of %d updates (first key %d) failed: %v", len(kd), kd[0].Key, err))
 	}
+}
+
+func (t *TrainSlab) get() *slabScratch {
+	sc, _ := t.scratch.Get().(*slabScratch)
+	if sc == nil {
+		sc = &slabScratch{}
+	}
+	return sc
+}
+
+// put pools sc after dropping its references to the caller's deltas.
+func (t *TrainSlab) put(sc *slabScratch) {
+	clear(sc.kd)
+	sc.kd = sc.kd[:0]
+	t.scratch.Put(sc)
 }
 
 // WriteRetries reports 0: fault injection lives in the host slab.
