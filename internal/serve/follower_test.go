@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,6 +149,18 @@ func TestFollowerStalenessContract(t *testing.T) {
 	}
 	if err := fl.Promote(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+}
+
+// TestFollowerRefusesIVF pins the follower's IVF refusal: the index is
+// repaired from the primary's flush stream, which a replica never sees,
+// so an IVF follower would serve from partitions nothing ever repairs.
+func TestFollowerRefusesIVF(t *testing.T) {
+	f := newLogFixture(t, 8, 4, 0)
+	f.seal(t, 1, 1, 0, nil)
+	_, err := serve.NewFollower(f.dir, serve.FollowerOptions{Engine: serve.Options{Index: serve.IndexIVF}})
+	if err == nil || !strings.Contains(err.Error(), "has no flush feed for the IVF index") {
+		t.Fatalf("IVF follower: %v, want the no-flush-feed refusal", err)
 	}
 }
 

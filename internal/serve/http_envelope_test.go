@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 	"frugal/internal/store"
 )
 
-// gateStore is a minimal store.Store for driving the HTTP error paths:
-// reads optionally block on a gate channel (to pin the admission slot or
-// outlive a request deadline), and the staleness surface is canned.
+// gateStore is a minimal store.Store for driving the HTTP error paths
+// and the resolver matrix: reads optionally block on a gate channel (to
+// pin the admission slot or outlive a request deadline), the staleness
+// surface is canned, and FlushKey calls are counted.
 type gateStore struct {
 	rows        int64
 	dim         int
@@ -23,6 +25,13 @@ type gateStore struct {
 	gate        chan struct{} // when non-nil, ReadRow blocks until closed
 	lag         int64         // RowStaleness lag
 	wm          int64         // watermark
+	flushed     bool          // FlushKey's report
+	flushes     atomic.Int64  // FlushKey calls
+
+	// What CatchUp leaves behind when the store is wrapped as a
+	// replicaGate, and how often it ran.
+	caughtLag, caughtWM int64
+	catchUps            atomic.Int64
 }
 
 func (s *gateStore) Rows() int64       { return s.rows }
@@ -62,7 +71,11 @@ func (s *gateStore) Scatter(step int64, updates []store.KeyDelta) error { return
 func (s *gateStore) Version(key uint64) (uint64, error)                 { return 1, nil }
 func (s *gateStore) Watermark() int64                                   { return s.wm }
 func (s *gateStore) RowStaleness(key uint64) (int64, int64, error)      { return s.lag, s.wm, nil }
-func (s *gateStore) FlushKey(key uint64) (bool, error)                  { return false, nil }
+
+func (s *gateStore) FlushKey(key uint64) (bool, error) {
+	s.flushes.Add(1)
+	return s.flushed, nil
+}
 
 func (s *gateStore) TopK(ctx context.Context, query []float32, k int) ([]store.ScoredRow, error) {
 	out := make([]store.ScoredRow, k)
@@ -73,6 +86,17 @@ func (s *gateStore) TopK(ctx context.Context, query []float32, k int) ([]store.S
 }
 
 func (s *gateStore) Close() error { return nil }
+
+// replicaGate is a gateStore the engine treats as a serve follower: its
+// CatchUp applies "more of the log" by moving the canned staleness to
+// (caughtLag, caughtWM).
+type replicaGate struct{ *gateStore }
+
+func (r replicaGate) CatchUp() error {
+	r.catchUps.Add(1)
+	r.lag, r.wm = r.caughtLag, r.caughtWM
+	return nil
+}
 
 // decodeEnvelope asserts the response is the one JSON error envelope and
 // returns it.
