@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-core serve-stress prefetch-stress tier-stress wire-stress serve-demo shard-demo stream-demo tier-demo bench bench-baseline bench-check check
+.PHONY: build vet test race race-core serve-stress prefetch-stress tier-stress wire-stress fuzz-smoke serve-demo shard-demo stream-demo tier-demo bench bench-baseline bench-check check
 
 build:
 	$(GO) build ./...
@@ -39,11 +39,16 @@ tier-stress:
 
 # The overload-control suite under the race detector: open-loop shedding,
 # the hot-key refresh storm, admission semantics, and the server
-# shutdown goroutine-leak check.
+# shutdown goroutine-leak check. Then the consistency resolver's matrix
+# (lookup and top-K candidate on every store kind at every level) and
+# the follower suite at GOMAXPROCS 1, 2 and 4.
 serve-stress:
 	$(GO) test -race -count=1 -v \
 		-run 'TestOpenLoopOverloadSheds|TestRefreshStormCoalesces|TestEngineShedsUnderHeldCapacity|TestAdmission|TestHTTPServerShutdownNoLeak|TestFlushKeySharedCoalesces' \
 		./internal/serve ./internal/serve/loadgen ./internal/p2f
+	$(GO) test -race -cpu 1,2,4 -count=1 \
+		-run 'TestResolverMatrix|TestFollower' \
+		./internal/serve
 
 # The batched wire training path under the race detector at several
 # GOMAXPROCS values: frames per worker-step and per flusher batch over
@@ -54,6 +59,14 @@ wire-stress:
 	$(GO) test -race -cpu 1,2,4 -count=3 \
 		-run 'TestWireTrainFrameCounts|TestSlowShardGate|TestUncoordinatedScatterSkipsIdleShards|TestInFlight|TestShardedServeWhileTraining|TestShardedStalenessSamplesWatermarkFirst' \
 		./internal/shard ./internal/p2f ./internal/serve ./internal/store
+
+# A short smoke of every fuzzer: 20s each on top of its seed corpus.
+# go test fuzzes one target per call, hence one line per fuzzer.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointLoad$$' -fuzztime=20s ./internal/runtime
+	$(GO) test -run '^$$' -fuzz '^FuzzReadKeyTrace$$' -fuzztime=20s ./internal/data
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundtrip$$' -fuzztime=20s ./internal/data
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime=20s ./internal/shard
 
 # Train a small checkpoint, then hammer it with the serving load
 # generator for 5s and print the latency report.

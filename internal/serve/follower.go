@@ -77,6 +77,11 @@ type Follower struct {
 // (latest base + sidecar + every sealed segment), and builds the serving
 // engine over it.
 func NewFollower(dir string, opt FollowerOptions) (*Follower, error) {
+	if opt.Engine.Index == IndexIVF {
+		// The index is repaired from the primary's flush stream, which
+		// never reaches a replica: its partitions would go stale unseen.
+		return nil, fmt.Errorf("serve: coordinated store %T has no flush feed for the IVF index", (*followerStore)(nil))
+	}
 	if opt.Poll <= 0 {
 		opt.Poll = 50 * time.Millisecond
 	}
@@ -110,7 +115,9 @@ func NewFollower(dir string, opt FollowerOptions) (*Follower, error) {
 		appliedSeq: st.BaseSeq,
 		lastGrowth: time.Now(),
 	}
-	fl.fs = newFollowerStore(host, fl)
+	if fl.fs, err = newFollowerStore(host, fl); err != nil {
+		return nil, err
+	}
 	if err := fl.loadMeta(st); err != nil {
 		return nil, err
 	}
@@ -354,24 +361,30 @@ func (f *Follower) Stats() FollowerStats {
 	return s
 }
 
-// followerStore adapts the replica slab to the store.Store surface the
-// engine programs against. The watermark is the tag of the last applied
+// followerStore is the replica slab as a store.Store: a LocalStore over
+// the replica host, whose reads, top-K and slab access it inherits,
+// overriding only where a replica differs — its consistency surface and
+// its read-only writes. The watermark is the tag of the last applied
 // segment; per-key staleness is watermark − the key's recorded safe
 // step. Both are one-sided: the slab can only be fresher than reported.
 type followerStore struct {
-	host *runtime.Host
+	*store.LocalStore
 	fl   *Follower
 	safe []atomic.Int64 // per-key safe step (-1: nothing beyond the base guaranteed)
 	wm   atomic.Int64
 }
 
-func newFollowerStore(host *runtime.Host, fl *Follower) *followerStore {
-	fs := &followerStore{host: host, fl: fl, safe: make([]atomic.Int64, host.Rows())}
+func newFollowerStore(host *runtime.Host, fl *Follower) (*followerStore, error) {
+	ls, err := store.NewLocal(host, nil)
+	if err != nil {
+		return nil, err
+	}
+	fs := &followerStore{LocalStore: ls, fl: fl, safe: make([]atomic.Int64, host.Rows())}
 	for i := range fs.safe {
 		fs.safe[i].Store(-1)
 	}
 	fs.wm.Store(-1)
-	return fs
+	return fs, nil
 }
 
 // apply installs one row image (idempotent, last-writer-wins — see
@@ -380,7 +393,7 @@ func newFollowerStore(host *runtime.Host, fl *Follower) *followerStore {
 // replica's cold tier stays byte-identical to the primary's.
 func (fs *followerStore) apply(rec *ckpt.Record) {
 	img := rec.Image()
-	fs.host.RestoreRow(rec.Key, &img)
+	fs.Host().RestoreRow(rec.Key, &img)
 	for {
 		cur := fs.safe[rec.Key].Load()
 		if rec.SafeStep <= cur || fs.safe[rec.Key].CompareAndSwap(cur, rec.SafeStep) {
@@ -398,55 +411,10 @@ func (fs *followerStore) advanceWM(wm int64) {
 	}
 }
 
-// Host exposes the replica slab — the engine's zero-alloc fast paths key
-// on it.
-func (fs *followerStore) Host() *runtime.Host { return fs.host }
-
-func (fs *followerStore) Rows() int64       { return fs.host.Rows() }
-func (fs *followerStore) Dim() int          { return fs.host.Dim() }
 func (fs *followerStore) Coordinated() bool { return true }
-
-func (fs *followerStore) ReadRow(key uint64, dst []float32) (uint64, error) {
-	if key >= uint64(fs.host.Rows()) {
-		return 0, fmt.Errorf("serve: key %d out of range (rows %d)", key, fs.host.Rows())
-	}
-	return fs.host.ReadRow(key, dst), nil
-}
-
-func (fs *followerStore) Gather(keys []uint64, dst []float32, versions []uint64) error {
-	d := fs.host.Dim()
-	for i, k := range keys {
-		v, err := fs.ReadRow(k, dst[i*d:(i+1)*d])
-		if err != nil {
-			return err
-		}
-		if versions != nil {
-			versions[i] = v
-		}
-	}
-	return nil
-}
-
-func (fs *followerStore) Versions(keys []uint64, out []uint64) error {
-	for i, k := range keys {
-		v, err := fs.Version(k)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
-}
 
 func (fs *followerStore) Scatter(int64, []store.KeyDelta) error {
 	return fmt.Errorf("serve: follower replicas are read-only")
-}
-
-func (fs *followerStore) Version(key uint64) (uint64, error) {
-	if key >= uint64(fs.host.Rows()) {
-		return 0, fmt.Errorf("serve: key %d out of range (rows %d)", key, fs.host.Rows())
-	}
-	return fs.host.Version(key), nil
 }
 
 func (fs *followerStore) Watermark() int64 { return fs.wm.Load() }
@@ -456,8 +424,8 @@ func (fs *followerStore) Watermark() int64 { return fs.wm.Load() }
 // replica is authoritative — staleness 0 by definition (its copy IS the
 // history).
 func (fs *followerStore) RowStaleness(key uint64) (lag, watermark int64, err error) {
-	if key >= uint64(fs.host.Rows()) {
-		return 0, 0, fmt.Errorf("serve: key %d out of range (rows %d)", key, fs.host.Rows())
+	if key >= uint64(fs.Rows()) {
+		return 0, 0, fmt.Errorf("serve: key %d out of range (rows %d)", key, fs.Rows())
 	}
 	wm := fs.wm.Load()
 	if fs.fl.promoted.Load() {
@@ -471,9 +439,9 @@ func (fs *followerStore) RowStaleness(key uint64) (lag, watermark int64, err err
 }
 
 // FlushKey cannot make a replica row fresh — only the primary can drain
-// a pending write set. The engine's replica-aware resolve path never
-// calls it; external Store users get the honest error (or a trivial
-// success after promotion, when nothing can be pending).
+// a pending write set. The engine's resolver catches the log up instead
+// and never calls it; external Store users get the honest error (or a
+// trivial success after promotion, when nothing can be pending).
 func (fs *followerStore) FlushKey(key uint64) (bool, error) {
 	if fs.fl.promoted.Load() {
 		return false, nil
@@ -487,12 +455,6 @@ func (fs *followerStore) FlushKey(key uint64) (bool, error) {
 	}
 	return false, &ErrReplica{Key: key, Staleness: lag, Watermark: wm}
 }
-
-func (fs *followerStore) TopK(context.Context, []float32, int) ([]store.ScoredRow, error) {
-	return nil, fmt.Errorf("serve: follower store TopK is unused (the engine scans the replica slab)")
-}
-
-func (fs *followerStore) Close() error { return nil }
 
 // CatchUp implements the engine's replica surface: apply everything the
 // log has sealed.

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"frugal/internal/runtime"
+	"frugal/internal/store"
 	"frugal/internal/tensor"
 )
 
@@ -430,12 +431,8 @@ func (x *ivfIndex) search(query []float32, k, nprobe int, sc *topkScratch) []Can
 			m := tensor.Matrix{Rows: n, Cols: x.dim, Data: part.vecs[from*x.dim : (from+n)*x.dim]}
 			m.MulVec(query, scores)
 			for i, s := range scores {
-				key := part.keys[from+i]
-				if len(heap) < k {
-					heap = heapPush(heap, Candidate{Key: key, Score: s})
-				} else if s > heap[0].Score {
-					heap[0] = Candidate{Key: key, Score: s}
-					heapFix(heap)
+				if len(heap) < k || s >= heap[0].Score {
+					heap = store.KeepBest(heap, k, Candidate{Key: part.keys[from+i], Score: s}, candRank)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,6 +63,44 @@ func TestIVFBuildPartitionsClusters(t *testing.T) {
 	for _, c := range heap {
 		if c.Key >= 32 {
 			t.Fatalf("nprobe=1 search leaked key %d from the far cluster", c.Key)
+		}
+	}
+}
+
+// TestIVFTiesTowardSmallerKey pins the documented tie order on the IVF
+// path. Rows 0 = (1,−5) and 1 = (1,+5) both score 1 against e1 but land
+// in different partitions; row 2 = (−3,−5) pulls row 0's centroid to a
+// lower e1 score, so the search visits row 1's partition first. A
+// replacement test on score alone keeps the first-seen row 1; the
+// documented order, which the flat scan follows, returns the smaller key.
+func TestIVFTiesTowardSmallerKey(t *testing.T) {
+	h, err := runtime.NewHost(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, row := range [][]float32{{1, -5}, {1, 5}, {-3, -5}} {
+		h.SetRow(uint64(k), row, 1, 0)
+	}
+	eng, err := NewStatic(h, Options{Index: IndexIVF, Centroids: 2, NProbe: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, p1 := eng.idx.part[0], eng.idx.part[1]
+	if p0 == p1 || eng.idx.part[2] != p0 {
+		t.Fatalf("fixture: partitions %v, want rows 0 and 2 together and row 1 apart", eng.idx.part)
+	}
+	sc := newTestScratch(2)
+	eng.idx.cents.MulVec([]float32{1, 0}, sc.cent)
+	if sc.cent[p1] <= sc.cent[p0] {
+		t.Fatalf("fixture: row 1's partition scores %v, not above row 0's %v", sc.cent[p1], sc.cent[p0])
+	}
+	for _, kind := range []IndexKind{IndexFlat, IndexIVF} {
+		resp, err := eng.Query(context.Background(), Request{Vector: []float32{1, 0}, K: 1, Index: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Results[0].Key; got != 0 {
+			t.Fatalf("%v top-1 of a tie is key %d, want the smaller key 0", kind, got)
 		}
 	}
 }

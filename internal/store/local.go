@@ -173,15 +173,14 @@ func (s *LocalStore) TopK(ctx context.Context, query []float32, k int) ([]Scored
 
 // SlabTopK is the shared slab-scan selection used by LocalStore and the
 // shard node: score every row chunk by chunk under its stripe lock, keep
-// the k best in a min-heap, then re-read each winner under its lock for
-// an honest version+score pair. keyOf maps slab indices to global keys
-// (nil = identity, for unsharded slabs).
+// the k best, then re-read each winner under its lock for an honest
+// version+score pair. keyOf maps slab indices to global keys (nil =
+// identity, for unsharded slabs); it must be increasing, as a shard's
+// key map is, so that ties between slab indices break as they would
+// between global keys.
 func SlabTopK(ctx context.Context, host *runtime.Host, query []float32, k int,
 	keyOf func(local int64) uint64) ([]ScoredRow, error) {
 
-	if keyOf == nil {
-		keyOf = func(i int64) uint64 { return uint64(i) }
-	}
 	if len(query) != host.Dim() {
 		return nil, fmt.Errorf("store: query length %d, want dim %d", len(query), host.Dim())
 	}
@@ -193,7 +192,7 @@ func SlabTopK(ctx context.Context, host *runtime.Host, query []float32, k int,
 		k = int(rows)
 	}
 	scores := make([]float32, localTopKChunk)
-	heap := make([]scoredHeapEntry, 0, k)
+	heap := make([]ScoredRow, 0, k) // keyed by slab index until the re-read
 	for from := int64(0); from < rows; from += localTopKChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -205,87 +204,93 @@ func SlabTopK(ctx context.Context, host *runtime.Host, query []float32, k int,
 		sc := scores[:n]
 		host.ScoreRowsLocked(query, from, sc)
 		for i, v := range sc {
-			e := scoredHeapEntry{local: from + int64(i), key: keyOf(from + int64(i)), score: v}
-			if len(heap) < k {
-				heap = heapPushScored(heap, e)
-			} else if scoredLess(heap[0], e) {
-				heap[0] = e
-				heapFixScored(heap)
+			if len(heap) < k || v >= heap[0].Score {
+				heap = KeepBest(heap, k, ScoredRow{Key: uint64(from) + uint64(i), Score: v}, rowRank)
 			}
 		}
 	}
 	// Winners: re-read under the row lock so score and version agree.
 	row := make([]float32, host.Dim())
-	out := make([]ScoredRow, len(heap))
-	for i, e := range heap {
-		v := host.ReadRow(uint64(e.local), row)
-		out[i] = ScoredRow{Key: e.key, Score: tensor.Dot(query, row), Version: v}
-	}
-	sortScored(out)
-	return out, nil
-}
-
-// scoredHeapEntry is one candidate during the scan: the local slab index
-// (for the re-read) and the global key it maps to.
-type scoredHeapEntry struct {
-	local int64
-	key   uint64
-	score float32
-}
-
-// scoredLess orders the min-heap: smaller score first, ties by larger
-// key so the final result is deterministic.
-func scoredLess(a, b scoredHeapEntry) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.key > b.key
-}
-
-func heapPushScored(h []scoredHeapEntry, e scoredHeapEntry) []scoredHeapEntry {
-	h = append(h, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !scoredLess(h[i], h[p]) {
-			break
+	for i := range heap {
+		r := &heap[i]
+		r.Version = host.ReadRow(r.Key, row)
+		r.Score = tensor.Dot(query, row)
+		if keyOf != nil {
+			r.Key = keyOf(int64(r.Key))
 		}
-		h[i], h[p] = h[p], h[i]
-		i = p
 	}
-	return h
+	SortBest(heap, rowRank)
+	return heap, nil
 }
 
-func heapFixScored(h []scoredHeapEntry) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && scoredLess(h[l], h[m]) {
+func rowRank(r ScoredRow) (float32, uint64) { return r.Score, r.Key }
+
+// KeepBest offers x to h, a min-heap of at most k rows with the worst
+// kept row at h[0], and returns the heap. rank reports a row's score and
+// key; rows rank by descending score, ties toward the smaller key, so
+// the kept set does not depend on the order rows are offered in. This is
+// the one k-best selector of every top-K path — the serving engine's
+// flat and IVF scans, SlabTopK and the sharded merge. h's backing array
+// is the caller's, so a reused scratch heap keeps a scan allocation-free.
+// A scan skips the call for a row scoring strictly below h[0] once the
+// heap is full: such a row can never be kept, and the skip is most of a
+// scan's rows.
+func KeepBest[T any](h []T, k int, x T, rank func(T) (float32, uint64)) []T {
+	if len(h) < k {
+		h = append(h, x)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !worse(h[i], h[p], rank) {
+				break
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
+		}
+		return h
+	}
+	if len(h) == 0 || !worse(h[0], x, rank) {
+		return h
+	}
+	h[0] = x
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && worse(h[l], h[m], rank) {
 			m = l
 		}
-		if r < len(h) && scoredLess(h[r], h[m]) {
+		if r < len(h) && worse(h[r], h[m], rank) {
 			m = r
 		}
 		if m == i {
-			return
+			return h
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
 }
 
-// sortScored orders candidates best first (descending score, ties toward
-// the smaller key). Insertion sort: k is small.
-func sortScored(out []ScoredRow) {
-	for i := 1; i < len(out); i++ {
-		c := out[i]
+// SortBest orders xs best first in KeepBest's rank. Insertion sort: xs
+// is a k-sized result, and dodging sort.Slice's reflection keeps ~1.5µs
+// off a hot path measured in tens of µs.
+func SortBest[T any](xs []T, rank func(T) (float32, uint64)) {
+	for i := 1; i < len(xs); i++ {
+		x := xs[i]
 		j := i - 1
-		for ; j >= 0 && (out[j].Score < c.Score || (out[j].Score == c.Score && out[j].Key > c.Key)); j-- {
-			out[j+1] = out[j]
+		for ; j >= 0 && worse(xs[j], x, rank); j-- {
+			xs[j+1] = xs[j]
 		}
-		out[j+1] = c
+		xs[j+1] = x
 	}
+}
+
+// worse reports whether a ranks below b: a lower score, or the same
+// score on a larger key.
+func worse[T any](a, b T, rank func(T) (float32, uint64)) bool {
+	as, ak := rank(a)
+	bs, bk := rank(b)
+	if as != bs {
+		return as < bs
+	}
+	return ak > bk
 }
 
 // Close is a no-op: the slab belongs to the training job or checkpoint

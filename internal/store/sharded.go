@@ -365,15 +365,14 @@ func (s *ShardedStore) TopK(ctx context.Context, query []float32, k int) ([]Scor
 			return nil, err
 		}
 	}
-	var merged []ScoredRow
-	for _, r := range results {
-		merged = append(merged, r...)
+	var best []ScoredRow
+	for _, rs := range results {
+		for _, r := range rs {
+			best = KeepBest(best, k, r, rowRank)
+		}
 	}
-	sortScored(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, nil
+	SortBest(best, rowRank)
+	return best, nil
 }
 
 // Close closes every shard and returns the first error.
