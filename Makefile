@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-core serve-stress prefetch-stress tier-stress wire-stress fuzz-smoke serve-demo shard-demo stream-demo tier-demo bench bench-baseline bench-check check
+.PHONY: build vet test race race-core invariants serve-stress prefetch-stress tier-stress wire-stress fuzz-smoke serve-demo shard-demo stream-demo tier-demo bench bench-baseline bench-check check
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,16 @@ race:
 # are ever reorganised.
 race-core:
 	$(GO) test -race ./internal/runtime/... ./internal/cache ./internal/p2f/... ./internal/fault/... ./internal/pq/... ./internal/lfht/... ./internal/serve ./internal/serve/loadgen ./internal/store ./internal/shard ./internal/stream ./internal/ckpt
+
+# The P²F soundness suite under the race detector at several GOMAXPROCS
+# values: the gate property and the random-trace invariant, Top's
+# self-healing below a raised lower bound, the flush-before-dequeue
+# protocol, concurrent queue and hash-table stress (single-winner and
+# build-once GetOrInsert), and the in-flight floor.
+invariants:
+	$(GO) test -race -cpu 1,2,4 -count=3 \
+		-run 'TestGatePropertyQuick|TestInvariantHoldsUnderRandomTraces|TestTopSelfHeals|TestProcessBatch|TestQueueConcurrentStress|TestConcurrent|TestGetOrInsertConcurrent|TestInFlight' \
+		./internal/pq ./internal/lfht ./internal/p2f
 
 # The lookahead-prefetch suite under the race detector: window-pin
 # blockades with 4 trainers, 4 prefetchers and the flusher pool running

@@ -42,6 +42,7 @@ func main() {
 	flushed := make(chan string, 16)
 	ctrl, err := p2f.NewController(p2f.Options{
 		MaxStep:      3,
+		KeySpace:     k3 + 1,
 		Lookahead:    2,
 		FlushThreads: 1,
 		Source:       &source{batches: [][]uint64{{k2, k3, k1}, {k2}, {k1}}},

@@ -15,6 +15,15 @@
 // line. Nodes are claimed from a chunked append-only arena (one heap
 // allocation per chunkNodes inserts) and never recycled; see chunk for why
 // reuse is off the table.
+//
+// The directory is sized up front instead of being resized online: every
+// table in Frugal knows its population bound when it is built, and a
+// lock-free resize would put a migration protocol under the consistency
+// gate for no gain. The g-entry directory (internal/p2f) is sized from the
+// key space it serves (≈ keys/4 segments, so a lookup walks one or two
+// nodes); a finite priority slot of the two-level queue holds at most one
+// step's keys and gets a small table; only the ∞ slot, which holds all
+// deferred work, gets a large one (internal/pq).
 package lfht
 
 import (
@@ -143,7 +152,9 @@ func (m *Map[V]) Insert(key uint64, val V) {
 // absent. The second result reports whether the value already existed.
 // Lock-free: inserts happen only at a segment head, so a successful CAS on
 // an unchanged head proves no concurrent insert of the same key slipped in.
-// mk may be called and its result discarded when the CAS loop retries.
+// mk is called at most once per call: its value rides the unpublished node
+// across CAS retries, and is discarded only when a concurrent insert of the
+// same key wins.
 func (m *Map[V]) GetOrInsert(key uint64, mk func() V) (V, bool) {
 	head := m.segment(key)
 	var n *node[V] // claimed lazily, reused across CAS retries (unpublished)
@@ -156,9 +167,8 @@ func (m *Map[V]) GetOrInsert(key uint64, mk func() V) (V, bool) {
 		}
 		if n == nil {
 			n = m.newNode()
-			n.key = key
+			n.key, n.val = key, mk()
 		}
-		n.val = mk()
 		n.next.Store(top)
 		if head.CompareAndSwap(top, n) {
 			m.count.Add(1)
@@ -286,6 +296,9 @@ func (m *Map[V]) DrainN(max int, fn func(key uint64, val V)) int {
 	}
 	return done
 }
+
+// Segments returns the size of the directory.
+func (m *Map[V]) Segments() int { return len(m.segments) }
 
 // Len returns the number of live entries (exact in quiescence, approximate
 // under concurrency).

@@ -1,6 +1,7 @@
 package lfht
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,8 +140,11 @@ func TestNewWithHintClamps(t *testing.T) {
 	if len(big.segments) > 1<<18 {
 		t.Fatalf("huge hint → %d segments, want ≤ 2^18", len(big.segments))
 	}
-	// Power of two.
+	// Power of two, and Segments reports the directory.
 	for _, m := range []*Map[int]{small, big, NewWithHint[int](1000)} {
+		if m.Segments() != len(m.segments) {
+			t.Fatalf("Segments() = %d, directory has %d", m.Segments(), len(m.segments))
+		}
 		if n := len(m.segments); n&(n-1) != 0 {
 			t.Fatalf("segment count %d is not a power of two", n)
 		}
@@ -336,5 +340,43 @@ func TestGetOrInsertConcurrentSingleWinner(t *testing.T) {
 	}
 	if m.Len() != keys {
 		t.Fatalf("Len = %d, want %d", m.Len(), keys)
+	}
+}
+
+// TestGetOrInsertConcurrentBuildsOnce pins that a GetOrInsert which loses
+// head CASes to concurrent inserts into the same segment reuses the value
+// it built instead of calling mk again. Eight goroutines insert distinct
+// keys into a 16-segment map, and mk yields between the head load and
+// the CAS, so retries are the common case.
+func TestGetOrInsertConcurrentBuildsOnce(t *testing.T) {
+	m := NewWithHint[*int](0)
+	const workers, perWorker = 8, 500
+	var wg sync.WaitGroup
+	var over atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				calls := 0
+				k := uint64(w*perWorker + i)
+				m.GetOrInsert(k, func() *int {
+					calls++
+					runtime.Gosched()
+					x := int(k)
+					return &x
+				})
+				if calls > 1 {
+					over.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := over.Load(); n > 0 {
+		t.Fatalf("%d GetOrInsert calls built their value more than once", n)
+	}
+	if m.Len() != workers*perWorker {
+		t.Fatalf("Len = %d, want %d", m.Len(), workers*perWorker)
 	}
 }

@@ -122,9 +122,11 @@ type Options struct {
 	Queue pq.Queue
 	// DequeueBatchSize bounds each flusher's batched dequeue (default 64).
 	DequeueBatchSize int
-	// DirectoryHint sizes the g-entry directory (expected distinct hot
-	// keys; default 1<<16).
-	DirectoryHint int
+	// KeySpace is the number of keys the controller serves (the rows of
+	// the embedding table, or of the shard). It sizes the g-entry
+	// directory to about KeySpace/4 segments (at most 2^18), so a lookup
+	// walks one or two nodes. Zero sizes it for 1<<16 keys.
+	KeySpace int64
 	// Obs attaches the job's observability layer (nil = no-op): the
 	// flusher pool reports dequeue/apply events and latency, the sample
 	// queue its depth, and the priority queue its operation counts.
@@ -159,8 +161,8 @@ func (o *Options) normalize() error {
 	if o.DequeueBatchSize <= 0 {
 		o.DequeueBatchSize = 64
 	}
-	if o.DirectoryHint <= 0 {
-		o.DirectoryHint = 1 << 16
+	if o.KeySpace <= 0 {
+		o.KeySpace = 1 << 16
 	}
 	o.Recovery.normalize()
 	return nil
@@ -274,10 +276,7 @@ func NewController(opt Options) (*Controller, error) {
 	q := opt.Queue
 	if q == nil {
 		var err error
-		q, err = pq.NewTwoLevelPQ(pq.TwoLevelOptions{
-			MaxStep:   opt.MaxStep,
-			TableHint: opt.DirectoryHint / 16,
-		})
+		q, err = pq.NewTwoLevelPQ(pq.TwoLevelOptions{MaxStep: opt.MaxStep})
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +284,7 @@ func NewController(opt Options) (*Controller, error) {
 	c := &Controller{
 		opt:           opt,
 		queue:         q,
-		dir:           lfht.NewWithHint[*pq.GEntry](opt.DirectoryHint),
+		dir:           lfht.NewWithHint[*pq.GEntry](int(min(opt.KeySpace, 1<<20))),
 		sample:        make(chan Batch, opt.Lookahead),
 		commits:       make(map[int64]int),
 		flight:        make(map[uint64]*flushCall),

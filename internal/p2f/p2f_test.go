@@ -120,8 +120,24 @@ func TestOptionsDefaults(t *testing.T) {
 	if err := opt.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if opt.Lookahead != 10 || opt.FlushThreads != 8 || opt.Trainers != 1 || opt.DequeueBatchSize != 64 {
+	if opt.Lookahead != 10 || opt.FlushThreads != 8 || opt.Trainers != 1 || opt.DequeueBatchSize != 64 || opt.KeySpace != 1<<16 {
 		t.Fatalf("defaults wrong: %+v", opt)
+	}
+}
+
+// TestDirectorySizedFromKeySpace pins that the g-entry directory is sized
+// from the key space the controller serves, so a lookup walks one or two
+// nodes: about keys/4 segments, up to lfht's 2^18 clamp.
+func TestDirectorySizedFromKeySpace(t *testing.T) {
+	for _, keys := range []int64{1 << 12, 1 << 20, 1 << 24} {
+		c, err := NewController(Options{MaxStep: 5, KeySpace: keys, Sink: newRecordSink(), Source: &sliceSource{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int(min(keys/4, 1<<18))
+		if got := c.dir.Segments(); got < want {
+			t.Fatalf("key space %d: directory has %d segments, want ≥ %d", keys, got, want)
+		}
 	}
 }
 

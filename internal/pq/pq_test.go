@@ -12,7 +12,7 @@ import (
 )
 
 func newTwoLevel(t testing.TB, maxStep int64) Queue {
-	q, err := NewTwoLevelPQ(TwoLevelOptions{MaxStep: maxStep, TableHint: 256})
+	q, err := NewTwoLevelPQ(TwoLevelOptions{MaxStep: maxStep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +253,26 @@ func TestQueueEmptyDequeue(t *testing.T) {
 	}
 }
 
+// TestSlotTableSizing pins how the default queue (the one P²F builds)
+// sizes its slot tables: a finite slot holds at most one step's keys and
+// gets a small directory, the ∞ slot holds all deferred work and keeps a
+// large one.
+func TestSlotTableSizing(t *testing.T) {
+	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	for p := int64(0); p < 100; p++ {
+		q.Enqueue(NewGEntry(uint64(p)), p)
+	}
+	q.Enqueue(NewGEntry(1000), Inf)
+	for _, p := range []int64{0, 50, 99} {
+		if n := q.peek(q.slotIndex(p)).Segments(); n > 64 {
+			t.Fatalf("finite slot %d has %d segments, want ≤ 64", p, n)
+		}
+	}
+	if n := q.peek(q.slotIndex(Inf)).Segments(); n < 1024 {
+		t.Fatalf("∞ slot has %d segments, want ≥ 1024", n)
+	}
+}
+
 func TestTwoLevelPQValidation(t *testing.T) {
 	if _, err := NewTwoLevelPQ(TwoLevelOptions{MaxStep: -1}); err == nil {
 		t.Fatal("negative MaxStep should error")
@@ -472,7 +492,7 @@ func benchQueueMixed(b *testing.B, mk func(maxStep int64) Queue) {
 // P²F access pattern (Exp #4's wall-clock counterpart).
 func BenchmarkTwoLevelPQMixed(b *testing.B) {
 	benchQueueMixed(b, func(maxStep int64) Queue {
-		return MustTwoLevelPQ(TwoLevelOptions{MaxStep: maxStep, TableHint: 4096})
+		return MustTwoLevelPQ(TwoLevelOptions{MaxStep: maxStep})
 	})
 }
 
@@ -491,7 +511,7 @@ func BenchmarkPQScanRangeCompression(b *testing.B) {
 	}{{"on", false}, {"off", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			q := MustTwoLevelPQ(TwoLevelOptions{
-				MaxStep: 1 << 20, TableHint: 4096,
+				MaxStep:                1 << 20,
 				DisableScanCompression: mode.disable,
 			})
 			base := int64(1<<20 - 4096)
@@ -524,7 +544,7 @@ func BenchmarkPQScanRangeCompression(b *testing.B) {
 func BenchmarkPQDequeueBatchSize(b *testing.B) {
 	for _, batch := range []int{1, 8, 64, 256} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 1 << 16, TableHint: 4096})
+			q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 1 << 16})
 			for i := 0; i < 8192; i++ {
 				enq(q, NewGEntry(uint64(i)), int64(i%1024))
 			}

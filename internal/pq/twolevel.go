@@ -32,7 +32,6 @@ import (
 type TwoLevelPQ struct {
 	maxStep int64
 	slots   []atomic.Pointer[lfht.Map[*GEntry]]
-	hint    int
 
 	count atomic.Int64
 	// finite counts live finite-priority entries. It is incremented
@@ -61,9 +60,6 @@ type TwoLevelOptions struct {
 	// MaxStep is the largest finite priority value (the number of training
 	// steps); the priority index has MaxStep+2 slots.
 	MaxStep int64
-	// TableHint sizes each slot's hash table (expected concurrent
-	// population per priority value).
-	TableHint int
 	// DisableScanCompression turns the §3.4 scan-range optimisation off
 	// (used by the ablation benchmark).
 	DisableScanCompression bool
@@ -77,14 +73,9 @@ func NewTwoLevelPQ(opt TwoLevelOptions) (*TwoLevelPQ, error) {
 	if opt.MaxStep > 1<<26 {
 		return nil, fmt.Errorf("pq: MaxStep %d too large for a dense priority index", opt.MaxStep)
 	}
-	hint := opt.TableHint
-	if hint <= 0 {
-		hint = 1024
-	}
 	q := &TwoLevelPQ{
 		maxStep:  opt.MaxStep,
 		slots:    make([]atomic.Pointer[lfht.Map[*GEntry]], opt.MaxStep+2),
-		hint:     hint,
 		compress: !opt.DisableScanCompression,
 	}
 	q.upper.Store(-1)
@@ -115,12 +106,27 @@ func (q *TwoLevelPQ) slotIndex(p int64) int64 {
 	return p
 }
 
+// Slot tables are sized by what they hold. A finite slot holds only the
+// g-entries whose next read is that one step, so at most one global
+// batch: it gets a 64-segment directory, because a larger one only makes
+// each drain scan empty segment heads. The ∞ slot holds all deferred
+// work and gets 1,024 segments, so AdjustPriority's Delete walks short
+// chains there.
+const (
+	finiteSlotHint = 256
+	infSlotHint    = 4096
+)
+
 // table returns the hash table for a slot, creating it on first use.
 func (q *TwoLevelPQ) table(idx int64) *lfht.Map[*GEntry] {
 	if t := q.slots[idx].Load(); t != nil {
 		return t
 	}
-	fresh := lfht.NewWithHint[*GEntry](q.hint)
+	hint := finiteSlotHint
+	if idx == q.maxStep+1 {
+		hint = infSlotHint
+	}
+	fresh := lfht.NewWithHint[*GEntry](hint)
 	if q.slots[idx].CompareAndSwap(nil, fresh) {
 		return fresh
 	}

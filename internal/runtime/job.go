@@ -466,6 +466,7 @@ func newJob(cfg Config, steps int64, samplesPerStep int,
 		}
 		ctrl, err := p2f.NewController(p2f.Options{
 			MaxStep:          steps,
+			KeySpace:         cfg.Rows,
 			Lookahead:        cfg.Lookahead,
 			FlushThreads:     cfg.FlushThreads,
 			Trainers:         cfg.NumGPUs,

@@ -101,6 +101,7 @@ func NewNode(opt NodeOptions) (*Node, error) {
 	}
 	ctrl, err := p2f.NewController(p2f.Options{
 		MaxStep:      maxStep,
+		KeySpace:     km.Owned(),
 		FlushThreads: flushers,
 		Trainers:     opt.Trainers,
 		Source:       emptyTrace{},
