@@ -30,12 +30,13 @@ invariants:
 		-run 'TestGatePropertyQuick|TestInvariantHoldsUnderRandomTraces|TestTopSelfHeals|TestProcessBatch|TestQueueConcurrentStress|TestConcurrent|TestGetOrInsertConcurrent|TestInFlight' \
 		./internal/pq ./internal/lfht ./internal/p2f
 
-# The lookahead-prefetch suite under the race detector: window-pin
-# blockades with 4 trainers, 4 prefetchers and the flusher pool running
-# concurrently, prefetch on/off determinism, and the pin bookkeeping in
-# the cache package.
+# The lookahead-prefetch suite under the race detector at several
+# GOMAXPROCS values: window-pin blockades with 4 trainers, 4 prefetchers
+# and the flusher pool running concurrently, prefetch on/off determinism,
+# the fill tag against a racing flush, and the pin bookkeeping in the
+# cache package.
 prefetch-stress:
-	$(GO) test -race -count=1 -v \
+	$(GO) test -race -cpu 1,2,4 -count=3 -v \
 		-run 'TestPrefetch|TestWindowPin|TestEpochAndWindowPins' \
 		./internal/runtime ./internal/cache
 
@@ -134,8 +135,11 @@ bench:
 
 # Re-measure the perf suite (tensor kernels, per-engine step loop, PQ
 # enqueue/drain) with full 1s windows and overwrite the committed
-# baseline. Run on a quiet machine, then commit BENCH_baseline.json.
+# baseline. Run on a quiet machine from a clean tree (it refuses a dirty
+# one, so the baseline's gitSHA names the code it measured), then commit
+# BENCH_baseline.json.
 bench-baseline:
+	@test -z "$$(git status --porcelain)" || { echo "bench-baseline: the working tree has uncommitted changes; commit or stash them first" >&2; exit 1; }
 	$(GO) run ./cmd/frugal-bench -perf -perf-out BENCH_baseline.json
 
 # CI perf gate: quick re-run of the same suite diffed against the

@@ -121,13 +121,19 @@ func runPerf(quick bool, out, against string) int {
 	return 0
 }
 
-// gitSHA best-effort resolves the working tree's commit for the report.
+// gitSHA best-effort resolves the working tree's commit for the report,
+// suffixed "-dirty" when the tree holds uncommitted changes — the numbers
+// then measure code no commit names.
 func gitSHA() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	sha := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(strings.TrimSpace(string(st))) > 0 {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 func writeMemProfile(path string) {

@@ -46,8 +46,10 @@ func main() {
 		Lookahead:    2,
 		FlushThreads: 1,
 		Source:       &source{batches: [][]uint64{{k2, k3, k1}, {k2}, {k1}}},
-		Sink: p2f.FlushSinkFunc(func(key uint64, updates []pq.Update) {
-			flushed <- fmt.Sprintf("    flusher: wrote k%d to host memory (%d pending update(s))", key, len(updates))
+		Sink: p2f.FlushSinkFunc(func(sets []pq.WriteSet) {
+			for _, ws := range sets {
+				flushed <- fmt.Sprintf("    flusher: wrote k%d to host memory (%d pending update(s))", ws.Key, len(ws.Updates))
+			}
 		}),
 	})
 	if err != nil {

@@ -127,9 +127,9 @@ func (c *Cache) Insert(key uint64, version uint64) (dst []float32, evicted uint6
 // window-pinned) — the reject is counted and the prefetcher simply skips
 // the key, leaving it to demand fill. Unlike Insert, the claimed slot is
 // not epoch-pinned: the prefetcher hands out no aliases, and the window
-// pin the caller takes afterwards is what protects the row. The caller
-// must copy the row bytes into dst and then call MarkPrefetched with the
-// version actually read.
+// pin the caller takes at claim is what protects the row. The caller
+// must call MarkPrefetched with a version read before the row bytes it
+// copies into dst, and copy them before any other directory access.
 func (c *Cache) InsertPrefetch(key uint64) (slotIdx int, dst []float32) {
 	i, _, _ := c.fill(key, 0, true)
 	if i < 0 {

@@ -350,12 +350,13 @@ func (m *Meta) WindowUnpin(i int) {
 	}
 }
 
-// MarkPrefetched records a completed prefetch fill (or in-place refill) of
-// slot i at the given version: the row bytes were just copied from the
-// host slab under its row lock, so version is exact — never ahead of the
-// content. A previous unused prefetch fill of the same slot counts as late
-// (its bytes were refreshed before any use, so the earlier read bought
-// nothing).
+// MarkPrefetched records a prefetch fill (or in-place refill) of slot i at
+// the given version: the version was read before the row bytes were
+// copied from the host slab under its row lock, and the slab bumps a
+// version only after the write, so the tag is never ahead of the content
+// (it may trail it, which costs a refill, never a stale read). A previous
+// unused prefetch fill of the same slot counts as late (its bytes were
+// refreshed before any use, so the earlier read bought nothing).
 func (m *Meta) MarkPrefetched(i int, version uint64) {
 	s := &m.slots[i]
 	if s.pf && !s.pfUsed {

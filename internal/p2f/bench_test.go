@@ -64,7 +64,7 @@ func BenchmarkCommitStep(b *testing.B) {
 		MaxStep:   int64(b.N + benchLook),
 		KeySpace:  benchKeys,
 		Lookahead: benchLook,
-		Sink:      FlushSinkFunc(func(uint64, []pq.Update) {}),
+		Sink:      FlushSinkFunc(func([]pq.WriteSet) {}),
 		Source:    &sliceSource{},
 	})
 	if err != nil {

@@ -16,7 +16,7 @@ func TestFlushHookFiresOnEveryFlushPath(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[uint64]int)
 	sinkApplied := make(map[uint64]int)
-	sink := FlushSinkFunc(func(k uint64, updates []pq.Update) {
+	sink := keySink(func(k uint64, updates []pq.Update) {
 		mu.Lock()
 		sinkApplied[k]++
 		mu.Unlock()

@@ -17,7 +17,7 @@ import (
 func TestFlushKeySharedCoalesces(t *testing.T) {
 	const key, readers = uint64(7), 16
 	var flushes atomic.Int64
-	sink := FlushSinkFunc(func(k uint64, updates []pq.Update) {
+	sink := keySink(func(k uint64, updates []pq.Update) {
 		if k == key {
 			flushes.Add(1)
 		}
@@ -74,7 +74,7 @@ func TestFlushKeySharedCoalesces(t *testing.T) {
 func TestFlushKeySharedUntouchedKey(t *testing.T) {
 	c, err := NewController(Options{
 		MaxStep: 1,
-		Sink:    FlushSinkFunc(func(uint64, []pq.Update) { t.Error("sink called for untouched key") }),
+		Sink:    FlushSinkFunc(func([]pq.WriteSet) { t.Error("sink called for untouched key") }),
 		Source:  &sliceSource{},
 	})
 	if err != nil {

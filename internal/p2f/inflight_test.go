@@ -8,7 +8,7 @@ import (
 	"frugal/internal/pq"
 )
 
-// heldSink is a BatchSink whose FlushBatch blocks until released, so a
+// heldSink is a FlushSink whose FlushBatch blocks until released, so a
 // test can hold a flusher batch mid-apply: claimed out of the queue, not
 // yet on the host.
 type heldSink struct {
@@ -21,10 +21,6 @@ type heldSink struct {
 func newHeldSink() *heldSink {
 	return &heldSink{entered: make(chan []uint64, 16), release: make(chan struct{}),
 		steps: make(map[uint64][]int64)}
-}
-
-func (s *heldSink) Flush(key uint64, updates []pq.Update) {
-	s.FlushBatch([]pq.WriteSet{{Key: key, Updates: updates}})
 }
 
 func (s *heldSink) FlushBatch(sets []pq.WriteSet) {

@@ -40,47 +40,29 @@ type Batch struct {
 	Keys []uint64
 }
 
-// FlushSink receives the pending updates of one parameter when a flushing
-// thread drains its g-entry. Implementations apply them to host memory.
-// Flushes of one key never overlap and arrive in step order: a key whose
+// FlushSink applies drained write sets to host memory. Every path that
+// lands updates — the flusher pool, FlushKey and the degraded write-through
+// commit — reaches it through FlushBatch: a flusher hands over its whole
+// batch with no g-entry lock held (the in-flight floor, see WaitForStep,
+// keeps the gate closed for the batch's readers until the call returns),
+// while FlushKey and degraded commits hand over one set with that key's
+// g-entry lock held. Sets of one key appear in step order, and a key whose
 // write set is in flight is not handed to the sink again until it lands.
-// The updates slice is owned by the controller and reused after Flush
-// returns: implementations must not retain it (retaining the Delta buffers
-// is equally off-limits — the runtime pools them).
+// WriteSet.Deferred reports whether the set was drained from the ∞ slot
+// with no reader waiting inside the lookahead window, or urgently; tier
+// maintenance weighs the two differently, since urgency is evidence of
+// heat. The sets, their Updates slices and the Delta buffers are owned by
+// the controller and reused after FlushBatch returns: implementations must
+// not retain them (the runtime pools the buffers).
 type FlushSink interface {
-	Flush(key uint64, updates []pq.Update)
+	FlushBatch(sets []pq.WriteSet)
 }
 
 // FlushSinkFunc adapts a function to the FlushSink interface.
-type FlushSinkFunc func(key uint64, updates []pq.Update)
+type FlushSinkFunc func(sets []pq.WriteSet)
 
-// Flush calls f.
-func (f FlushSinkFunc) Flush(key uint64, updates []pq.Update) { f(key, updates) }
-
-// TierSink is an optional FlushSink extension for sinks that manage a
-// tiered parameter store. When the sink implements it, the controller
-// routes every flush through FlushTiered instead of Flush, passing
-// whether the flush was deferred — drained from the ∞ slot with no
-// reader waiting inside the lookahead window — or urgent. Urgency is
-// evidence of heat, so tier maintenance weighs the two differently.
-// The same retention rules as Flush apply.
-type TierSink interface {
-	FlushSink
-	FlushTiered(key uint64, updates []pq.Update, deferred bool)
-}
-
-// BatchSink is an optional FlushSink extension for sinks that apply many
-// write sets in one call — a remote slab ships them as one frame per
-// shard instead of one round trip per key. When the sink implements it,
-// every flusher batch reaches the sink through a single FlushBatch call,
-// with no g-entry lock held; the in-flight floor (see WaitForStep) keeps
-// the gate closed for the batch's readers until the call returns. Sets
-// of one key appear in step order. The same retention rules as Flush
-// apply to every set.
-type BatchSink interface {
-	FlushSink
-	FlushBatch(sets []pq.WriteSet)
-}
+// FlushBatch calls f.
+func (f FlushSinkFunc) FlushBatch(sets []pq.WriteSet) { f(sets) }
 
 // TraceSource provides the upcoming global batches, in training order.
 // Implementations must be safe for use by the single prefetch goroutine.
@@ -201,12 +183,6 @@ type Controller struct {
 	queue pq.Queue
 	dir   *lfht.Map[*pq.GEntry]
 
-	// tierSink caches the Sink's TierSink extension (nil when the sink
-	// implements only Flush), so the flush hot path pays a nil check
-	// instead of a per-flush type assertion.
-	tierSink  TierSink
-	batchSink BatchSink
-
 	sample chan Batch // the sample queue: capacity = Lookahead
 
 	mu            sync.Mutex
@@ -294,8 +270,6 @@ func NewController(opt Options) (*Controller, error) {
 		tracer:        opt.Obs.TraceSink(),
 		faultObs:      opt.Obs.FaultSink(),
 	}
-	c.tierSink, _ = opt.Sink.(TierSink)
-	c.batchSink, _ = opt.Sink.(BatchSink)
 	c.stages.Store(new([]*stage))
 	c.watermark.Store(-1)
 	c.degradedStep.Store(-1)
@@ -545,6 +519,12 @@ func (c *Controller) CommitStep(s int64, updates []KeyDelta) {
 		}
 		g.Mu.Unlock()
 	}
+	c.committed(s)
+}
+
+// committed counts one trainer's commit of step s. Once every trainer has
+// committed it the watermark advances; gate waiters wake either way.
+func (c *Controller) committed(s int64) {
 	c.mu.Lock()
 	c.commits[s]++
 	if c.commits[s] == c.opt.Trainers {
@@ -665,14 +645,14 @@ func (c *Controller) RowStaleness(key uint64) (lag, watermark int64) {
 // making the host row reflect every update committed so far. It reports
 // whether anything was flushed. This is the `fresh` serve level's
 // mechanism: the inline flush mirrors commitDegraded's write-through
-// critical section (g.Mu held across TakeWrites → Sink.Flush →
-// FlushedWrites, which also excludes the flusher pool — ProcessBatch runs
-// its visit under the same lock), and the emptied entry then rides the
-// AdjustPriority path to the ∞ slot so the consistency gate's Top() scan
-// stops charging it for work that is already on the host. The residue
-// node left in the queue is culled by the next flusher visit, exactly
-// like a crash-redistributed entry. A write set a flusher has in flight
-// is waited for first, so the key's updates still land in step order.
+// critical section (g.Mu held across the one-set sink call, which also
+// excludes the flusher pool — ProcessBatch runs its visit under the same
+// lock), and the emptied entry then rides the AdjustPriority path to the
+// ∞ slot so the consistency gate's Top() scan stops charging it for work
+// that is already on the host. The residue node left in the queue is
+// culled by the next flusher visit, exactly like a crash-redistributed
+// entry. A write set a flusher has in flight is waited for first, so the
+// key's updates still land in step order.
 func (c *Controller) FlushKey(key uint64) bool {
 	g, ok := c.dir.Get(key)
 	if !ok {
@@ -683,12 +663,8 @@ func (c *Controller) FlushKey(key uint64) bool {
 		g.Mu.Unlock()
 		return false
 	}
-	w := g.TakeWrites()
-	c.sinkFlush(g.Key, w, false)
-	c.notifyFlush(g.Key)
-	c.flushedUpdates.Add(int64(len(w)))
+	c.landWrites(g)
 	c.urgentFlushes.Add(1)
-	g.FlushedWrites(w) // Mu held throughout; sink does not retain w
 	if g.InQueue && g.Priority != pq.Inf {
 		c.queue.AdjustPriority(g, g.Priority, pq.Inf)
 	}
@@ -711,14 +687,15 @@ func (c *Controller) lockLanded(g *pq.GEntry) {
 	}
 }
 
-// sinkFlush hands a drained write set to the sink, routing through the
-// TierSink extension when the sink implements it.
-func (c *Controller) sinkFlush(key uint64, w []pq.Update, deferred bool) {
-	if c.tierSink != nil {
-		c.tierSink.FlushTiered(key, w, deferred)
-		return
-	}
-	c.opt.Sink.Flush(key, w)
+// landWrites hands g's whole pending write set to the sink as a one-set
+// urgent batch and runs the flush hooks. Caller holds g.Mu with nothing of
+// g in flight (see lockLanded).
+func (c *Controller) landWrites(g *pq.GEntry) {
+	w := g.TakeWrites()
+	c.opt.Sink.FlushBatch([]pq.WriteSet{{Key: g.Key, Updates: w}})
+	c.notifyFlush(g.Key)
+	c.flushedUpdates.Add(int64(len(w)))
+	g.FlushedWrites(w) // the sink does not retain w
 }
 
 // flushCall is one in-flight FlushKeyShared execution. wm is the
@@ -922,13 +899,7 @@ func (c *Controller) flushBatch(st *stage) (progress bool) {
 		if c.fl != nil {
 			start = time.Now()
 		}
-		if c.batchSink != nil {
-			c.batchSink.FlushBatch(st.sets)
-		} else {
-			for _, ws := range st.sets {
-				c.sinkFlush(ws.Key, ws.Updates, ws.Deferred)
-			}
-		}
+		c.opt.Sink.FlushBatch(st.sets)
 		var took time.Duration // each set's share of the one sink call
 		if c.fl != nil {
 			took = time.Since(start) / time.Duration(len(st.sets))

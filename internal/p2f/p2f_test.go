@@ -41,15 +41,26 @@ func newRecordSink() *recordSink {
 	return &recordSink{sums: make(map[uint64]float32), steps: make(map[uint64][]int64)}
 }
 
-func (s *recordSink) Flush(key uint64, updates []pq.Update) {
+func (s *recordSink) FlushBatch(sets []pq.WriteSet) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushes++
-	s.updates += len(updates)
-	for _, u := range updates {
-		s.sums[key] += u.Delta[0]
-		s.steps[key] = append(s.steps[key], u.Step)
+	for _, ws := range sets {
+		s.flushes++
+		s.updates += len(ws.Updates)
+		for _, u := range ws.Updates {
+			s.sums[ws.Key] += u.Delta[0]
+			s.steps[ws.Key] = append(s.steps[ws.Key], u.Step)
+		}
 	}
+}
+
+// keySink is a FlushSink that hands every set of a batch to fn in turn.
+func keySink(fn func(key uint64, updates []pq.Update)) FlushSink {
+	return FlushSinkFunc(func(sets []pq.WriteSet) {
+		for _, ws := range sets {
+			fn(ws.Key, ws.Updates)
+		}
+	})
 }
 
 func (s *recordSink) sum(key uint64) float32 {
@@ -209,7 +220,7 @@ func TestGateBlocksUntilFlushed(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		batches = append(batches, []uint64{key})
 	}
-	slow := FlushSinkFunc(func(k uint64, u []pq.Update) {
+	slow := keySink(func(k uint64, u []pq.Update) {
 		time.Sleep(200 * time.Microsecond)
 	})
 	src := &sliceSource{batches: batches}

@@ -232,24 +232,10 @@ func (c *Controller) commitDegraded(s int64, updates []KeyDelta) {
 		c.lockLanded(g)
 		g.RemoveRead(s)
 		g.AddWriteState(s, kd.Delta, kd.StateDelta)
-		w := g.TakeWrites()
-		c.sinkFlush(g.Key, w, false)
-		c.notifyFlush(g.Key)
-		c.flushedUpdates.Add(int64(len(w)))
-		g.FlushedWrites(w) // Mu held throughout; sink does not retain w
+		c.landWrites(g)
 		g.Mu.Unlock()
 	}
-	c.mu.Lock()
-	c.commits[s]++
-	if c.commits[s] == c.opt.Trainers {
-		delete(c.commits, s)
-		if s > c.committedStep {
-			c.committedStep = s
-			c.watermark.Store(s)
-		}
-	}
-	c.gate.Broadcast()
-	c.mu.Unlock()
+	c.committed(s)
 }
 
 // RecoveryStats snapshots what the self-healing layer has done so far.

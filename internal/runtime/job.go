@@ -509,21 +509,11 @@ func tierHost(h *Host) *Host {
 	return nil
 }
 
-func (s *frugalSink) Flush(key uint64, updates []pq.Update) {
-	s.FlushTiered(key, updates, false)
-}
-
-func (s *frugalSink) FlushTiered(key uint64, updates []pq.Update, deferred bool) {
-	s.job.slab.ApplyUpdates(key, updates)
-	s.job.rowPool.PutUpdates(updates)
-	if s.tier != nil {
-		s.tier.TierMaintain(key, deferred)
-	}
-}
-
-// FlushBatch applies one flusher batch with a single slab write, then
+// FlushBatch applies a batch of write sets with a single slab write, then
 // recycles its buffers and runs tier maintenance per key — still before
-// the batch's in-flight floor drops, so tier moves stay gate-covered.
+// a flusher batch's in-flight floor drops (or, for a one-set FlushKey or
+// degraded commit, under the key's g-entry lock), so tier moves stay
+// gate-covered.
 func (s *frugalSink) FlushBatch(sets []pq.WriteSet) {
 	s.job.slab.ApplyWriteSets(sets)
 	for i := range sets {
@@ -613,7 +603,9 @@ func (j *Job) RunContext(ctx context.Context) (Result, error) {
 		res.Recovery.DegradedStep = rs.DegradedStep
 	}
 	res.Recovery.FaultsInjected = j.cfg.Faults.Stats().Injected
-	res.Recovery.HostWriteRetries = j.slab.WriteRetries()
+	if j.host != nil {
+		res.Recovery.HostWriteRetries = j.host.WriteRetries()
+	}
 	j.mu.Lock()
 	completed := j.completed
 	j.mu.Unlock()

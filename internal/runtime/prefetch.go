@@ -27,10 +27,13 @@ import (
 // which is the point of the whole exercise.
 //
 // Flush-race safety. A prefetched row may be rewritten by a concurrent
-// flush between its fill and its use. Fills read through RowStore.ReadRow,
-// which returns the exact version read under the row's stripe lock, and
-// that version becomes the slot's tag — so the tag never overstates the
-// content. A row that goes stale after the fill simply misses its version
+// flush between its fill and its use. Each fill chunk probes its keys'
+// versions with one RowStore.Versions call, then reads the rows it fills
+// with one locked GatherRows call, and each slot is tagged with the
+// version probed *before* the gather. The slab bumps a version under the
+// row lock after the write, so the gathered bytes hold at least the
+// updates the tag counts: the tag is never ahead of the content. A row
+// written after the probe (or after the fill) simply misses its version
 // check at gather (counted PrefetchLate) and is refilled from the
 // gate-protected host row; a stale prefetch is never served.
 
@@ -53,6 +56,13 @@ type prefetcher struct {
 	c       *cache.Cache
 	slab    RowStore
 	depth   int
+
+	// Fill-chunk scratch, used only by the fill goroutine under mu: the
+	// chunk's owned keys and their probed versions, and the keys and
+	// cache rows of the fills its one gather lands.
+	owned, vers []uint64
+	gKeys       []uint64
+	gDsts       [][]float32
 
 	// mu serialises all access to the cache directory and to in-place row
 	// refills: prefetch fill pass vs. the worker's gather and applyLocal.
@@ -84,7 +94,11 @@ func newPrefetcher(id, numGPUs int, c *cache.Cache, slab RowStore, depth, lookah
 		// The ring must absorb the deepest natural in-flight window —
 		// depth unprocessed batches plus up to L fed-but-unretired ones —
 		// without blocking the feed; slack on top costs only metadata.
-		ring: make([]pfBatch, depth+lookahead+4),
+		ring:  make([]pfBatch, depth+lookahead+4),
+		owned: make([]uint64, 0, fillChunk),
+		vers:  make([]uint64, fillChunk),
+		gKeys: make([]uint64, 0, fillChunk),
+		gDsts: make([][]float32, 0, fillChunk),
 	}
 	p.cond = sync.NewCond(&p.fmu)
 	return p
@@ -202,6 +216,10 @@ func (p *prefetcher) loop() {
 	}
 }
 
+// fillChunk bounds the keys one fill step handles under the cache guard
+// (see fill): one Versions probe and one GatherRows read per chunk.
+const fillChunk = 64
+
 // fill makes every owned key of the batch resident and window-pins its
 // slot. Three cases per key: fresh resident — pin only; stale resident —
 // refill in place (unless the slot is epoch-pinned, whose bytes a live
@@ -215,47 +233,62 @@ func (p *prefetcher) fill(b *pfBatch) {
 	// the prefetcher exists to overlap. Partial fills are safe — waitFor
 	// orders a step's gather after its ENTIRE fill pass, so chunk boundaries
 	// are only ever observed by other steps' directory work.
-	const fillChunk = 64
 	for off := 0; off < len(b.keys); off += fillChunk {
-		end := off + fillChunk
-		if end > len(b.keys) {
-			end = len(b.keys)
-		}
-		p.fillChunk(b, b.keys[off:end])
+		p.fillChunk(b, b.keys[off:min(off+fillChunk, len(b.keys))])
 	}
 }
 
+// fillChunk probes the chunk's owned keys with one Versions call, claims
+// and window-pins a slot for every fill, and reads all fills with one
+// locked GatherRows call. A slot is pinned as soon as it is claimed, so a
+// later claim in the chunk cannot evict it before the gather lands, and
+// tagged with the version probed before the gather (never ahead of the
+// bytes). The guard is held throughout, so no gather sees a claimed slot
+// before its bytes arrive.
 func (p *prefetcher) fillChunk(b *pfBatch, keys []uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.owned = p.owned[:0]
 	for _, k := range keys {
-		if comm.Owner(k, p.numGPUs) != p.id {
+		if comm.Owner(k, p.numGPUs) == p.id {
+			p.owned = append(p.owned, k)
+		}
+	}
+	if len(p.owned) == 0 {
+		return
+	}
+	vers := p.vers[:len(p.owned)]
+	p.slab.Versions(p.owned, vers)
+	p.gKeys, p.gDsts = p.gKeys[:0], p.gDsts[:0]
+	for n, k := range p.owned {
+		i := p.c.PeekSlot(k)
+		if i >= 0 && p.c.SlotVersion(i) >= vers[n] {
+			p.pin(b, i)
 			continue
 		}
-		if i := p.c.PeekSlot(k); i >= 0 {
-			if p.c.SlotVersion(i) >= p.slab.Version(k) {
-				p.c.WindowPin(i)
-				b.pinned = append(b.pinned, int32(i))
-				continue
-			}
+		var dst []float32
+		if i >= 0 {
 			if p.c.SlotEpochPinned(i) {
 				continue
 			}
-			ver := p.slab.ReadRow(k, p.c.SlotRow(i))
-			p.c.MarkPrefetched(i, ver)
-			p.c.WindowPin(i)
-			b.pinned = append(b.pinned, int32(i))
+			dst = p.c.SlotRow(i)
+		} else if i, dst = p.c.InsertPrefetch(k); i < 0 {
 			continue
 		}
-		i, dst := p.c.InsertPrefetch(k)
-		if i < 0 {
-			continue
-		}
-		ver := p.slab.ReadRow(k, dst)
-		p.c.MarkPrefetched(i, ver)
-		p.c.WindowPin(i)
-		b.pinned = append(b.pinned, int32(i))
+		p.c.MarkPrefetched(i, vers[n])
+		p.pin(b, i)
+		p.gKeys = append(p.gKeys, k)
+		p.gDsts = append(p.gDsts, dst)
 	}
+	if len(p.gKeys) > 0 {
+		p.slab.GatherRows(p.gKeys, p.gDsts, true)
+	}
+}
+
+// pin window-pins slot i for batch b. Caller holds mu.
+func (p *prefetcher) pin(b *pfBatch, i int) {
+	p.c.WindowPin(i)
+	b.pinned = append(b.pinned, int32(i))
 }
 
 // feedPrefetch fans one future batch's key set out to every worker's

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"frugal/internal/cache"
 	"frugal/internal/data"
 )
 
@@ -174,5 +175,65 @@ func TestPrefetchPinStressFullSets(t *testing.T) {
 		if cs.PinRejects+cs.WindowPinRejects == 0 {
 			t.Fatalf("%s: one-set caches never rejected a fill — blockade not exercised", engine)
 		}
+	}
+}
+
+// racingSlab is a RowStore that lands one update on key between the
+// prefetcher's Versions probe and its GatherRows read — a flush racing a
+// fill chunk.
+type racingSlab struct {
+	*Host
+	key    uint64
+	raced  bool
+	probed bool
+}
+
+func (s *racingSlab) Versions(keys []uint64, out []uint64) {
+	s.probed = true
+	s.Host.Versions(keys, out)
+}
+
+func (s *racingSlab) GatherRows(keys []uint64, dsts [][]float32, locked bool) {
+	if s.probed && !s.raced {
+		s.raced = true
+		s.Host.ApplyDelta(s.key, []float32{1, 1, 1, 1}, 0)
+	}
+	s.Host.GatherRows(keys, dsts, locked)
+}
+
+// A fill is tagged with the version probed before its gather, so a flush
+// that lands in between leaves the tag behind the bytes, never ahead of
+// them: the next demand gather, which wants the row's current version,
+// must refill the row rather than serve it.
+func TestPrefetchTagNeverOverstates(t *testing.T) {
+	const key, dim = 5, 4
+	h, err := NewHost(16, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ApplyDelta(key, []float32{1, 2, 3, 4}, 0)
+	slab := &racingSlab{Host: h, key: key}
+	c := cache.MustNew(cache.Ways, dim)
+	p := newPrefetcher(0, 1, c, slab, 1, 1)
+	p.fill(&pfBatch{keys: []uint64{key}})
+	if !slab.raced {
+		t.Fatal("the fill chunk never gathered after its version probe")
+	}
+	i := c.PeekSlot(key)
+	if i < 0 {
+		t.Fatal("the prefetcher did not fill the key")
+	}
+	tag, ver := c.SlotVersion(i), h.Version(key)
+	if tag > ver {
+		t.Fatalf("slot tag %d overstates the row's version %d", tag, ver)
+	}
+	if tag != 1 || ver != 2 {
+		t.Fatalf("tag %d, version %d: want the probed 1 against the raced 2", tag, ver)
+	}
+	if _, hit := c.Lookup(key, ver); hit {
+		t.Fatalf("demand gather at version %d served the fill tagged %d", ver, tag)
+	}
+	if st := c.Stats(); st.StaleHits != 1 || st.PrefetchLate != 1 || st.PrefetchHits != 0 {
+		t.Fatalf("stats %+v: want one stale miss on a late, unused prefetch", st)
 	}
 }

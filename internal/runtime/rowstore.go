@@ -8,46 +8,43 @@ import "frugal/internal/pq"
 // lets the same step loop train against a table that lives elsewhere, via
 // Config.Slab.
 //
-// The surface is batch-first: the step loop makes one Versions and one
-// GatherRows call per worker-step, and each flusher batch lands through
-// one ApplyWriteSets call, so a remote implementation pays a round trip
-// per batch rather than per row. The per-row methods serve the
-// prefetcher, urgent single-key flushes and the write-through engines'
-// commits.
-//
+// The job reads through the batch methods only: each worker-step makes
+// one Versions and one GatherRows call, each prefetch fill chunk one of
+// each, and every flush lands through one ApplyWriteSets call, so a
+// remote implementation pays a round trip per batch rather than per row.
 // The contract matches *Host exactly:
 //
-//   - ReadRowDirect is the unlocked fast read, safe only while the gate
-//     (or the step barriers) guarantees no concurrent writer for the key.
-//   - ReadRowLocked takes the row's lock stripe; ReadRow additionally
-//     returns the row's version counter.
-//   - GatherRows reads row keys[i] into dsts[i] for every i, direct or
-//     locked as selected.
-//   - Version is monotone per key and bumps by one per applied update;
-//     Versions writes the version of keys[i] to out[i].
-//   - OptState returns the row's optimizer accumulator (0 when the store
-//     keeps none).
-//   - ApplyDelta adds delta (and stateDelta to the accumulator) under the
-//     row lock and bumps the version once; ApplyUpdates applies a batch to
-//     one key under a single lock acquisition, bumping once per update;
-//     ApplyWriteSets applies several keys' batches, sets of one key in
-//     slice order. None may retain the delta slices.
-//   - WriteRetries counts transient host-write failures retried (0 for
-//     stores without fault injection).
+//   - Versions writes the version of keys[i] to out[i]. A version is
+//     monotone per key and bumps by one per applied update, under the
+//     row lock and after the write, so a version read before a locked
+//     read never overstates the content that read returns.
+//   - GatherRows reads row keys[i] into dsts[i] for every i. Locked reads
+//     take the row's stripe lock; direct reads are the unlocked fast
+//     path, safe only while the gate (or the step barriers) guarantees no
+//     concurrent writer for the key.
+//   - ApplyWriteSets applies several keys' update batches under one lock
+//     acquisition per set, sets of one key in slice order, bumping the
+//     version once per update. ApplyDelta adds one delta (and stateDelta
+//     to the optimizer accumulator) and bumps the version once: it is the
+//     write-through engines' per-key commit. Neither may retain the delta
+//     slices.
+//
+// ReadRow (which also returns the version read under the lock),
+// ReadRowDirect, ReadRowLocked and ApplyUpdates are the per-row forms of
+// the same reads and writes. The job does not call them: they stay on the
+// surface only for the end-to-end benchmark's timing wrapper, which
+// overrides them.
 type RowStore interface {
 	Rows() int64
 	Dim() int
+	Versions(keys []uint64, out []uint64)
+	GatherRows(keys []uint64, dsts [][]float32, locked bool)
+	ApplyWriteSets(sets []pq.WriteSet)
+	ApplyDelta(key uint64, delta []float32, stateDelta float32)
 	ReadRow(key uint64, dst []float32) uint64
 	ReadRowDirect(key uint64, dst []float32)
 	ReadRowLocked(key uint64, dst []float32)
-	GatherRows(keys []uint64, dsts [][]float32, locked bool)
-	Version(key uint64) uint64
-	Versions(keys []uint64, out []uint64)
-	OptState(key uint64) float32
-	ApplyDelta(key uint64, delta []float32, stateDelta float32)
 	ApplyUpdates(key uint64, updates []pq.Update)
-	ApplyWriteSets(sets []pq.WriteSet)
-	WriteRetries() int64
 }
 
 // *Host is the canonical RowStore.

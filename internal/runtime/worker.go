@@ -275,7 +275,7 @@ func (j *Job) gather(ws *workerState, keys []uint64) {
 			continue
 		}
 		if adagrad {
-			s.state = j.slab.OptState(k)
+			s.state = j.host.OptState(k) // Config.Slab rejects Adagrad
 		}
 		if c != nil && comm.Owner(k, j.cfg.NumGPUs) == ws.id {
 			ws.verKeys = append(ws.verKeys, k)

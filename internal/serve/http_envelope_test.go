@@ -68,7 +68,6 @@ func (s *gateStore) Versions(keys []uint64, out []uint64) error {
 }
 
 func (s *gateStore) Scatter(step int64, updates []store.KeyDelta) error { return nil }
-func (s *gateStore) Version(key uint64) (uint64, error)                 { return 1, nil }
 func (s *gateStore) Watermark() int64                                   { return s.wm }
 func (s *gateStore) RowStaleness(key uint64) (int64, int64, error)      { return s.lag, s.wm, nil }
 

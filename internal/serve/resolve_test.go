@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"frugal/internal/p2f"
-	"frugal/internal/pq"
 	"frugal/internal/runtime"
 	"frugal/internal/serve"
 )
@@ -217,7 +216,7 @@ func laggingController(t *testing.T, host *runtime.Host) *p2f.Controller {
 	t.Helper()
 	ctrl, err := p2f.NewController(p2f.Options{
 		MaxStep: 5, FlushThreads: 1,
-		Sink:   p2f.FlushSinkFunc(func(key uint64, u []pq.Update) { host.ApplyUpdates(key, u) }),
+		Sink:   p2f.FlushSinkFunc(host.ApplyWriteSets),
 		Source: &stepSource{hot: 2},
 	})
 	if err != nil {

@@ -52,14 +52,16 @@ func TestRefreshStormCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hotFlushes atomic.Int64
-	sink := p2f.FlushSinkFunc(func(key uint64, updates []pq.Update) {
-		if key == hot {
-			hotFlushes.Add(1)
-			// Stretch the flush so concurrent refreshers overlap it — the
-			// window the singleflight layer exists for.
-			time.Sleep(200 * time.Microsecond)
+	sink := p2f.FlushSinkFunc(func(sets []pq.WriteSet) {
+		for _, ws := range sets {
+			if ws.Key == hot {
+				hotFlushes.Add(1)
+				// Stretch the flush so concurrent refreshers overlap it — the
+				// window the singleflight layer exists for.
+				time.Sleep(200 * time.Microsecond)
+			}
+			host.ApplyUpdates(ws.Key, ws.Updates)
 		}
-		host.ApplyUpdates(key, updates)
 	})
 	ctrl, err := p2f.NewController(p2f.Options{
 		MaxStep: steps, FlushThreads: 2, Lookahead: 4,

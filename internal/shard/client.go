@@ -60,8 +60,8 @@ const numOps = 16
 
 // opNames names the counted ops for Stats.
 var opNames = [numOps]string{
-	opInfo: "info", opReadRow: "read_row", opGather: "gather", opScatter: "scatter",
-	opVersion: "version", opWatermark: "watermark", opStaleness: "staleness",
+	opInfo: "info", opGather: "gather", opScatter: "scatter",
+	opWatermark: "watermark", opStaleness: "staleness",
 	opFlushKey: "flush_key", opTopK: "topk", opPing: "ping", opVersions: "versions",
 }
 
@@ -84,7 +84,7 @@ type ClientStats struct {
 }
 
 // Op returns the traffic of the op named name ("gather", "versions",
-// "scatter", "read_row", "version", …); the zero value for unknown names.
+// "scatter", …); the zero value for unknown names.
 func (c ClientStats) Op(name string) OpStats {
 	for op, n := range opNames {
 		if n == name && n != "" {
@@ -257,22 +257,16 @@ func (s *RemoteStore) Dim() int { return s.dim }
 // Coordinated reports whether the node runs a P²F gate.
 func (s *RemoteStore) Coordinated() bool { return s.coordinated }
 
-// ReadRow reads one row by global key.
+// ReadRow reads one row by global key as a one-key gather.
 func (s *RemoteStore) ReadRow(key uint64, dst []float32) (uint64, error) {
 	if len(dst) != s.dim {
 		return 0, fmt.Errorf("shard: dst length %d, want dim %d", len(dst), s.dim)
 	}
-	var v uint64
-	err := s.roundTrip(opReadRow,
-		func(b []byte) []byte { return appendU64(b, key) },
-		func(d *decoder) {
-			v = d.u64()
-			d.f32s(dst)
-		})
-	if err != nil {
+	var v [1]uint64
+	if err := s.Gather([]uint64{key}, dst, v[:]); err != nil {
 		return 0, err
 	}
-	return v, nil
+	return v[0], nil
 }
 
 // Gather batch-reads rows by global key in a single round trip.
@@ -331,18 +325,6 @@ func (s *RemoteStore) Scatter(step int64, updates []store.KeyDelta) error {
 			}
 			return b
 		}, nil)
-}
-
-// Version returns a row's update counter.
-func (s *RemoteStore) Version(key uint64) (uint64, error) {
-	var v uint64
-	err := s.roundTrip(opVersion,
-		func(b []byte) []byte { return appendU64(b, key) },
-		func(d *decoder) { v = d.u64() })
-	if err != nil {
-		return 0, err
-	}
-	return v, nil
 }
 
 // Watermark returns the node's committed-step watermark. The signature

@@ -11,7 +11,9 @@ import (
 // node. Garbage must come back as an error: never a panic, and never an
 // allocation sized by a count or length the bytes claim rather than by
 // the bytes actually sent. The seed corpus (testdata/fuzz) holds a valid
-// frame of every op plus hostile counts, lengths and truncations.
+// frame of every op plus hostile counts, lengths and truncations; the
+// read-row and version seeds carry the retired op codes 0x02 and 0x05
+// and exercise the unknown-op path.
 func FuzzFrameDecode(f *testing.F) {
 	const rows, dim = 64, 4
 	node, err := NewNode(NodeOptions{Rows: rows, Dim: dim, Uncoordinated: true})
@@ -24,7 +26,7 @@ func FuzzFrameDecode(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		op, payload, err := readFrameInto(bytes.NewReader(data), nil)
 		if err == nil {
-			sc := &connScratch{row: make([]float32, dim)}
+			sc := &connScratch{}
 			srv.handle(op, payload, sc, nil)
 		}
 		runtime.ReadMemStats(&after)

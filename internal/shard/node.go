@@ -107,9 +107,11 @@ func NewNode(opt NodeOptions) (*Node, error) {
 		Source:       emptyTrace{},
 		// The sink remaps the directory's global key onto the compact
 		// slab. Unowned keys cannot reach it: Scatter validates ownership.
-		Sink: p2f.FlushSinkFunc(func(key uint64, updates []pq.Update) {
-			if local, ok := km.Local(key); ok {
-				host.ApplyUpdates(uint64(local), updates)
+		Sink: p2f.FlushSinkFunc(func(sets []pq.WriteSet) {
+			for _, ws := range sets {
+				if local, ok := km.Local(ws.Key); ok {
+					host.ApplyUpdates(uint64(local), ws.Updates)
+				}
 			}
 		}),
 	})
@@ -235,15 +237,6 @@ func (n *Node) scatter(step int64, updates []KeyDelta) error {
 	}
 	n.ctrl.CommitStep(step, kd)
 	return nil
-}
-
-// Version returns an owned row's update counter.
-func (n *Node) Version(key uint64) (uint64, error) {
-	local, err := n.local(key)
-	if err != nil {
-		return 0, err
-	}
-	return n.host.Version(uint64(local)), nil
 }
 
 // Watermark returns this shard's committed-step watermark.

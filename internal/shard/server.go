@@ -104,7 +104,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Per-connection scratch, reused across requests: the response buffer,
 	// the request frame buffer, and the gather working set all settle at
 	// their high-water sizes instead of reallocating per frame.
-	sc := &connScratch{row: make([]float32, s.st.Dim())}
+	sc := &connScratch{}
 	var (
 		reqBuf  []byte
 		payload []byte
@@ -137,7 +137,6 @@ func (s *Server) serveConn(conn net.Conn) {
 // served by a single goroutine, so the slices never alias across
 // concurrent requests.
 type connScratch struct {
-	row  []float32 // one row (opReadRow)
 	keys []uint64  // gather key batch
 	rows []float32 // gather row batch / topk query
 	vers []uint64  // gather version batch
@@ -212,18 +211,6 @@ func (s *Server) handle(op byte, req []byte, sc *connScratch, out []byte) ([]byt
 		out = appendU32(out, uint32(s.info.of))
 		return out, nil
 
-	case opReadRow:
-		key := d.u64()
-		if err := d.finish(); err != nil {
-			return nil, err
-		}
-		v, err := s.st.ReadRow(key, sc.row)
-		if err != nil {
-			return nil, err
-		}
-		out = appendU64(out, v)
-		return appendF32s(out, sc.row), nil
-
 	case opGather:
 		dim := s.st.Dim()
 		// The response carries a version and a row per key; it must fit
@@ -289,17 +276,6 @@ func (s *Server) handle(op byte, req []byte, sc *connScratch, out []byte) ([]byt
 			return nil, err
 		}
 		return out, nil
-
-	case opVersion:
-		key := d.u64()
-		if err := d.finish(); err != nil {
-			return nil, err
-		}
-		v, err := s.st.Version(key)
-		if err != nil {
-			return nil, err
-		}
-		return appendU64(out, v), nil
 
 	case opWatermark:
 		if err := d.finish(); err != nil {

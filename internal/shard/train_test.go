@@ -86,11 +86,6 @@ func (c *countingSlab) ReadRowLocked(key uint64, dst []float32) {
 	c.RowStore.ReadRowLocked(key, dst)
 }
 
-func (c *countingSlab) Version(key uint64) uint64 {
-	c.perRow.Add(1)
-	return c.RowStore.Version(key)
-}
-
 func (c *countingSlab) ApplyDelta(key uint64, delta []float32, stateDelta float32) {
 	c.perRow.Add(1)
 	c.RowStore.ApplyDelta(key, delta, stateDelta)
@@ -108,62 +103,80 @@ func zipfTrace(rows int64, batch int, steps int64) runtime.KeyTrace {
 // TestWireTrainFrameCounts pins the batched step protocol: training over
 // two loopback shards, each worker-step sends at most two read frames per
 // shard (one versions probe, one gather), each flusher batch at most one
-// scatter frame per shard, and no per-row frame crosses the wire.
+// scatter frame per shard, and no per-row call reaches the slab. With
+// prefetch on, each worker's fill pass adds at most one Versions and one
+// GatherRows call — one versions and one gather frame per shard — per
+// 64-key chunk of every batch.
 func TestWireTrainFrameCounts(t *testing.T) {
 	const (
-		rows  = 512
-		dim   = 8
-		gpus  = 2
-		steps = 40
+		rows   = 512
+		dim    = 8
+		gpus   = 2
+		steps  = 40
+		batch  = 64
+		chunks = (batch + 63) / 64 // fill chunks per batch and worker
 	)
-	clients := loopbackShards(t, rows, dim, 2, testInit)
-	slab, err := store.NewTrainSlab(composed(t, clients[0], clients[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	counted := &countingSlab{RowStore: slab}
-	job, err := runtime.NewMicro(runtime.Config{
-		Engine: runtime.EngineFrugal, NumGPUs: gpus, Rows: rows, Dim: dim,
-		FlushThreads: 2, CheckConsistency: true, Slab: counted,
-	}, zipfTrace(rows, 64, steps), steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := counted.perRow.Load(); n != 0 {
-		t.Fatalf("step loop and flushers made %d per-row slab calls, want 0", n)
-	}
-	if v, g := counted.versions.Load(), counted.gathers.Load(); v > gpus*steps || g > gpus*steps {
-		t.Fatalf("%d Versions and %d GatherRows calls for %d worker-steps", v, g, gpus*steps)
-	}
-	batches := counted.writeSets.Load()
-	if batches == 0 {
-		t.Fatal("no flusher batch reached the slab")
-	}
-	for i, rs := range clients {
-		st := rs.Stats()
-		for _, op := range []string{"read_row", "version"} {
-			if f := st.Op(op).Frames; f != 0 {
-				t.Errorf("shard %d: %d %s frames, want 0", i, f, op)
+	for _, prefetch := range []bool{false, true} {
+		name := "demand"
+		if prefetch {
+			name = "prefetch"
+		}
+		t.Run(name, func(t *testing.T) {
+			clients := loopbackShards(t, rows, dim, 2, testInit)
+			slab, err := store.NewTrainSlab(composed(t, clients[0], clients[1]))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		versions, gather, scatter := st.Op("versions").Frames, st.Op("gather").Frames, st.Op("scatter").Frames
-		if versions+gather > 2*gpus*steps {
-			t.Errorf("shard %d: %d versions + %d gather frames for %d worker-steps, want ≤ 2 per worker-step",
-				i, versions, gather, gpus*steps)
-		}
-		if versions > counted.versions.Load() || gather > counted.gathers.Load() {
-			t.Errorf("shard %d: %d versions / %d gather frames for %d / %d slab calls",
-				i, versions, gather, counted.versions.Load(), counted.gathers.Load())
-		}
-		if scatter == 0 || scatter > batches {
-			t.Errorf("shard %d: %d scatter frames for %d flusher batches, want 1..%d", i, scatter, batches, batches)
-		}
-		if g := st.Op("gather"); g.BytesSent == 0 || g.BytesRecv == 0 {
-			t.Errorf("shard %d: gather byte counters did not move: %+v", i, g)
-		}
+			counted := &countingSlab{RowStore: slab}
+			job, err := runtime.NewMicro(runtime.Config{
+				Engine: runtime.EngineFrugal, NumGPUs: gpus, Rows: rows, Dim: dim,
+				FlushThreads: 2, CheckConsistency: true, Slab: counted, Prefetch: prefetch,
+			}, zipfTrace(rows, batch, steps), steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := job.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prefetch && res.CacheStats.PrefetchFills == 0 {
+				t.Fatal("the prefetcher filled no row")
+			}
+			if n := counted.perRow.Load(); n != 0 {
+				t.Fatalf("step loop, prefetcher and flushers made %d per-row slab calls, want 0", n)
+			}
+			// Read calls allowed per kind: one per worker-step, plus one
+			// per fill chunk with prefetch on.
+			calls := int64(gpus * steps)
+			if prefetch {
+				calls += gpus * steps * chunks
+			}
+			if v, g := counted.versions.Load(), counted.gathers.Load(); v > calls || g > calls {
+				t.Fatalf("%d Versions and %d GatherRows calls, want ≤ %d each", v, g, calls)
+			}
+			batches := counted.writeSets.Load()
+			if batches == 0 {
+				t.Fatal("no flusher batch reached the slab")
+			}
+			for i, rs := range clients {
+				st := rs.Stats()
+				versions, gather, scatter := st.Op("versions").Frames, st.Op("gather").Frames, st.Op("scatter").Frames
+				if versions+gather > 2*calls {
+					t.Errorf("shard %d: %d versions + %d gather frames, want ≤ %d",
+						i, versions, gather, 2*calls)
+				}
+				if versions > counted.versions.Load() || gather > counted.gathers.Load() {
+					t.Errorf("shard %d: %d versions / %d gather frames for %d / %d slab calls",
+						i, versions, gather, counted.versions.Load(), counted.gathers.Load())
+				}
+				if scatter == 0 || scatter > batches {
+					t.Errorf("shard %d: %d scatter frames for %d flusher batches, want 1..%d", i, scatter, batches, batches)
+				}
+				if g := st.Op("gather"); g.BytesSent == 0 || g.BytesRecv == 0 {
+					t.Errorf("shard %d: gather byte counters did not move: %+v", i, g)
+				}
+			}
+		})
 	}
 }
 

@@ -17,13 +17,14 @@ import (
 // len counts everything after itself (the op/status byte plus payload).
 // All integers are little-endian; float32 travels as its IEEE-754 bits.
 // status 0 is success; status 1 carries a UTF-8 error message as the
-// payload (an application error — the connection stays usable).
+// payload (an application error — the connection stays usable). Op codes
+// 0x02 (read-row) and 0x05 (version) are retired: a single row travels as
+// a one-key gather, and versions only as a batch, so servers answer both
+// codes as unknown ops.
 const (
 	opInfo      = 0x01 // () → rows u64, dim u32, coordinated u8, shard u32, of u32
-	opReadRow   = 0x02 // key u64 → version u64, row dim·f32
 	opGather    = 0x03 // count u32, keys count·u64 → versions count·u64, rows count·dim·f32
 	opScatter   = 0x04 // step u64, count u32, {key u64, stateDelta f32, delta dim·f32}… → ()
-	opVersion   = 0x05 // key u64 → version u64
 	opWatermark = 0x06 // () → watermark u64 (two's-complement i64)
 	opStaleness = 0x07 // key u64 → lag u64, watermark u64 (two's-complement i64s)
 	opFlushKey  = 0x08 // key u64 → flushed u8

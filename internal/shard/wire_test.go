@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"net"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -105,5 +107,48 @@ func TestDecoderTrailingBytes(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("error %q does not mention trailing bytes", err)
+	}
+}
+
+// TestRetiredOpsAnswerUnknown sends frames with the retired read-row
+// (0x02) and version (0x05) op codes to a live server: each gets a
+// status-1 "unknown op" reply, and the connection stays aligned, so a
+// ping on it still succeeds.
+func TestRetiredOpsAnswerUnknown(t *testing.T) {
+	node, err := NewNode(NodeOptions{Rows: 16, Dim: 4, Uncoordinated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv, err := NewServer("127.0.0.1:0", node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	for _, op := range []byte{0x02, 0x05} {
+		if err := writeFrame(conn, op, appendU64(nil, 3)); err != nil {
+			t.Fatal(err)
+		}
+		status, payload, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("op 0x%02x: %v", op, err)
+		}
+		if status != statusErr || !strings.Contains(string(payload), "unknown op") {
+			t.Fatalf("op 0x%02x: status %d %q, want status %d and an unknown-op message",
+				op, status, payload, statusErr)
+		}
+	}
+	if err := writeFrame(conn, opPing, nil); err != nil {
+		t.Fatal(err)
+	}
+	if status, payload, err := readFrame(br); err != nil || status != statusOK || len(payload) != 0 {
+		t.Fatalf("ping after retired ops: status %d, %d-byte payload, err %v", status, len(payload), err)
 	}
 }

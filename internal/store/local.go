@@ -112,14 +112,6 @@ func (s *LocalStore) Scatter(step int64, updates []KeyDelta) error {
 	return nil
 }
 
-// Version returns the row's update counter.
-func (s *LocalStore) Version(key uint64) (uint64, error) {
-	if key >= uint64(s.host.Rows()) {
-		return 0, keyRangeError(key, s.host.Rows())
-	}
-	return s.host.Version(key), nil
-}
-
 // Watermark returns the controller's committed-step watermark (-1 when
 // uncoordinated).
 func (s *LocalStore) Watermark() int64 {

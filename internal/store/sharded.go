@@ -278,14 +278,6 @@ func (s *ShardedStore) Scatter(step int64, updates []KeyDelta) error {
 	return f.do(func(sh int) error { return s.shards[sh].Scatter(step, f.upd[sh]) })
 }
 
-// Version routes to the owning shard.
-func (s *ShardedStore) Version(key uint64) (uint64, error) {
-	if key >= uint64(s.rows) {
-		return 0, keyRangeError(key, s.rows)
-	}
-	return s.owner(key).Version(key)
-}
-
 // Watermark returns the composed global watermark: the minimum over all
 // shard watermarks, cached for wmCacheTTL. The cached value is kept
 // monotone — per-shard watermarks never regress, so neither does the

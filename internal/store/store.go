@@ -49,7 +49,8 @@ type ScoredRow struct {
 
 // Store is the parameter-store surface. All methods are safe for
 // concurrent use. Reads and writes address rows by global key in
-// [0, Rows()).
+// [0, Rows()). Versions travel in batches only (Versions, Gather); a
+// single row's version comes back with its ReadRow.
 type Store interface {
 	// Rows is the global table height (the key space).
 	Rows() int64
@@ -80,8 +81,6 @@ type Store interface {
 	// store applies them to the slab immediately.
 	Scatter(step int64, updates []KeyDelta) error
 
-	// Version returns the row's update counter.
-	Version(key uint64) (uint64, error)
 	// Watermark returns the committed-step watermark: every trainer has
 	// committed all steps ≤ the returned value (-1 before the first
 	// commit, and always -1 on uncoordinated stores). Composed stores

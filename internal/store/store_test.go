@@ -215,18 +215,13 @@ func TestTrainSlabWriteThrough(t *testing.T) {
 		t.Fatalf("ReadRow = %d, %v", v, dst)
 	}
 	slab.ApplyDelta(2, []float32{1, 0, 0, 0}, 0)
-	if v := slab.Version(2); v != 1 {
-		t.Fatalf("version after ApplyDelta = %d", v)
+	vers := make([]uint64, 1)
+	if slab.Versions([]uint64{2}, vers); vers[0] != 1 {
+		t.Fatalf("version after ApplyDelta = %d", vers[0])
 	}
 	slab.ReadRowDirect(2, dst)
 	if dst[0] != 3 {
 		t.Fatalf("row after ApplyDelta = %v", dst)
-	}
-	if s := slab.OptState(2); s != 0 {
-		t.Fatalf("OptState = %v, want 0", s)
-	}
-	if r := slab.WriteRetries(); r != 0 {
-		t.Fatalf("WriteRetries = %d, want 0", r)
 	}
 }
 

@@ -19,11 +19,13 @@ import (
 // write-through (every write applies immediately), and routing it through
 // a store-side P²F gate would double-coordinate every commit.
 //
-// The step loop drives the batch methods, so on a sharded remote store a
+// The job drives only the batch methods, so on a sharded remote store a
 // worker-step costs one Versions frame (the cache's version probe) and
-// one Gather frame (misses and foreign keys) per shard, and each flusher
-// batch one Scatter frame per shard. The per-row methods map to
-// single-key round trips; only the prefetcher still uses them.
+// one Gather frame (misses and foreign keys) per shard, each prefetch
+// fill chunk the same two, and each flush one Scatter frame per shard.
+// The write-through engines' ApplyDelta is a one-update scatter; the
+// other per-row methods map to single-key round trips and serve only
+// callers outside the job (see runtime.RowStore).
 //
 // RowStore's read/write surface carries no errors (host memory cannot
 // fail), so store errors — an unreachable shard mid-step, an unowned
@@ -101,15 +103,6 @@ func (t *TrainSlab) GatherRows(keys []uint64, dsts [][]float32, _ bool) {
 	}
 }
 
-// Version returns the row's update counter.
-func (t *TrainSlab) Version(key uint64) uint64 {
-	v, err := t.st.Version(key)
-	if err != nil {
-		panic(fmt.Sprintf("store: slab version of key %d failed: %v", key, err))
-	}
-	return v
-}
-
 // Versions reads every key's update counter with one store Versions.
 func (t *TrainSlab) Versions(keys []uint64, out []uint64) {
 	if len(keys) == 0 {
@@ -119,10 +112,6 @@ func (t *TrainSlab) Versions(keys []uint64, out []uint64) {
 		panic(fmt.Sprintf("store: slab versions of %d keys failed: %v", len(keys), err))
 	}
 }
-
-// OptState returns 0: the Store surface carries no optimizer accumulator,
-// which is why jobs reject OptAdagrad under a slab override.
-func (t *TrainSlab) OptState(uint64) float32 { return 0 }
 
 // ApplyDelta writes one key's delta through as a single-update scatter.
 func (t *TrainSlab) ApplyDelta(key uint64, delta []float32, stateDelta float32) {
@@ -181,6 +170,3 @@ func (t *TrainSlab) put(sc *slabScratch) {
 	sc.kd = sc.kd[:0]
 	t.scratch.Put(sc)
 }
-
-// WriteRetries reports 0: fault injection lives in the host slab.
-func (t *TrainSlab) WriteRetries() int64 { return 0 }
