@@ -65,10 +65,12 @@ serve-stress:
 # GOMAXPROCS values: frames per worker-step and per flusher batch over
 # two loopback shards, a slow shard holding flusher batches in flight
 # with the gate invariant checked every step, the in-flight floor unit
-# tests, and sharded serve-while-training with its staleness pair.
+# tests, sharded serve-while-training with its staleness pair, a serve
+# engine over one in-process shard node, and the cluster dial's
+# topology check.
 wire-stress:
 	$(GO) test -race -cpu 1,2,4 -count=3 \
-		-run 'TestWireTrainFrameCounts|TestSlowShardGate|TestUncoordinatedScatterSkipsIdleShards|TestInFlight|TestShardedServeWhileTraining|TestShardedStalenessSamplesWatermarkFirst' \
+		-run 'TestWireTrainFrameCounts|TestSlowShardGate|TestUncoordinatedScatterSkipsIdleShards|TestInFlight|TestShardedServeWhileTraining|TestShardedStalenessSamplesWatermarkFirst|TestEngineOverNode|TestDialShardedRefusesMisorderedAddrs' \
 		./internal/shard ./internal/p2f ./internal/serve ./internal/store
 
 # A short smoke of every fuzzer: 20s each on top of its seed corpus.
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadKeyTrace$$' -fuzztime=20s ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundtrip$$' -fuzztime=20s ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime=20s ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRead$$' -fuzztime=20s ./internal/ckpt
 
 # Train a small checkpoint, then hammer it with the serving load
 # generator for 5s and print the latency report.

@@ -109,31 +109,11 @@ func runNode(ctx context.Context, o options, uncoordinated bool, seed int64) int
 
 // runDriver dials the shards and runs the store-level training loop.
 func runDriver(ctx context.Context, addrs []string, steps int64, batch int, lr float32, seed uint64, report time.Duration) int {
-	shards := make([]store.Store, 0, len(addrs))
-	defer func() {
-		for _, s := range shards {
-			s.Close()
-		}
-	}()
-	for i, a := range addrs {
-		rs, err := shard.Dial(a)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shard %d (%s): %v\n", i, a, err)
-			return 1
-		}
-		if got, total := rs.Shard(); got != i || total != len(addrs) {
-			rs.Close()
-			fmt.Fprintf(os.Stderr, "shard at %s reports position %d/%d, want %d/%d\n", a, got, total, i, len(addrs))
-			return 1
-		}
-		shards = append(shards, rs)
-	}
-	st, err := store.NewSharded(shards)
+	st, err := shard.DialSharded(addrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	shards = nil // st owns them now
 	defer st.Close()
 
 	fmt.Printf("training %d rows × dim %d across %d shards: %d steps, batch %d, lr %g\n",

@@ -23,7 +23,6 @@ import (
 	"frugal/internal/serve"
 	"frugal/internal/serve/loadgen"
 	"frugal/internal/shard"
-	"frugal/internal/store"
 	"frugal/internal/tensor"
 )
 
@@ -499,7 +498,7 @@ const (
 // uncoordinated nodes and measures one full batched gather per op.
 func benchShardGather(of int) func(b *testing.B) {
 	return func(b *testing.B) {
-		shards := make([]store.Store, of)
+		addrs := make([]string, of)
 		for i := 0; i < of; i++ {
 			node, err := shard.NewNode(shard.NodeOptions{
 				Rows: shardBenchRows, Dim: shardBenchDim, Shard: i, Of: of,
@@ -519,13 +518,9 @@ func benchShardGather(of int) func(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { srv.Close() })
-			rs, err := shard.Dial(srv.Addr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			shards[i] = rs
+			addrs[i] = srv.Addr()
 		}
-		st, err := store.NewSharded(shards)
+		st, err := shard.DialSharded(addrs)
 		if err != nil {
 			b.Fatal(err)
 		}

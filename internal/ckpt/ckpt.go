@@ -236,24 +236,28 @@ func fileExists(path string) bool {
 
 // ReadSegment streams a sealed segment's records through fn (the Record
 // and its Row buffer are reused between calls — copy what you keep) and
-// returns the segment's watermark tag.
-func ReadSegment(path string, dim int, fn func(*Record) error) (watermark int64, err error) {
+// returns the segment's watermark tag. rows is the height of the slab
+// the records replay onto: a record keyed at or beyond it is refused
+// with an error naming the segment and the record, before fn sees it.
+func ReadSegment(path string, rows int64, dim int, fn func(*Record) error) (watermark int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	hdr, err := readSegHeader(br, dim)
+	return readSegment(bufio.NewReaderSize(f, 1<<16), filepath.Base(path), rows, dim, fn)
+}
+
+func readSegment(r io.Reader, name string, rows int64, dim int, fn func(*Record) error) (int64, error) {
+	hdr, err := readSegHeader(r, dim)
 	if err != nil {
-		return 0, fmt.Errorf("ckpt: segment %s: %w", filepath.Base(path), err)
+		return 0, fmt.Errorf("ckpt: segment %s: %w", name, err)
 	}
 	rec := Record{Row: make([]float32, dim), Q: make([]int8, dim)}
 	buf := make([]byte, maxRecordSize(dim, hdr.HasState == 1))
 	for i := int64(0); i < hdr.Records; i++ {
-		if err := readRecord(br, &hdr, buf, &rec); err != nil {
-			return 0, fmt.Errorf("ckpt: segment %s: record %d/%d: %w",
-				filepath.Base(path), i, hdr.Records, err)
+		if err := readRecord(r, &hdr, rows, buf, &rec); err != nil {
+			return 0, fmt.Errorf("ckpt: segment %s: record %d/%d: %w", name, i, hdr.Records, err)
 		}
 		if err := fn(&rec); err != nil {
 			return 0, err
@@ -264,25 +268,29 @@ func ReadSegment(path string, dim int, fn func(*Record) error) (watermark int64,
 
 // Salvage reads the complete record prefix of an unsealed (.open)
 // segment — the one file a crashed sweep can leave behind — through fn.
-// Truncated trailing bytes are discarded; the count of complete records
-// applied is returned. The segment's header watermark is NOT trusted
-// (the sweep did not finish), so no watermark is returned.
-func Salvage(path string, dim int, fn func(*Record) error) (records int64, err error) {
+// Truncated trailing bytes, and everything from a record keyed at or
+// beyond rows on, are discarded; the count of records applied is
+// returned. The segment's header watermark is NOT trusted (the sweep did
+// not finish), so no watermark is returned.
+func Salvage(path string, rows int64, dim int, fn func(*Record) error) (records int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	hdr, err := readSegHeader(br, dim)
+	return salvage(bufio.NewReaderSize(f, 1<<16), rows, dim, fn)
+}
+
+func salvage(r io.Reader, rows int64, dim int, fn func(*Record) error) (records int64, err error) {
+	hdr, err := readSegHeader(r, dim)
 	if err != nil {
 		return 0, nil // not even a complete header: nothing to salvage
 	}
 	rec := Record{Row: make([]float32, dim), Q: make([]int8, dim)}
 	buf := make([]byte, maxRecordSize(dim, hdr.HasState == 1))
 	for i := int64(0); i < hdr.Records; i++ {
-		if err := readRecord(br, &hdr, buf, &rec); err != nil {
-			return records, nil // torn tail: keep the complete prefix
+		if err := readRecord(r, &hdr, rows, buf, &rec); err != nil {
+			return records, nil // torn or corrupt tail: keep the complete prefix
 		}
 		if err := fn(&rec); err != nil {
 			return records, err
@@ -374,8 +382,9 @@ func encodeRecordTiered(buf []byte, hasState bool, rec *Record) int {
 // readRecord streams one record of either format into rec. rec.Row (and,
 // for format 2, rec.Q) must be pre-sized to the segment's dim; buf must
 // hold maxRecordSize bytes. A short read — including a tear between the
-// fixed prefix and the payload — surfaces as an io error.
-func readRecord(r io.Reader, hdr *segHeader, buf []byte, rec *Record) error {
+// fixed prefix and the payload — surfaces as an io error, and a key at
+// or beyond rows as a range error.
+func readRecord(r io.Reader, hdr *segHeader, rows int64, buf []byte, rec *Record) error {
 	hasState := hdr.HasState == 1
 	if hdr.Version == fmtVer {
 		n := recordSize(int(hdr.Dim), hasState)
@@ -384,13 +393,16 @@ func readRecord(r io.Reader, hdr *segHeader, buf []byte, rec *Record) error {
 		}
 		decodeRecord(buf[:n], hasState, rec)
 		rec.Cold = false
-		return nil
+		return checkKey(rec.Key, rows)
 	}
 	fixed := recordFixed(hasState)
 	if _, err := io.ReadFull(r, buf[:fixed]); err != nil {
 		return err
 	}
 	rec.Key = binary.LittleEndian.Uint64(buf[0:])
+	if err := checkKey(rec.Key, rows); err != nil {
+		return err
+	}
 	rec.Version = binary.LittleEndian.Uint64(buf[8:])
 	rec.SafeStep = int64(binary.LittleEndian.Uint64(buf[16:]))
 	rec.State = 0
@@ -420,6 +432,14 @@ func readRecord(r io.Reader, hdr *segHeader, buf []byte, rec *Record) error {
 		tensor.DequantizeRow(rec.Q, rec.Scale, rec.Zero, rec.Row)
 	default:
 		return fmt.Errorf("invalid tier tag %d", buf[fixed-1])
+	}
+	return nil
+}
+
+// checkKey refuses a record key outside the slab it replays onto.
+func checkKey(key uint64, rows int64) error {
+	if key >= uint64(rows) {
+		return fmt.Errorf("key %d out of range (rows %d)", key, rows)
 	}
 	return nil
 }
@@ -517,7 +537,7 @@ func Reconstruct(dir string) (*runtime.Host, error) {
 		return nil, err
 	}
 	for _, seg := range st.Segments {
-		_, err := ReadSegment(seg.Path, host.Dim(), func(rec *Record) error {
+		_, err := ReadSegment(seg.Path, host.Rows(), host.Dim(), func(rec *Record) error {
 			img := rec.Image()
 			host.RestoreRow(rec.Key, &img)
 			return nil

@@ -2,8 +2,10 @@ package ckpt_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,7 +123,7 @@ func TestWriterLogRoundtrip(t *testing.T) {
 		t.Fatalf("after one sweep: %+v", st)
 	}
 	seen := map[uint64]ckpt.Record{}
-	wm, err := ckpt.ReadSegment(st.Segments[0].Path, h.Dim(), func(rec *ckpt.Record) error {
+	wm, err := ckpt.ReadSegment(st.Segments[0].Path, h.Rows(), h.Dim(), func(rec *ckpt.Record) error {
 		c := *rec
 		c.Row = append([]float32(nil), rec.Row...)
 		seen[rec.Key] = c
@@ -266,7 +268,7 @@ func TestSalvageTornTail(t *testing.T) {
 		t.Fatalf("ListDir open path %q, want %q", st.OpenPath, open)
 	}
 	var got int64
-	n, err := ckpt.Salvage(open, h.Dim(), func(*ckpt.Record) error { got++; return nil })
+	n, err := ckpt.Salvage(open, h.Rows(), h.Dim(), func(*ckpt.Record) error { got++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestSalvageTornTail(t *testing.T) {
 	if err := os.WriteFile(open, []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ckpt.Salvage(open, h.Dim(), func(*ckpt.Record) error { return nil }); err != nil || n != 0 {
+	if n, err := ckpt.Salvage(open, h.Rows(), h.Dim(), func(*ckpt.Record) error { return nil }); err != nil || n != 0 {
 		t.Fatalf("header-less salvage: %d records, err %v", n, err)
 	}
 }
@@ -353,7 +355,7 @@ func TestWriterEarlyRunHighLag(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	recs := readAllRecords(t, dir, h.Dim())
+	recs := readAllRecords(t, dir, h.Rows(), h.Dim())
 	rec, ok := recs[1]
 	if !ok {
 		t.Fatal("key 1 missing from the first segment")
@@ -370,7 +372,7 @@ func TestWriterEarlyRunHighLag(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if recs = readAllRecords(t, dir, h.Dim()); len(recs) != 1 {
+	if recs = readAllRecords(t, dir, h.Rows(), h.Dim()); len(recs) != 1 {
 		t.Fatalf("deferred key was logged anyway: %d records on disk", len(recs))
 	}
 
@@ -380,7 +382,7 @@ func TestWriterEarlyRunHighLag(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	recs = readAllRecords(t, dir, h.Dim())
+	recs = readAllRecords(t, dir, h.Rows(), h.Dim())
 	rec, ok = recs[2]
 	if !ok {
 		t.Fatal("deferred key never resurfaced on the next sweep")
@@ -397,7 +399,7 @@ func TestWriterEarlyRunHighLag(t *testing.T) {
 
 // readAllRecords folds every sealed segment's records by key
 // (last-writer-wins, like the follower).
-func readAllRecords(t *testing.T, dir string, dim int) map[uint64]ckpt.Record {
+func readAllRecords(t *testing.T, dir string, rows int64, dim int) map[uint64]ckpt.Record {
 	t.Helper()
 	st, err := ckpt.ListDir(dir)
 	if err != nil {
@@ -405,7 +407,7 @@ func readAllRecords(t *testing.T, dir string, dim int) map[uint64]ckpt.Record {
 	}
 	out := map[uint64]ckpt.Record{}
 	for _, seg := range st.Segments {
-		_, err := ckpt.ReadSegment(seg.Path, dim, func(rec *ckpt.Record) error {
+		_, err := ckpt.ReadSegment(seg.Path, rows, dim, func(rec *ckpt.Record) error {
 			c := *rec
 			c.Row = append([]float32(nil), rec.Row...)
 			out[rec.Key] = c
@@ -471,7 +473,7 @@ func TestTieredWriterLogRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seg := range st.Segments {
-		if _, err := ckpt.ReadSegment(seg.Path, h.Dim(), func(rec *ckpt.Record) error {
+		if _, err := ckpt.ReadSegment(seg.Path, h.Rows(), h.Dim(), func(rec *ckpt.Record) error {
 			if rec.Cold {
 				sawCold = true
 			} else {
@@ -512,4 +514,92 @@ func TestTieredWriterCompaction(t *testing.T) {
 		t.Fatal("compaction never ran")
 	}
 	reconstructEqual(t, dir, h)
+}
+
+// segHeaderSize is the on-disk size of a segment header (magic, version,
+// dim, state flag, record count, watermark).
+const segHeaderSize = 4 + 4 + 4 + 4 + 8 + 8
+
+// setRecordKey overwrites the key of record i in a format-1 segment
+// without optimizer state, whose records are 24+4·dim bytes each.
+func setRecordKey(t *testing.T, path string, dim, i int, key uint64) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(b[segHeaderSize+i*(24+4*dim):], key)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentKeyOutOfRange plants a key past the slab in the middle of a
+// sealed segment. ReadSegment and Reconstruct must refuse the segment
+// with an error naming it and the record, and Salvage must keep the
+// records before it — none of them may index the slab with the key.
+func TestSegmentKeyOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	h := newHost(t, 16, 4)
+	w := newTestWriter(t, h, &fakeProber{}, dir, 0)
+	for k := uint64(1); k <= 3; k++ {
+		touch(h, w, k, 1)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "seg-0000000001.dlog")
+	setRecordKey(t, seg, h.Dim(), 1, 1<<40)
+
+	var seen int
+	_, err := ckpt.ReadSegment(seg, h.Rows(), h.Dim(), func(*ckpt.Record) error { seen++; return nil })
+	if err == nil {
+		t.Fatal("ReadSegment accepted a key past the slab")
+	}
+	for _, want := range []string{"seg-0000000001.dlog", "record 1/3", "out of range"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("ReadSegment error %q does not say %q", err, want)
+		}
+	}
+	if seen != 1 {
+		t.Fatalf("fn saw %d records before the bad one, want 1", seen)
+	}
+	if _, err := ckpt.Reconstruct(dir); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("Reconstruct: err = %v, want the out-of-range refusal", err)
+	}
+
+	sealed, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := filepath.Join(dir, "seg-0000000002.open")
+	if err := os.WriteFile(open, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := ckpt.Salvage(open, h.Rows(), h.Dim(), func(*ckpt.Record) error { return nil })
+	if err != nil || n != 1 {
+		t.Fatalf("Salvage = (%d, %v), want the 1-record prefix", n, err)
+	}
+}
+
+// TestCompactionKeyOutOfRange corrupts a sealed segment before the
+// writer folds it: compaction must fail with the segment's error, not
+// index its shadow slab with the key.
+func TestCompactionKeyOutOfRange(t *testing.T) {
+	dir := t.TempDir()
+	h := newHost(t, 16, 4)
+	pr := &fakeProber{}
+	w := newTestWriter(t, h, pr, dir, 2)
+	touch(h, w, 1, 1)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	setRecordKey(t, filepath.Join(dir, "seg-0000000001.dlog"), h.Dim(), 0, 1<<40)
+	touch(h, w, 2, 1)
+	pr.set(1, nil)
+	err := w.Sync()
+	if err == nil || !strings.Contains(err.Error(), "seg-0000000001.dlog") || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("compaction over a corrupt segment: err = %v", err)
+	}
+	w.Close()
 }

@@ -433,7 +433,7 @@ func (w *Writer) compact() error {
 	from, to := w.baseSeq+1, w.seq
 	for seq := from; seq <= to; seq++ {
 		path := filepath.Join(w.opt.Dir, fmt.Sprintf("seg-%010d.dlog", seq))
-		segWM, err := ReadSegment(path, w.shadow.Dim(), func(rec *Record) error {
+		segWM, err := ReadSegment(path, w.shadow.Rows(), w.shadow.Dim(), func(rec *Record) error {
 			img := rec.Image()
 			w.shadow.RestoreRow(rec.Key, &img)
 			if rec.SafeStep > w.meta.SafeStep[rec.Key] {

@@ -609,6 +609,10 @@ func (c *Controller) notifyFlush(key uint64) {
 // lag the training frontier. Lock-free; safe from any goroutine.
 func (c *Controller) Watermark() int64 { return c.watermark.Load() }
 
+// MaxStep returns the step-count bound the controller was built with;
+// step numbers run 0 … MaxStep-1.
+func (c *Controller) MaxStep() int64 { return c.opt.MaxStep }
+
 // RowStaleness reports how many gate steps the host copy of key may lag
 // the committed watermark. lag = 0 means every committed update of the
 // key has been flushed to host memory; lag = n > 0 means updates from the

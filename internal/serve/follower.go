@@ -231,7 +231,7 @@ func (f *Follower) tryCatchUp() error {
 			continue
 		}
 		var n int64
-		segWM, err := ckpt.ReadSegment(seg.Path, f.host.Dim(), func(rec *ckpt.Record) error {
+		segWM, err := ckpt.ReadSegment(seg.Path, f.host.Rows(), f.host.Dim(), func(rec *ckpt.Record) error {
 			f.fs.apply(rec)
 			n++
 			return nil
@@ -312,7 +312,7 @@ func (f *Follower) Promote() error {
 	}
 	st, err := ckpt.ListDir(f.dir)
 	if err == nil && st.OpenPath != "" {
-		n, serr := ckpt.Salvage(st.OpenPath, f.host.Dim(), func(rec *ckpt.Record) error {
+		n, serr := ckpt.Salvage(st.OpenPath, f.host.Rows(), f.host.Dim(), func(rec *ckpt.Record) error {
 			f.fs.apply(rec)
 			return nil
 		})

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -205,6 +206,32 @@ func TestFollowerTailsAndSalvages(t *testing.T) {
 	}
 	if m, err := followerRead(t, fl, 5, serve.Fresh()); err != nil || m.Version != 9 {
 		t.Fatalf("salvaged read: meta %+v, err %v", m, err)
+	}
+}
+
+// TestFollowerRejectsOutOfRangeKey seals a segment whose record key lies
+// past the replica's slab: CatchUp must fail with the segment reader's
+// error instead of indexing the slab (or its safe-step table) with it.
+func TestFollowerRejectsOutOfRangeKey(t *testing.T) {
+	f := newLogFixture(t, 8, 4, 0)
+	fl, err := serve.NewFollower(f.dir, serve.FollowerOptions{Poll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.seal(t, 3, 4, 1, nil)
+	seg := filepath.Join(f.dir, "seg-0000000001.dlog")
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first record's key follows the 32-byte segment header.
+	binary.LittleEndian.PutUint64(b[32:], 1<<40)
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = fl.CatchUp()
+	if err == nil || !strings.Contains(err.Error(), "seg-0000000001.dlog") || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("CatchUp over a corrupt segment: err = %v", err)
 	}
 }
 

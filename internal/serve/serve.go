@@ -360,6 +360,8 @@ func newEngine(st store.Store, opt Options, static bool) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{st: st, coordinated: st.Coordinated(), opt: opt, static: static, sobs: obs.NewServeObs(opt.Shards)}
+	// A key-mapped store (a shard node) reports a nil host: its slab
+	// index is not the global key, so it selects through Store.TopK.
 	if sb, ok := st.(interface{ Host() *runtime.Host }); ok {
 		e.host = sb.Host()
 	}

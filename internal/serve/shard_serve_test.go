@@ -2,11 +2,13 @@ package serve_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"frugal/internal/comm"
 	"frugal/internal/serve"
 	"frugal/internal/shard"
 	"frugal/internal/store"
@@ -16,7 +18,7 @@ import (
 // loopback TCP, and composes the dialed clients into one sharded store.
 func shardCluster(t *testing.T, rows int64, dim, of int) *store.ShardedStore {
 	t.Helper()
-	shards := make([]store.Store, of)
+	addrs := make([]string, of)
 	for i := 0; i < of; i++ {
 		node, err := shard.NewNode(shard.NodeOptions{
 			Rows: rows, Dim: dim, Shard: i, Of: of, Trainers: 1,
@@ -35,13 +37,9 @@ func shardCluster(t *testing.T, rows int64, dim, of int) *store.ShardedStore {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		rs, err := shard.Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = rs
+		addrs[i] = srv.Addr()
 	}
-	st, err := store.NewSharded(shards)
+	st, err := shard.DialSharded(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,5 +153,58 @@ func TestShardedServeWhileTraining(t *testing.T) {
 		if resp.Meta.Version != steps {
 			t.Fatalf("key %d: version %d after %d full-sweep steps", key, resp.Meta.Version, steps)
 		}
+	}
+}
+
+// TestEngineOverNode serves one shard node in-process. The node's
+// compact slab holds only the rows its shard owns, so slab index ≠
+// global key: the engine must answer top-K through Store.TopK (owned
+// global keys, the node's own scores) and refuse an IVF index, which
+// would scan the compact slab as if it were the whole table.
+func TestEngineOverNode(t *testing.T) {
+	const rows, dim, of = 128, 4, 2
+	node, err := shard.NewNode(shard.NodeOptions{
+		Rows: rows, Dim: dim, Shard: 1, Of: of, Trainers: 1,
+		Init: func(key uint64, row []float32) {
+			for j := range row {
+				row[j] = float32(key)*0.001 + float32(j)*0.01
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	eng, err := serve.NewFromStore(node, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := []float32{1, 1, 1, 1}
+	const k = 3
+	resp, err := eng.Query(context.Background(), serve.Request{Vector: query, K: k, Index: serve.IndexFlat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := node.TopK(context.Background(), query, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != k || len(want) != k {
+		t.Fatalf("engine returned %d results, node %d, want %d", len(resp.Results), len(want), k)
+	}
+	for i, c := range resp.Results {
+		if comm.Owner(c.Key, of) != 1 {
+			t.Errorf("result %d: key %d is not owned by shard 1", i, c.Key)
+		}
+		if c.Key != want[i].Key || c.Score != want[i].Score {
+			t.Errorf("result %d = key %d score %v, node.TopK says key %d score %v",
+				i, c.Key, c.Score, want[i].Key, want[i].Score)
+		}
+	}
+
+	_, err = serve.NewFromStore(node, serve.Options{Index: serve.IndexIVF})
+	if err == nil || !strings.Contains(err.Error(), "requires a slab-backed (local) store") {
+		t.Fatalf("IVF over a shard node: err = %v, want the slab-backed refusal", err)
 	}
 }

@@ -130,6 +130,41 @@ func Dial(addr string) (*RemoteStore, error) {
 	return s, nil
 }
 
+// DialSharded dials every shard address, checks that the node at
+// addrs[i] reports position i of len(addrs) — so node and client
+// topologies agree on who owns which key — and composes the sharded
+// store. On any failure every connection it opened is closed.
+func DialSharded(addrs []string) (*store.ShardedStore, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("shard: no shard addresses")
+	}
+	shards := make([]store.Store, 0, len(addrs))
+	closeAll := func() {
+		for _, sh := range shards {
+			sh.Close()
+		}
+	}
+	for i, addr := range addrs {
+		rs, err := Dial(addr)
+		if err != nil {
+			closeAll()
+			return nil, fmt.Errorf("shard %d (%s): %w", i, addr, err)
+		}
+		shards = append(shards, rs)
+		if got, of := rs.Shard(); got != i || of != len(addrs) {
+			closeAll()
+			return nil, fmt.Errorf("shard at %s reports position %d/%d, want %d/%d — node and client topologies disagree",
+				addr, got, of, i, len(addrs))
+		}
+	}
+	st, err := store.NewSharded(shards)
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	return st, nil
+}
+
 // Addr returns the node's address.
 func (s *RemoteStore) Addr() string { return s.addr }
 

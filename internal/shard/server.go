@@ -11,9 +11,10 @@ import (
 	"frugal/internal/store"
 )
 
-// Server exports a store.Store (normally a *Node) over the wire
-// protocol: one TCP listener, one goroutine per connection, one
-// request/response frame pair per operation.
+// Server exports a store.Store over the wire protocol: one TCP
+// listener, one goroutine per connection, one request/response frame
+// pair per operation. A *Node reports its placement on opInfo; any other
+// store is exported as shard 0 of 1.
 type Server struct {
 	st     store.Store
 	info   serverInfo

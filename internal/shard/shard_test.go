@@ -21,48 +21,11 @@ func testInit(key uint64, row []float32) {
 	}
 }
 
-func TestKeyMapPartition(t *testing.T) {
-	const rows, of = 1000, 3
-	maps := make([]*shard.KeyMap, of)
-	for i := range maps {
-		km, err := shard.NewKeyMap(rows, i, of)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maps[i] = km
-	}
-	var owned int64
-	for _, km := range maps {
-		owned += km.Owned()
-	}
-	if owned != rows {
-		t.Fatalf("shards own %d rows in total, want %d", owned, rows)
-	}
-	for key := uint64(0); key < rows; key++ {
-		want := comm.Owner(key, of)
-		for i, km := range maps {
-			local, ok := km.Local(key)
-			if (i == want) != ok {
-				t.Fatalf("key %d: shard %d Local ok=%v, owner is %d", key, i, ok, want)
-			}
-			if ok && km.Global(local) != key {
-				t.Fatalf("key %d: Global(Local) = %d", key, km.Global(local))
-			}
-		}
-	}
-	if _, err := shard.NewKeyMap(rows, 3, 3); err == nil {
-		t.Fatal("shard index == of accepted")
-	}
-	if _, err := shard.NewKeyMap(0, 0, 1); err == nil {
-		t.Fatal("zero rows accepted")
-	}
-}
-
 // newCluster builds `of` coordinated nodes, serves each over loopback
 // TCP, dials them, and composes the sharded store.
 func newCluster(t *testing.T, rows int64, dim, of, trainers int) *store.ShardedStore {
 	t.Helper()
-	shards := make([]store.Store, of)
+	addrs := make([]string, of)
 	for i := 0; i < of; i++ {
 		node, err := shard.NewNode(shard.NodeOptions{
 			Rows: rows, Dim: dim, Shard: i, Of: of,
@@ -77,16 +40,9 @@ func newCluster(t *testing.T, rows int64, dim, of, trainers int) *store.ShardedS
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		rs, err := shard.Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, total := rs.Shard(); got != i || total != of {
-			t.Fatalf("shard %d reports topology %d/%d", i, got, total)
-		}
-		shards[i] = rs
+		addrs[i] = srv.Addr()
 	}
-	st, err := store.NewSharded(shards)
+	st, err := shard.DialSharded(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

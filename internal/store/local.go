@@ -14,31 +14,53 @@ import (
 // over the Host/Controller primitives the serving layer used to call
 // directly — the single-machine fast path costs one interface dispatch
 // and nothing else (no allocation, no copy beyond the row itself).
+//
+// A shard node's store also carries a KeyMap: its compact slab holds
+// only the owned rows, and every method maps the global key onto the
+// slab row (refusing keys another shard owns). Without one (nil), slab
+// index = global key and no 8 B/row table is paid.
 type LocalStore struct {
 	host *runtime.Host
 	ctrl *p2f.Controller // nil: uncoordinated (write-through or static slab)
+	km   *KeyMap         // nil: identity-keyed
 }
 
 // NewLocal wraps a host slab (and its controller, nil for uncoordinated
-// engines and loaded checkpoints) as a Store.
+// engines and loaded checkpoints) as an identity-keyed Store.
 func NewLocal(host *runtime.Host, ctrl *p2f.Controller) (*LocalStore, error) {
+	return NewMapped(host, ctrl, nil)
+}
+
+// NewMapped wraps a shard's compact slab, whose rows km places (nil km:
+// identity, as NewLocal). A coordinated store's controller is keyed by
+// global key — the directory, staleness probes and flush hooks all speak
+// global keys — so its flush sink must do the same remap.
+func NewMapped(host *runtime.Host, ctrl *p2f.Controller, km *KeyMap) (*LocalStore, error) {
 	if host == nil {
 		return nil, fmt.Errorf("store: nil host")
 	}
-	return &LocalStore{host: host, ctrl: ctrl}, nil
+	return &LocalStore{host: host, ctrl: ctrl, km: km}, nil
 }
 
-// Host exposes the underlying slab. The serving engine uses it for the
-// bulk-scan fast paths (batched MulVec, IVF build/repair) that only a
-// local contiguous slab supports.
-func (s *LocalStore) Host() *runtime.Host { return s.host }
+// Host exposes the underlying slab when slab index = global key. The
+// serving engine uses it for the bulk-scan fast paths (batched MulVec,
+// IVF build/repair) that only a local contiguous slab supports. A
+// key-mapped store returns nil: its rows are reachable by global key
+// only through the Store methods.
+func (s *LocalStore) Host() *runtime.Host {
+	if s.km != nil {
+		return nil
+	}
+	return s.host
+}
 
-// Controller exposes the attached P²F controller (nil when
-// uncoordinated).
-func (s *LocalStore) Controller() *p2f.Controller { return s.ctrl }
-
-// Rows returns the table height.
-func (s *LocalStore) Rows() int64 { return s.host.Rows() }
+// Rows returns the global table height.
+func (s *LocalStore) Rows() int64 {
+	if s.km != nil {
+		return s.km.GlobalRows()
+	}
+	return s.host.Rows()
+}
 
 // Dim returns the embedding dimension.
 func (s *LocalStore) Dim() int { return s.host.Dim() }
@@ -46,12 +68,28 @@ func (s *LocalStore) Dim() int { return s.host.Dim() }
 // Coordinated reports whether a P²F controller is attached.
 func (s *LocalStore) Coordinated() bool { return s.ctrl != nil }
 
-// ReadRow copies row key into dst under its stripe lock.
-func (s *LocalStore) ReadRow(key uint64, dst []float32) (uint64, error) {
+// slot resolves a global key to its slab row.
+func (s *LocalStore) slot(key uint64) (uint64, error) {
+	if s.km != nil {
+		local, ok := s.km.Local(key)
+		if !ok {
+			return 0, s.km.notLocalError(key)
+		}
+		return uint64(local), nil
+	}
 	if key >= uint64(s.host.Rows()) {
 		return 0, keyRangeError(key, s.host.Rows())
 	}
-	return s.host.ReadRow(key, dst), nil
+	return key, nil
+}
+
+// ReadRow copies row key into dst under its stripe lock.
+func (s *LocalStore) ReadRow(key uint64, dst []float32) (uint64, error) {
+	i, err := s.slot(key)
+	if err != nil {
+		return 0, err
+	}
+	return s.host.ReadRow(i, dst), nil
 }
 
 // Gather reads len(keys) rows into dst, each under its stripe lock.
@@ -63,13 +101,14 @@ func (s *LocalStore) Gather(keys []uint64, dst []float32, versions []uint64) err
 	if versions != nil && len(versions) != len(keys) {
 		return fmt.Errorf("store: gather versions %d, want %d", len(versions), len(keys))
 	}
-	for i, k := range keys {
-		if k >= uint64(s.host.Rows()) {
-			return keyRangeError(k, s.host.Rows())
+	for n, k := range keys {
+		i, err := s.slot(k)
+		if err != nil {
+			return err
 		}
-		v := s.host.ReadRow(k, dst[i*d:(i+1)*d])
+		v := s.host.ReadRow(i, dst[n*d:(n+1)*d])
 		if versions != nil {
-			versions[i] = v
+			versions[n] = v
 		}
 	}
 	return nil
@@ -80,35 +119,43 @@ func (s *LocalStore) Versions(keys []uint64, out []uint64) error {
 	if len(out) != len(keys) {
 		return fmt.Errorf("store: versions out %d, want %d", len(out), len(keys))
 	}
-	for i, k := range keys {
-		if k >= uint64(s.host.Rows()) {
-			return keyRangeError(k, s.host.Rows())
+	for n, k := range keys {
+		i, err := s.slot(k)
+		if err != nil {
+			return err
 		}
-		out[i] = s.host.Version(k)
+		out[n] = s.host.Version(i)
 	}
 	return nil
 }
 
 // Scatter commits one step's updates: through the controller's P²F
 // commit path when coordinated (the write sets drain asynchronously and
-// the watermark advances), straight onto the slab otherwise.
+// the watermark advances), straight onto the slab otherwise. Every key
+// must be placed here and every delta dim long; a coordinated store also
+// refuses a step beyond its controller's MaxStep. Nothing is applied
+// unless the whole batch passes.
 func (s *LocalStore) Scatter(step int64, updates []KeyDelta) error {
+	if s.ctrl != nil && step >= s.ctrl.MaxStep() {
+		return fmt.Errorf("store: step %d ≥ MaxStep %d", step, s.ctrl.MaxStep())
+	}
+	d := s.host.Dim()
 	for _, u := range updates {
-		if u.Key >= uint64(s.host.Rows()) {
-			return keyRangeError(u.Key, s.host.Rows())
+		if _, err := s.slot(u.Key); err != nil {
+			return err
+		}
+		if len(u.Delta) != d {
+			return fmt.Errorf("store: delta length %d, want dim %d", len(u.Delta), d)
 		}
 	}
-	if s.ctrl == nil {
-		for _, u := range updates {
-			s.host.ApplyDelta(u.Key, u.Delta, u.StateDelta)
-		}
+	if s.ctrl != nil {
+		s.ctrl.CommitStep(step, updates)
 		return nil
 	}
-	kd := make([]p2f.KeyDelta, len(updates))
-	for i, u := range updates {
-		kd[i] = p2f.KeyDelta{Key: u.Key, Delta: u.Delta, StateDelta: u.StateDelta}
+	for _, u := range updates {
+		i, _ := s.slot(u.Key)
+		s.host.ApplyDelta(i, u.Delta, u.StateDelta)
 	}
-	s.ctrl.CommitStep(step, kd)
 	return nil
 }
 
@@ -123,8 +170,8 @@ func (s *LocalStore) Watermark() int64 {
 
 // RowStaleness reports the key's flush lag against the watermark.
 func (s *LocalStore) RowStaleness(key uint64) (lag, watermark int64, err error) {
-	if key >= uint64(s.host.Rows()) {
-		return 0, 0, keyRangeError(key, s.host.Rows())
+	if _, err := s.slot(key); err != nil {
+		return 0, 0, err
 	}
 	if s.ctrl == nil {
 		return 0, -1, nil
@@ -135,8 +182,8 @@ func (s *LocalStore) RowStaleness(key uint64) (lag, watermark int64, err error) 
 
 // FlushKey drains the key's pending write set (singleflight-coalesced).
 func (s *LocalStore) FlushKey(key uint64) (bool, error) {
-	if key >= uint64(s.host.Rows()) {
-		return false, keyRangeError(key, s.host.Rows())
+	if _, err := s.slot(key); err != nil {
+		return false, err
 	}
 	if s.ctrl == nil {
 		return false, nil
@@ -144,8 +191,9 @@ func (s *LocalStore) FlushKey(key uint64) (bool, error) {
 	return s.ctrl.FlushKeyShared(key), nil
 }
 
-// AddFlushHook registers an index-maintenance hook on the controller.
-// No-op when uncoordinated (nothing ever flushes).
+// AddFlushHook registers an index-maintenance hook on the controller;
+// hooks receive global keys. No-op when uncoordinated (nothing ever
+// flushes).
 func (s *LocalStore) AddFlushHook(fn func(key uint64)) {
 	if s.ctrl != nil {
 		s.ctrl.AddFlushHook(fn)
@@ -156,29 +204,26 @@ func (s *LocalStore) AddFlushHook(fn func(key uint64)) {
 // than one row (mirrors the serving engine's chunk size).
 const localTopKChunk = 256
 
-// TopK scans every row under its stripe lock and returns the k best by
-// dot product (ties broken toward the smaller key), each winner re-read
-// for an exact (version, score) pair.
+// TopK scores every slab row chunk by chunk under its stripe lock, keeps
+// the k best by dot product (ties broken toward the smaller key), then
+// re-reads each winner under its lock for an honest version+score pair.
+// A key-mapped store scans only the rows it owns and answers in global
+// keys; its map is increasing, so ties between slab rows break as they
+// would between global keys.
 func (s *LocalStore) TopK(ctx context.Context, query []float32, k int) ([]ScoredRow, error) {
-	return SlabTopK(ctx, s.host, query, k, nil)
-}
-
-// SlabTopK is the shared slab-scan selection used by LocalStore and the
-// shard node: score every row chunk by chunk under its stripe lock, keep
-// the k best, then re-read each winner under its lock for an honest
-// version+score pair. keyOf maps slab indices to global keys (nil =
-// identity, for unsharded slabs); it must be increasing, as a shard's
-// key map is, so that ties between slab indices break as they would
-// between global keys.
-func SlabTopK(ctx context.Context, host *runtime.Host, query []float32, k int,
-	keyOf func(local int64) uint64) ([]ScoredRow, error) {
-
+	host := s.host
 	if len(query) != host.Dim() {
 		return nil, fmt.Errorf("store: query length %d, want dim %d", len(query), host.Dim())
 	}
-	rows := host.Rows()
 	if k < 1 {
 		return nil, fmt.Errorf("store: k must be ≥ 1, got %d", k)
+	}
+	rows := host.Rows()
+	if s.km != nil {
+		rows = s.km.Owned()
+		if rows == 0 {
+			return nil, nil // a shard that owns no keys
+		}
 	}
 	if int64(k) > rows {
 		k = int(rows)
@@ -207,8 +252,8 @@ func SlabTopK(ctx context.Context, host *runtime.Host, query []float32, k int,
 		r := &heap[i]
 		r.Version = host.ReadRow(r.Key, row)
 		r.Score = tensor.Dot(query, row)
-		if keyOf != nil {
-			r.Key = keyOf(int64(r.Key))
+		if s.km != nil {
+			r.Key = s.km.Global(int64(r.Key))
 		}
 	}
 	SortBest(heap, rowRank)
@@ -222,8 +267,9 @@ func rowRank(r ScoredRow) (float32, uint64) { return r.Score, r.Key }
 // key; rows rank by descending score, ties toward the smaller key, so
 // the kept set does not depend on the order rows are offered in. This is
 // the one k-best selector of every top-K path — the serving engine's
-// flat and IVF scans, SlabTopK and the sharded merge. h's backing array
-// is the caller's, so a reused scratch heap keeps a scan allocation-free.
+// flat and IVF scans, LocalStore.TopK and the sharded merge. h's backing
+// array is the caller's, so a reused scratch heap keeps a scan
+// allocation-free.
 // A scan skips the call for a row scoring strictly below h[0] once the
 // heap is full: such a row can never be kept, and the skip is most of a
 // scan's rows.

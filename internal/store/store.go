@@ -5,10 +5,13 @@
 //
 // Three implementations exist:
 //
-//   - LocalStore (this package): the in-process host slab, optionally
+//   - LocalStore (this package): an in-process host slab, optionally
 //     coordinated by a live P²F controller. Every method is a thin
 //     zero-allocation wrapper — the single-machine fast path is
-//     preserved verbatim.
+//     preserved verbatim. With a KeyMap it is one shard's compact slab
+//     addressed by global key: shard.Node is such a store plus its
+//     controller's lifecycle, and serve's follower replica wraps an
+//     identity-keyed one.
 //   - shard.RemoteStore (internal/shard): a client speaking a compact
 //     length-prefixed binary protocol over TCP to a frugal-shard node
 //     that owns one consistent-hash shard of the table.
@@ -25,18 +28,18 @@ package store
 import (
 	"context"
 	"fmt"
+
+	"frugal/internal/p2f"
 )
 
 // KeyDelta is one parameter update bound for a store: the row delta plus
-// the optimizer-state increment (0 under plain SGD). Scatter takes
-// ownership of the Delta buffer — a coordinated local store retains it in
-// the key's pending write set until a flusher drains it, so callers must
-// not reuse the slice after the call.
-type KeyDelta struct {
-	Key        uint64
-	Delta      []float32
-	StateDelta float32
-}
+// the optimizer-state increment (0 under plain SGD) — the P²F commit
+// path's own update type, so a coordinated store hands a scatter to its
+// controller as is. Scatter takes ownership of the Delta buffer — a
+// coordinated local store retains it in the key's pending write set
+// until a flusher drains it, so callers must not reuse the slice after
+// the call.
+type KeyDelta = p2f.KeyDelta
 
 // ScoredRow is one top-K candidate returned by Store.TopK: the global
 // key, its dot-product score, and the row version the score was computed

@@ -193,7 +193,7 @@ func NewServerFromCheckpoint(r io.Reader, opt ServeOptions) (*Server, error) {
 // servers (each shard scans its own rows instead); request it and
 // construction fails.
 func NewServerFromShards(addrs []string, opt ServeOptions) (*Server, error) {
-	st, err := dialSharded(addrs)
+	st, err := shard.DialSharded(addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -203,40 +203,6 @@ func NewServerFromShards(addrs []string, opt ServeOptions) (*Server, error) {
 		return nil, err
 	}
 	return &Server{eng: eng, owned: st}, nil
-}
-
-// dialSharded dials every shard address, validates each node's announced
-// topology position against its slot, and composes the sharded store.
-func dialSharded(addrs []string) (*store.ShardedStore, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("frugal: no shard addresses")
-	}
-	shards := make([]store.Store, 0, len(addrs))
-	closeAll := func() {
-		for _, sh := range shards {
-			sh.Close()
-		}
-	}
-	for i, addr := range addrs {
-		rs, err := shard.Dial(addr)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("frugal: shard %d (%s): %w", i, addr, err)
-		}
-		if got, of := rs.Shard(); got != i || of != len(addrs) {
-			closeAll()
-			rs.Close()
-			return nil, fmt.Errorf("frugal: shard at %s reports position %d/%d, want %d/%d — node and server topologies disagree",
-				addr, got, of, i, len(addrs))
-		}
-		shards = append(shards, rs)
-	}
-	st, err := store.NewSharded(shards)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	return st, nil
 }
 
 // ErrReplica is returned by a follower server when a consistency demand
@@ -326,7 +292,7 @@ type ShardSlab struct {
 // would double-coordinate every commit) and composes them into a
 // Config.Slab. Shard order must match the nodes' -shard indices.
 func DialShardSlab(addrs []string) (*ShardSlab, error) {
-	st, err := dialSharded(addrs)
+	st, err := shard.DialSharded(addrs)
 	if err != nil {
 		return nil, err
 	}
