@@ -50,16 +50,18 @@ tier-stress:
 
 # The overload-control suite under the race detector: open-loop shedding,
 # the hot-key refresh storm, admission semantics, and the server
-# shutdown goroutine-leak check. Then the consistency resolver's matrix
-# (lookup and top-K candidate on every store kind at every level) and
-# the follower suite at GOMAXPROCS 1, 2 and 4.
+# shutdown goroutine-leak check. Then, at GOMAXPROCS 1, 2 and 4: the
+# consistency resolver's matrix (lookup and top-K candidate on every
+# store kind at every level), the follower suite, the log replayer's
+# reconstruction, compaction and salvage tests, and a stream whose log
+# and follower must keep every row's version.
 serve-stress:
 	$(GO) test -race -count=1 -v \
 		-run 'TestOpenLoopOverloadSheds|TestRefreshStormCoalesces|TestEngineShedsUnderHeldCapacity|TestAdmission|TestHTTPServerShutdownNoLeak|TestFlushKeySharedCoalesces' \
 		./internal/serve ./internal/serve/loadgen ./internal/p2f
 	$(GO) test -race -cpu 1,2,4 -count=1 \
-		-run 'TestResolverMatrix|TestFollower' \
-		./internal/serve
+		-run 'TestResolverMatrix|TestFollower|TestReconstruct|TestWriterCompaction|TestTieredWriterCompaction|TestSalvage|TestStreamJobLogKeepsVersions' \
+		./internal/serve ./internal/ckpt .
 
 # The batched wire training path under the race detector at several
 # GOMAXPROCS values: frames per worker-step and per flusher batch over
@@ -81,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundtrip$$' -fuzztime=20s ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime=20s ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRead$$' -fuzztime=20s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzMetaRead$$' -fuzztime=20s ./internal/ckpt
 
 # Train a small checkpoint, then hammer it with the serving load
 # generator for 5s and print the latency report.

@@ -10,17 +10,19 @@
 // A log directory holds full checkpoints ("bases") and delta segments:
 //
 //	base-0000000000.ckpt    the initial slab (runtime checkpoint codec)
-//	base-0000000000.meta    sidecar: per-row safe-step + version vectors
 //	seg-0000000001.dlog     delta segment 1 (sealed)
 //	seg-0000000002.dlog     delta segment 2 (sealed)
 //	...
 //	base-0000000016.ckpt    a compaction: bases 0..0 + segments 1..16 folded
+//	base-0000000016.meta    its sidecar: watermark, per-row safe steps and versions
 //
-// A reader reconstructs the slab by loading the highest-numbered base
-// and replaying every higher-numbered segment in order. Segments are
-// written to a .open temp name and renamed at seal, so a visible .dlog
-// is always complete; a crash can leave at most one .open file, whose
-// complete record prefix Salvage recovers (follower promotion).
+// A Replica reconstructs the slab by loading the highest-numbered base
+// with its sidecar and replaying every higher-numbered segment in order;
+// the log promises row bytes, row versions and safe steps through the
+// last sealed segment. Segments are written to a .open temp name and
+// renamed at seal, so a visible .dlog is always complete; a crash can
+// leave at most one .open file, whose complete record prefix Salvage
+// recovers (follower promotion).
 //
 // # Segments
 //
@@ -90,31 +92,15 @@ type segHeader struct {
 	Watermark int64 // primary committed-step watermark at sweep time
 }
 
-// Record is one logged row image. Row always holds the full-precision
-// view (dequantized for a cold record); Cold, Scale, Zero and Q carry
-// the verbatim quantized representation when the record came from a
-// tiered host's cold tier (format 2 only).
+// Record is one logged row image: the key, the step through which the
+// image is complete, and the tier-tagged capture itself. Row always holds
+// the full-precision view (dequantized for a cold record); Cold, Scale,
+// Zero and Q carry the verbatim quantized representation when the record
+// came from a tiered host's cold tier (format 2 only).
 type Record struct {
 	Key      uint64
-	Version  uint64
 	SafeStep int64 // image contains every update committed at step ≤ SafeStep
-	State    float32
-	Row      []float32
-	Cold     bool
-	Scale    float32
-	Zero     float32
-	Q        []int8
-}
-
-// Image adapts the record to the runtime's tier-aware restore surface.
-// The returned image aliases the record's buffers, which ReadSegment
-// reuses — consume it before the next record.
-func (rec *Record) Image() runtime.RowImage {
-	return runtime.RowImage{
-		Version: rec.Version, State: rec.State,
-		Cold: rec.Cold, Scale: rec.Scale, Zero: rec.Zero,
-		Row: rec.Row, Q: rec.Q,
-	}
+	runtime.RowImage
 }
 
 // recordSize is the on-disk size of one format-1 record for dimension
@@ -253,7 +239,7 @@ func readSegment(r io.Reader, name string, rows int64, dim int, fn func(*Record)
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: segment %s: %w", name, err)
 	}
-	rec := Record{Row: make([]float32, dim), Q: make([]int8, dim)}
+	rec := newRecord(dim)
 	buf := make([]byte, maxRecordSize(dim, hdr.HasState == 1))
 	for i := int64(0); i < hdr.Records; i++ {
 		if err := readRecord(r, &hdr, rows, buf, &rec); err != nil {
@@ -286,7 +272,7 @@ func salvage(r io.Reader, rows int64, dim int, fn func(*Record) error) (records 
 	if err != nil {
 		return 0, nil // not even a complete header: nothing to salvage
 	}
-	rec := Record{Row: make([]float32, dim), Q: make([]int8, dim)}
+	rec := newRecord(dim)
 	buf := make([]byte, maxRecordSize(dim, hdr.HasState == 1))
 	for i := int64(0); i < hdr.Records; i++ {
 		if err := readRecord(r, &hdr, rows, buf, &rec); err != nil {
@@ -298,6 +284,11 @@ func salvage(r io.Reader, rows int64, dim int, fn func(*Record) error) (records 
 		records++
 	}
 	return records, nil
+}
+
+// newRecord sizes a record's payload buffers for dimension dim.
+func newRecord(dim int) Record {
+	return Record{RowImage: runtime.RowImage{Row: make([]float32, dim), Q: make([]int8, dim)}}
 }
 
 func readSegHeader(r io.Reader, dim int) (segHeader, error) {
@@ -442,109 +433,4 @@ func checkKey(key uint64, rows int64) error {
 		return fmt.Errorf("key %d out of range (rows %d)", key, rows)
 	}
 	return nil
-}
-
-// Meta is a base checkpoint's sidecar: the per-row replication vectors a
-// follower needs that the slab codec does not carry — each row's safe
-// step and version, plus the watermark the base is complete through.
-type Meta struct {
-	Watermark int64
-	SafeStep  []int64
-	Versions  []uint64
-}
-
-// WriteMeta writes a sidecar for `rows` rows.
-func WriteMeta(path string, m Meta) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	hdr := struct {
-		Magic, Version uint32
-		Rows           int64
-		Watermark      int64
-	}{metaMagic, fmtVer, int64(len(m.SafeStep)), m.Watermark}
-	err = binary.Write(bw, binary.LittleEndian, hdr)
-	if err == nil {
-		err = binary.Write(bw, binary.LittleEndian, m.SafeStep)
-	}
-	if err == nil {
-		err = binary.Write(bw, binary.LittleEndian, m.Versions)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: meta %s: %w", filepath.Base(path), err)
-	}
-	return os.Rename(tmp, path)
-}
-
-// ReadMeta loads a sidecar written by WriteMeta.
-func ReadMeta(path string, rows int64) (Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, fmt.Errorf("ckpt: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr struct {
-		Magic, Version uint32
-		Rows           int64
-		Watermark      int64
-	}
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return Meta{}, fmt.Errorf("ckpt: meta header: %w", err)
-	}
-	if hdr.Magic != metaMagic || hdr.Version != fmtVer {
-		return Meta{}, fmt.Errorf("ckpt: %s is not a ckpt sidecar", filepath.Base(path))
-	}
-	if hdr.Rows != rows {
-		return Meta{}, fmt.Errorf("ckpt: sidecar covers %d rows, want %d", hdr.Rows, rows)
-	}
-	m := Meta{Watermark: hdr.Watermark, SafeStep: make([]int64, rows), Versions: make([]uint64, rows)}
-	if err := binary.Read(br, binary.LittleEndian, m.SafeStep); err != nil {
-		return Meta{}, fmt.Errorf("ckpt: meta body: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, m.Versions); err != nil {
-		return Meta{}, fmt.Errorf("ckpt: meta body: %w", err)
-	}
-	return m, nil
-}
-
-// Reconstruct rebuilds the slab a log directory describes: the highest
-// base, with every later sealed segment replayed over it in order. The
-// result is bit-identical to Host.Save of the primary at the time of the
-// last sweep (after a graceful shutdown: the final state).
-func Reconstruct(dir string) (*runtime.Host, error) {
-	st, err := ListDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(st.BasePath)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	host, err := runtime.LoadHost(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	for _, seg := range st.Segments {
-		_, err := ReadSegment(seg.Path, host.Rows(), host.Dim(), func(rec *Record) error {
-			img := rec.Image()
-			host.RestoreRow(rec.Key, &img)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return host, nil
 }

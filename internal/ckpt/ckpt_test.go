@@ -200,18 +200,20 @@ func TestWriterCompaction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "base-0000000000.ckpt")); !os.IsNotExist(err) {
 		t.Fatalf("superseded base survives: %v", err)
 	}
-	m, err := ckpt.ReadMeta(st.MetaPath, 8)
+	// With no segment past the base, an opened replica holds exactly the
+	// base and its sidecar.
+	rep, err := ckpt.OpenReplica(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Watermark != 5 {
-		t.Fatalf("sidecar watermark %d, want 5", m.Watermark)
+	if rep.Watermark() != 5 {
+		t.Fatalf("sidecar watermark %d, want 5", rep.Watermark())
 	}
-	if m.SafeStep[1] != 2 || m.SafeStep[2] != 5 {
-		t.Fatalf("sidecar safe steps %v", m.SafeStep)
+	if rep.SafeStep(1) != 2 || rep.SafeStep(2) != 5 {
+		t.Fatalf("sidecar safe steps %d, %d", rep.SafeStep(1), rep.SafeStep(2))
 	}
-	if m.Versions[1] != 4 || m.Versions[2] != 6 {
-		t.Fatalf("sidecar versions %v", m.Versions)
+	if v1, v2 := rep.Host().Version(1), rep.Host().Version(2); v1 != 4 || v2 != 6 {
+		t.Fatalf("sidecar versions %d, %d", v1, v2)
 	}
 	reconstructEqual(t, dir, h)
 
@@ -231,6 +233,46 @@ func TestWriterCompaction(t *testing.T) {
 	reconstructEqual(t, dir, h)
 	if ws := w.Stats(); ws.Compactions != 1 || ws.BaseSeq != 2 {
 		t.Fatalf("stats %+v", ws)
+	}
+}
+
+// TestReconstructKeepsCompactedVersions: the log promises row versions
+// as well as row bytes. After a fold, the base's sidecar is the only
+// place the folded rows' versions live, so Reconstruct must read it —
+// not only the base slab, whose codec carries no versions.
+func TestReconstructKeepsCompactedVersions(t *testing.T) {
+	dir := t.TempDir()
+	h := newHost(t, 8, 4)
+	pr := &fakeProber{}
+	w := newTestWriter(t, h, pr, dir, 2)
+	defer w.Close()
+
+	touch(h, w, 1, 4)
+	pr.set(3, map[uint64]int64{1: 1})
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	touch(h, w, 2, 6)
+	pr.set(5, nil)
+	if err := w.Sync(); err != nil { // second segment triggers the fold
+		t.Fatal(err)
+	}
+	touch(h, w, 3, 2)
+	pr.set(6, nil)
+	if err := w.Sync(); err != nil { // one sealed segment past the fold
+		t.Fatal(err)
+	}
+	if ws := w.Stats(); ws.Compactions != 1 {
+		t.Fatalf("stats %+v, want one compaction", ws)
+	}
+	rec, err := ckpt.Reconstruct(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < uint64(h.Rows()); k++ {
+		if got, want := rec.Version(k), h.Version(k); got != want {
+			t.Errorf("key %d reconstructed at v%d, want v%d", k, got, want)
+		}
 	}
 }
 
@@ -306,33 +348,6 @@ func TestNewWriterRefusesExistingLog(t *testing.T) {
 	h := newHost(t, 4, 2)
 	if _, err := ckpt.NewWriter(h, &fakeProber{}, ckpt.Options{Dir: dir}); err == nil {
 		t.Fatal("writer opened over a non-empty directory")
-	}
-}
-
-func TestMetaRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "base-0000000004.meta")
-	in := ckpt.Meta{
-		Watermark: 42,
-		SafeStep:  []int64{-1, 3, 42},
-		Versions:  []uint64{0, 7, 99},
-	}
-	if err := ckpt.WriteMeta(path, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ckpt.ReadMeta(path, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Watermark != in.Watermark {
-		t.Fatalf("watermark %d, want %d", out.Watermark, in.Watermark)
-	}
-	for i := range in.SafeStep {
-		if out.SafeStep[i] != in.SafeStep[i] || out.Versions[i] != in.Versions[i] {
-			t.Fatalf("row %d roundtrip: %+v", i, out)
-		}
-	}
-	if _, err := ckpt.ReadMeta(path, 5); err == nil {
-		t.Fatal("sidecar row-count mismatch accepted")
 	}
 }
 

@@ -3,7 +3,10 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"sync/atomic"
 	"testing"
+
+	"frugal/internal/runtime"
 )
 
 // FuzzSegmentRead feeds arbitrary bytes to the delta-log segment reader
@@ -20,8 +23,8 @@ func FuzzSegmentRead(f *testing.F) {
 	row := []float32{1, -2, 0.5, 3}
 	q := []int8{-128, 0, 5, 127}
 	recs := []Record{
-		{Key: 1, Version: 2, SafeStep: 3, State: 0.25, Row: row, Q: q},
-		{Key: 15, Version: 9, SafeStep: 4, Row: row, Q: q, Cold: true, Scale: 0.1, Zero: -1},
+		{Key: 1, SafeStep: 3, RowImage: runtime.RowImage{Version: 2, State: 0.25, Row: row, Q: q}},
+		{Key: 15, SafeStep: 4, RowImage: runtime.RowImage{Version: 9, Row: row, Q: q, Cold: true, Scale: 0.1, Zero: -1}},
 	}
 	segment := func(version uint32, hasState bool, count int64, recs []Record) []byte {
 		hdr := segHeader{Magic: segMagic, Version: version, Dim: dim, Records: count, Watermark: 7}
@@ -49,7 +52,7 @@ func FuzzSegmentRead(f *testing.F) {
 	f.Add(v2)
 	f.Add(segment(fmtVerTiered, false, 2, recs))
 	f.Add(v2[:len(v2)-3])
-	f.Add(segment(fmtVerTiered, false, 1, []Record{{Key: 1 << 40, Row: row, Q: q}}))
+	f.Add(segment(fmtVerTiered, false, 1, []Record{{Key: 1 << 40, RowImage: runtime.RowImage{Row: row, Q: q}}}))
 	f.Add(segment(fmtVer, false, 1<<62, recs))
 	badTag := bytes.Clone(v2)
 	badTag[32+recordFixed(true)-1] = 7
@@ -65,5 +68,61 @@ func FuzzSegmentRead(f *testing.F) {
 		}
 		readSegment(bytes.NewReader(data), "fuzz", rows, dim, fn)
 		salvage(bytes.NewReader(data), rows, dim, fn)
+	})
+}
+
+// FuzzMetaRead feeds arbitrary bytes to the sidecar reader over a 16-row
+// host. It must either refuse them with an error or read exactly the
+// vectors the bytes spell — never panic, and never size an allocation by
+// the header's row count: the reader fills the caller's host and
+// safe-step vector and allocates nothing. The seeds are a valid sidecar,
+// a truncated body, a wrong magic, a wrong version, a row-count mismatch
+// and a huge header row count.
+func FuzzMetaRead(f *testing.F) {
+	const rows = 16
+	var valid bytes.Buffer
+	if err := testReplica(f, rows).writeMeta(&valid); err != nil {
+		f.Fatal(err)
+	}
+	v := valid.Bytes()
+	withHeader := func(magic, version uint32, n int64) []byte {
+		b := bytes.Clone(v)
+		binary.LittleEndian.PutUint32(b[0:], magic)
+		binary.LittleEndian.PutUint32(b[4:], version)
+		binary.LittleEndian.PutUint64(b[8:], uint64(n))
+		return b
+	}
+	f.Add(v)
+	f.Add(v[:len(v)-5])
+	f.Add(withHeader(segMagic, fmtVer, rows))
+	f.Add(withHeader(metaMagic, fmtVerTiered, rows))
+	f.Add(withHeader(metaMagic, fmtVer, rows-1))
+	f.Add(withHeader(metaMagic, fmtVer, 1<<62))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := runtime.NewHost(rows, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		safe := make([]atomic.Int64, rows)
+		wm, err := readMeta(bytes.NewReader(data), h, safe)
+		if err != nil {
+			return
+		}
+		const hdr = 24
+		if len(data) < hdr+16*rows {
+			t.Fatalf("accepted a %d-byte sidecar for %d rows", len(data), rows)
+		}
+		if want := int64(binary.LittleEndian.Uint64(data[16:])); wm != want {
+			t.Fatalf("watermark %d, bytes say %d", wm, want)
+		}
+		for k := 0; k < rows; k++ {
+			if got, want := safe[k].Load(), int64(binary.LittleEndian.Uint64(data[hdr+8*k:])); got != want {
+				t.Fatalf("row %d safe step %d, bytes say %d", k, got, want)
+			}
+			if got, want := h.Version(uint64(k)), binary.LittleEndian.Uint64(data[hdr+8*(rows+k):]); got != want {
+				t.Fatalf("row %d version %d, bytes say %d", k, got, want)
+			}
+		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -89,19 +90,17 @@ type Writer struct {
 	records     atomic.Int64
 	compactions atomic.Int64
 
-	// Compaction state, built lazily at the first fold: a shadow replica
-	// of the reconstructed slab plus its meta vectors.
-	shadow *runtime.Host
-	meta   Meta
+	// shadow replays the log for compaction: opened at the first fold,
+	// then caught up and written out as each new base.
+	shadow *Replica
 
 	// Reusable sweep buffers: steady-state sweeps allocate only the
 	// segment file machinery.
 	keys     []uint64
 	safeBuf  []int64
 	deferBuf []uint64
-	rowBuf   []float32
+	rec      Record // capture target
 	recBuf   []byte
-	img      runtime.RowImage // tiered capture target (aliases rowBuf)
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -145,12 +144,11 @@ func NewWriter(host *runtime.Host, pr Prober, opt Options) (*Writer, error) {
 		spare:  make(map[uint64]struct{}, opt.SweepRecords),
 		kick:   make(chan struct{}, 1),
 		lastWM: -1,
-		rowBuf: make([]float32, host.Dim()),
+		rec:    newRecord(host.Dim()),
 		recBuf: make([]byte, maxRecordSize(host.Dim(), host.HasOptState())),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	w.img = runtime.RowImage{Row: w.rowBuf, Q: make([]int8, host.Dim())}
 	if host.Tiered() {
 		// A demotion requantizes a row's authoritative bytes without
 		// bumping its version, outside the flush hook's sight. The move
@@ -159,7 +157,7 @@ func NewWriter(host *runtime.Host, pr Prober, opt Options) (*Writer, error) {
 		// pre-move representation and reconstruction would drift.
 		host.SetTierMoveHook(w.OnFlush)
 	}
-	if err := w.writeBase(0, host, Meta{Watermark: -1}); err != nil {
+	if err := w.writeBase(0, host, nil); err != nil {
 		return nil, err
 	}
 	go w.sweeper()
@@ -331,7 +329,7 @@ func (w *Writer) writeSegment(seq, wm int64, keys []uint64) (deferred []uint64, 
 	// exact. SafeStep = watermark − lag is the step through which the
 	// image is guaranteed complete; early in a run residual lag can
 	// exceed the watermark, driving it to −1 — which is exactly the
-	// Meta sidecar's "never written" sentinel, so the logged row would
+	// sidecar's "never written" sentinel, so the logged row would
 	// read back as never-logged. Two sub-cases:
 	//   - watermark == −1: nothing is committed anywhere, so "every
 	//     update committed at step ≤ 0 is present" is vacuously true —
@@ -356,12 +354,6 @@ func (w *Writer) writeSegment(seq, wm int64, keys []uint64) (deferred []uint64, 
 		w.safeBuf = append(w.safeBuf, safe)
 	}
 
-	open := filepath.Join(w.opt.Dir, fmt.Sprintf("seg-%010d.open", seq))
-	f, err := os.Create(open)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
 	hasState := w.host.HasOptState()
 	tiered := w.host.Tiered()
 	hdr := segHeader{
@@ -374,39 +366,30 @@ func (w *Writer) writeSegment(seq, wm int64, keys []uint64) (deferred []uint64, 
 	if hasState {
 		hdr.HasState = 1
 	}
-	err = binary.Write(bw, binary.LittleEndian, hdr)
-	rec := Record{Row: w.rowBuf, Q: w.img.Q}
-	for i, key := range kept {
-		if err != nil {
-			break
+	name := filepath.Join(w.opt.Dir, fmt.Sprintf("seg-%010d", seq))
+	err = writeSealed(name+".open", name+".dlog", func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, 1<<16)
+		if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
+			return err
 		}
-		rec.Key = key
-		rec.SafeStep = w.safeBuf[i]
-		if tiered {
+		rec := &w.rec
+		for i, key := range kept {
+			rec.Key = key
+			rec.SafeStep = w.safeBuf[i]
 			// One critical section captures version, state and the row in
 			// its current tier — a cold row's codes verbatim.
-			w.host.CaptureRow(key, &w.img)
-			rec.Version, rec.State = w.img.Version, w.img.State
-			rec.Cold, rec.Scale, rec.Zero = w.img.Cold, w.img.Scale, w.img.Zero
-			n := encodeRecordTiered(w.recBuf, hasState, &rec)
-			_, err = bw.Write(w.recBuf[:n])
-			continue
+			w.host.CaptureRow(key, &rec.RowImage)
+			n := recordSize(int(hdr.Dim), hasState)
+			if tiered {
+				n = encodeRecordTiered(w.recBuf, hasState, rec)
+			} else {
+				encodeRecord(w.recBuf, hasState, rec)
+			}
+			bw.Write(w.recBuf[:n]) // bufio keeps the first error for Flush
 		}
-		rec.Version, rec.State = w.host.ReadRowState(key, rec.Row)
-		encodeRecord(w.recBuf, hasState, &rec)
-		_, err = bw.Write(w.recBuf[:recordSize(int(hdr.Dim), hasState)])
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(open)
-		return nil, fmt.Errorf("ckpt: segment %d: %w", seq, err)
-	}
-	return w.deferBuf, os.Rename(open, filepath.Join(w.opt.Dir, fmt.Sprintf("seg-%010d.dlog", seq)))
+		return bw.Flush()
+	})
+	return w.deferBuf, err
 }
 
 // compact folds every sealed segment since the last base into a fresh
@@ -415,80 +398,61 @@ func (w *Writer) writeSegment(seq, wm int64, keys []uint64) (deferred []uint64, 
 // never waits for it.
 func (w *Writer) compact() error {
 	if w.shadow == nil {
-		f, err := os.Open(filepath.Join(w.opt.Dir, fmt.Sprintf("base-%010d.ckpt", w.baseSeq)))
-		if err != nil {
-			return fmt.Errorf("ckpt: %w", err)
-		}
-		w.shadow, err = runtime.LoadHost(f)
-		f.Close()
-		if err != nil {
+		var err error
+		if w.shadow, err = OpenReplica(w.opt.Dir); err != nil {
 			return err
 		}
-		rows := w.shadow.Rows()
-		w.meta = Meta{Watermark: -1, SafeStep: make([]int64, rows), Versions: make([]uint64, rows)}
-		for i := range w.meta.SafeStep {
-			w.meta.SafeStep[i] = -1
-		}
 	}
-	from, to := w.baseSeq+1, w.seq
-	for seq := from; seq <= to; seq++ {
-		path := filepath.Join(w.opt.Dir, fmt.Sprintf("seg-%010d.dlog", seq))
-		segWM, err := ReadSegment(path, w.shadow.Rows(), w.shadow.Dim(), func(rec *Record) error {
-			img := rec.Image()
-			w.shadow.RestoreRow(rec.Key, &img)
-			if rec.SafeStep > w.meta.SafeStep[rec.Key] {
-				w.meta.SafeStep[rec.Key] = rec.SafeStep
-			}
-			if rec.Version > w.meta.Versions[rec.Key] {
-				w.meta.Versions[rec.Key] = rec.Version
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if segWM > w.meta.Watermark {
-			w.meta.Watermark = segWM
-		}
-	}
-	if err := w.writeBase(to, w.shadow, w.meta); err != nil {
+	if err := w.shadow.CatchUp(); err != nil {
 		return err
 	}
-	oldBase := w.baseSeq
+	oldBase, to := w.baseSeq, w.shadow.Seq()
+	if err := w.writeBase(to, w.shadow.Host(), w.shadow); err != nil {
+		return err
+	}
 	atomic.StoreInt64(&w.baseSeq, to)
 	w.compactions.Add(1)
 	// Cleanup is best-effort: stray files never confuse ListDir, which
 	// keys on the highest base.
 	os.Remove(filepath.Join(w.opt.Dir, fmt.Sprintf("base-%010d.ckpt", oldBase)))
 	os.Remove(filepath.Join(w.opt.Dir, fmt.Sprintf("base-%010d.meta", oldBase)))
-	for seq := from; seq <= to; seq++ {
+	for seq := oldBase + 1; seq <= to; seq++ {
 		os.Remove(filepath.Join(w.opt.Dir, fmt.Sprintf("seg-%010d.dlog", seq)))
 	}
 	return nil
 }
 
-// writeBase writes a base checkpoint (slab via the runtime codec) and
-// its sidecar, both sealed by rename.
-func (w *Writer) writeBase(seq int64, host *runtime.Host, m Meta) error {
-	base := filepath.Join(w.opt.Dir, fmt.Sprintf("base-%010d.ckpt", seq))
-	tmp := base + ".tmp"
+// writeBase writes a base checkpoint (slab via the runtime codec) and,
+// for a compaction, the shadow replica's sidecar. The sidecar is sealed
+// first, so a reader that sees the base also finds it.
+func (w *Writer) writeBase(seq int64, host *runtime.Host, shadow *Replica) error {
+	base := filepath.Join(w.opt.Dir, fmt.Sprintf("base-%010d", seq))
+	if shadow != nil {
+		if err := writeSealed(base+".meta.tmp", base+".meta", shadow.writeMeta); err != nil {
+			return err
+		}
+	}
+	return writeSealed(base+".ckpt.tmp", base+".ckpt", host.Save)
+}
+
+// writeSealed writes a file under a temporary name and renames it into
+// place, so a reader never sees it partial; on failure the temporary is
+// removed.
+func writeSealed(tmp, path string, write func(io.Writer) error) error {
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	err = host.Save(f)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("ckpt: base %d: %w", seq, err)
+		return fmt.Errorf("ckpt: %s: %w", filepath.Base(path), err)
 	}
-	if m.SafeStep != nil {
-		if err := WriteMeta(filepath.Join(w.opt.Dir, fmt.Sprintf("base-%010d.meta", seq)), m); err != nil {
-			os.Remove(tmp)
-			return err
-		}
-	}
-	return os.Rename(tmp, base)
+	return nil
 }

@@ -145,28 +145,6 @@ func (h *Host) ReadRowLocked(key uint64, dst []float32) {
 // Version returns the row's update counter.
 func (h *Host) Version(key uint64) uint64 { return h.versions[key].Load() }
 
-// ReadRowState copies row `key` into dst under the row lock and returns
-// the row version and the optimizer-state accumulator observed with the
-// copy (0 when no state slab is enabled). The delta-checkpoint writer
-// uses it to capture a torn-free (row, state, version) triple in one
-// critical section.
-func (h *Host) ReadRowState(key uint64, dst []float32) (uint64, float32) {
-	l := h.lock(key)
-	l.Lock()
-	if t := h.tier; t != nil {
-		t.readRow(key, dst)
-	} else {
-		tensor.Copy(dst, h.row(key))
-	}
-	v := h.versions[key].Load()
-	var s float32
-	if h.state != nil {
-		s = h.state[key]
-	}
-	l.Unlock()
-	return v, s
-}
-
 // SetRow replaces row `key` with a full row image at the given version —
 // the replica apply path, where updates arrive as recorded row states
 // rather than deltas. The write is skipped when the stored version is

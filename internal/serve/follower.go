@@ -3,14 +3,12 @@ package serve
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"frugal/internal/ckpt"
 	"frugal/internal/obs"
-	"frugal/internal/runtime"
 	"frugal/internal/store"
 )
 
@@ -49,22 +47,18 @@ type FollowerOptions struct {
 }
 
 // Follower is a serve replica that follows a delta-checkpoint log
-// (internal/ckpt): it reconstructs the slab from the latest base, tails
-// sealed segments into its own host memory, and serves reads through a
-// standard Engine whose consistency gate reports replication lag as the
-// staleness bound. When the primary dies, Promote makes the replica
+// (internal/ckpt): a ckpt.Replica replays the log into its own host
+// memory, and a standard Engine serves it, with the replica's staleness
+// as the consistency gate's bound. The follower adds the role, the tail
+// loop and promotion: when the primary dies, Promote makes the replica
 // authoritative (salvaging the complete prefix of an unsealed segment).
 type Follower struct {
-	dir string
 	opt FollowerOptions
 
-	host *runtime.Host
-	fs   *followerStore
-	eng  *Engine
-	robs *obs.ReplicaObs
+	rep *ckpt.Replica
+	eng *Engine
 
-	mu         sync.Mutex // serializes CatchUp/Promote/resync
-	appliedSeq int64
+	mu         sync.Mutex // serializes CatchUp/Promote
 	lastGrowth time.Time
 
 	promoted atomic.Bool
@@ -86,10 +80,10 @@ func NewFollower(dir string, opt FollowerOptions) (*Follower, error) {
 		opt.Poll = 50 * time.Millisecond
 	}
 	deadline := time.Now().Add(opt.WaitForLog)
-	var st ckpt.DirState
+	fl := &Follower{opt: opt, lastGrowth: time.Now()}
 	for {
 		var err error
-		st, err = ckpt.ListDir(dir)
+		fl.rep, err = ckpt.OpenReplica(dir)
 		if err == nil {
 			break
 		}
@@ -98,58 +92,17 @@ func NewFollower(dir string, opt FollowerOptions) (*Follower, error) {
 		}
 		time.Sleep(opt.Poll)
 	}
-	f, err := os.Open(st.BasePath)
-	if err != nil {
-		return nil, fmt.Errorf("serve: follower: %w", err)
-	}
-	host, err := runtime.LoadHost(f)
-	f.Close()
+	ls, err := store.NewLocal(fl.rep.Host(), nil)
 	if err != nil {
 		return nil, err
 	}
-	fl := &Follower{
-		dir:        dir,
-		opt:        opt,
-		host:       host,
-		robs:       obs.NewReplicaObs(),
-		appliedSeq: st.BaseSeq,
-		lastGrowth: time.Now(),
-	}
-	if fl.fs, err = newFollowerStore(host, fl); err != nil {
+	if fl.eng, err = NewFromStore(&followerStore{LocalStore: ls, fl: fl}, opt.Engine); err != nil {
 		return nil, err
 	}
-	if err := fl.loadMeta(st); err != nil {
-		return nil, err
-	}
-	eng, err := NewFromStore(fl.fs, opt.Engine)
-	if err != nil {
-		return nil, err
-	}
-	fl.eng = eng
 	if err := fl.CatchUp(); err != nil {
 		return nil, err
 	}
 	return fl, nil
-}
-
-// loadMeta installs a base's sidecar vectors (safe steps + versions)
-// into the replica store. Base 0 has no sidecar: everything starts at
-// the -1/"nothing guaranteed beyond init" floor, which matches a slab
-// nothing has been flushed to.
-func (f *Follower) loadMeta(st ckpt.DirState) error {
-	if st.MetaPath == "" {
-		return nil
-	}
-	m, err := ckpt.ReadMeta(st.MetaPath, f.host.Rows())
-	if err != nil {
-		return err
-	}
-	for k := range m.SafeStep {
-		f.fs.safe[k].Store(m.SafeStep[k])
-		f.host.SetVersion(uint64(k), m.Versions[k])
-	}
-	f.fs.advanceWM(m.Watermark)
-	return nil
 }
 
 // Engine returns the serving engine over the replica slab.
@@ -206,93 +159,12 @@ func (f *Follower) CatchUp() error {
 }
 
 func (f *Follower) catchUpLocked() error {
-	err := f.tryCatchUp()
-	if err != nil {
-		// The primary's compactor may have deleted a segment between our
-		// ListDir and the read. The re-list sees the post-compaction
-		// state (a newer base), which the resync path handles.
-		err = f.tryCatchUp()
-	}
-	return err
-}
-
-func (f *Follower) tryCatchUp() error {
-	st, err := ckpt.ListDir(f.dir)
-	if err != nil {
-		return err
-	}
-	if st.BaseSeq > f.appliedSeq {
-		if err := f.resyncLocked(st); err != nil {
-			return err
-		}
-	}
-	for _, seg := range st.Segments {
-		if seg.Seq <= f.appliedSeq {
-			continue
-		}
-		var n int64
-		segWM, err := ckpt.ReadSegment(seg.Path, f.host.Rows(), f.host.Dim(), func(rec *ckpt.Record) error {
-			f.fs.apply(rec)
-			n++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		f.fs.advanceWM(segWM)
-		f.appliedSeq = seg.Seq
-		f.robs.Segment(n)
+	seq := f.rep.Seq()
+	err := f.rep.CatchUp()
+	if f.rep.Seq() != seq {
 		f.lastGrowth = time.Now()
 	}
-	return nil
-}
-
-// resyncLocked reloads the replica from a newer base: the slab is folded
-// in through the same last-writer-wins apply path the segments use (the
-// engine keeps serving off the one host throughout), and the sidecar
-// restores the per-row vectors.
-func (f *Follower) resyncLocked(st ckpt.DirState) error {
-	bf, err := os.Open(st.BasePath)
-	if err != nil {
-		return fmt.Errorf("serve: follower resync: %w", err)
-	}
-	fresh, err := runtime.LoadHost(bf)
-	bf.Close()
-	if err != nil {
-		return err
-	}
-	if fresh.Rows() != f.host.Rows() || fresh.Dim() != f.host.Dim() {
-		return fmt.Errorf("serve: follower resync: base shape %dx%d, replica %dx%d",
-			fresh.Rows(), fresh.Dim(), f.host.Rows(), f.host.Dim())
-	}
-	var m ckpt.Meta
-	if st.MetaPath != "" {
-		if m, err = ckpt.ReadMeta(st.MetaPath, f.host.Rows()); err != nil {
-			return err
-		}
-	}
-	img := runtime.RowImage{Row: make([]float32, f.host.Dim()), Q: make([]int8, f.host.Dim())}
-	for k := int64(0); k < f.host.Rows(); k++ {
-		// CaptureRow carries the fresh base's tier tag along with the row
-		// image, so a tiered replica folds the resync in without
-		// reshuffling (or requantizing) its own hot pool row by row.
-		fresh.CaptureRow(uint64(k), &img)
-		var ver uint64
-		var safe int64 = -1
-		if m.Versions != nil {
-			ver, safe = m.Versions[k], m.SafeStep[k]
-		}
-		f.fs.apply(&ckpt.Record{
-			Key: uint64(k), Version: ver, SafeStep: safe,
-			State: img.State, Row: img.Row,
-			Cold: img.Cold, Scale: img.Scale, Zero: img.Zero, Q: img.Q,
-		})
-	}
-	f.fs.advanceWM(m.Watermark)
-	f.appliedSeq = st.BaseSeq
-	f.robs.Resync()
-	f.lastGrowth = time.Now()
-	return nil
+	return err
 }
 
 // Promote makes the replica authoritative: apply everything sealed,
@@ -310,16 +182,8 @@ func (f *Follower) Promote() error {
 	if err := f.catchUpLocked(); err != nil {
 		return err
 	}
-	st, err := ckpt.ListDir(f.dir)
-	if err == nil && st.OpenPath != "" {
-		n, serr := ckpt.Salvage(st.OpenPath, f.host.Rows(), f.host.Dim(), func(rec *ckpt.Record) error {
-			f.fs.apply(rec)
-			return nil
-		})
-		if serr != nil {
-			return serr
-		}
-		f.robs.Salvage(n)
+	if err := f.rep.Salvage(); err != nil {
+		return err
 	}
 	f.promoted.Store(true)
 	return nil
@@ -344,14 +208,11 @@ type FollowerStats struct {
 
 // Stats snapshots the replica state.
 func (f *Follower) Stats() FollowerStats {
-	f.mu.Lock()
-	seq := f.appliedSeq
-	f.mu.Unlock()
 	s := FollowerStats{
 		Role:             f.Role(),
-		AppliedSeq:       seq,
-		AppliedWatermark: f.fs.Watermark(),
-		Replication:      f.robs.Snapshot(),
+		AppliedSeq:       f.rep.Seq(),
+		AppliedWatermark: f.rep.Watermark(),
+		Replication:      f.rep.Replication(),
 	}
 	f.errMu.Lock()
 	if f.err != nil {
@@ -364,51 +225,12 @@ func (f *Follower) Stats() FollowerStats {
 // followerStore is the replica slab as a store.Store: a LocalStore over
 // the replica host, whose reads, top-K and slab access it inherits,
 // overriding only where a replica differs — its consistency surface and
-// its read-only writes. The watermark is the tag of the last applied
-// segment; per-key staleness is watermark − the key's recorded safe
-// step. Both are one-sided: the slab can only be fresher than reported.
+// its read-only writes. The watermark and per-key staleness are the
+// replica's; both are one-sided: the slab can only be fresher than
+// reported.
 type followerStore struct {
 	*store.LocalStore
-	fl   *Follower
-	safe []atomic.Int64 // per-key safe step (-1: nothing beyond the base guaranteed)
-	wm   atomic.Int64
-}
-
-func newFollowerStore(host *runtime.Host, fl *Follower) (*followerStore, error) {
-	ls, err := store.NewLocal(host, nil)
-	if err != nil {
-		return nil, err
-	}
-	fs := &followerStore{LocalStore: ls, fl: fl, safe: make([]atomic.Int64, host.Rows())}
-	for i := range fs.safe {
-		fs.safe[i].Store(-1)
-	}
-	fs.wm.Store(-1)
-	return fs, nil
-}
-
-// apply installs one row image (idempotent, last-writer-wins — see
-// Host.RestoreRow) and raises the key's safe step. Tier-tagged records
-// land in their tier: a cold image's codes install verbatim, so the
-// replica's cold tier stays byte-identical to the primary's.
-func (fs *followerStore) apply(rec *ckpt.Record) {
-	img := rec.Image()
-	fs.Host().RestoreRow(rec.Key, &img)
-	for {
-		cur := fs.safe[rec.Key].Load()
-		if rec.SafeStep <= cur || fs.safe[rec.Key].CompareAndSwap(cur, rec.SafeStep) {
-			return
-		}
-	}
-}
-
-func (fs *followerStore) advanceWM(wm int64) {
-	for {
-		cur := fs.wm.Load()
-		if wm <= cur || fs.wm.CompareAndSwap(cur, wm) {
-			return
-		}
-	}
+	fl *Follower
 }
 
 func (fs *followerStore) Coordinated() bool { return true }
@@ -417,7 +239,7 @@ func (fs *followerStore) Scatter(int64, []store.KeyDelta) error {
 	return fmt.Errorf("serve: follower replicas are read-only")
 }
 
-func (fs *followerStore) Watermark() int64 { return fs.wm.Load() }
+func (fs *followerStore) Watermark() int64 { return fs.fl.rep.Watermark() }
 
 // RowStaleness reports the replication lag: how many gate steps the
 // replica's copy of key may trail the applied watermark. A promoted
@@ -427,15 +249,11 @@ func (fs *followerStore) RowStaleness(key uint64) (lag, watermark int64, err err
 	if key >= uint64(fs.Rows()) {
 		return 0, 0, fmt.Errorf("serve: key %d out of range (rows %d)", key, fs.Rows())
 	}
-	wm := fs.wm.Load()
+	lag, watermark = fs.fl.rep.Staleness(key)
 	if fs.fl.promoted.Load() {
-		return 0, wm, nil
+		return 0, watermark, nil
 	}
-	lag = wm - fs.safe[key].Load()
-	if lag < 0 {
-		lag = 0
-	}
-	return lag, wm, nil
+	return lag, watermark, nil
 }
 
 // FlushKey cannot make a replica row fresh — only the primary can drain

@@ -207,8 +207,9 @@ func (s *StreamJob) LogStats() DeltaLogStats {
 }
 
 // ReconstructLog rebuilds the slab a delta-checkpoint log directory
-// describes — the highest base with every later segment replayed over
-// it — and returns it as a quiescent host (serve it with
+// describes — the highest base and its sidecar, with every later segment
+// replayed over it — and returns it as a quiescent host (serve it with
 // serve.NewStatic, or diff it against a SaveCheckpoint stream). After a
-// graceful Run the reconstruction is bit-identical to the final state.
+// graceful Run of an untiered job the reconstruction holds the final
+// state's bytes and every row's version.
 func ReconstructLog(dir string) (*runtime.Host, error) { return ckpt.Reconstruct(dir) }

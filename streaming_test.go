@@ -50,6 +50,70 @@ func TestStreamJobEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStreamJobLogKeepsVersions: an untiered stream's log reconstructs
+// the final slab's bytes and every row's version, with and without
+// compaction, and a follower opened on the finished log serves those
+// versions.
+func TestStreamJobLogKeepsVersions(t *testing.T) {
+	for _, every := range []int{4, -1} {
+		dir := t.TempDir() + "/log"
+		sj, err := NewStreamJob(Config{NumGPUs: 2, Seed: 1}, StreamOptions{
+			Batch: 64, KeySpace: 20000, Dim: 8, Horizon: 300,
+			LogDir: dir, SweepInterval: 5 * time.Millisecond, CompactEvery: every,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sj.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		host := sj.Host()
+		rec, err := ReconstructLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		if err := host.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("CompactEvery %d: log reconstruction differs from the final slab", every)
+		}
+		fs, err := NewServerFromLog(dir, ServeOptions{}, FollowOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float32, host.Dim())
+		var versioned, lost, served int
+		for k := uint64(0); k < uint64(host.Rows()); k++ {
+			v := host.Version(k)
+			if v != 0 {
+				versioned++
+			}
+			if rec.Version(k) != v {
+				lost++
+			}
+			resp, err := fs.Query(context.Background(), ServeRequest{Key: k, Dst: dst, Level: ServeStale()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Meta.Version != v {
+				served++
+			}
+		}
+		if versioned == 0 {
+			t.Fatalf("CompactEvery %d: no row has a version; the run trained nothing", every)
+		}
+		if lost != 0 || served != 0 {
+			t.Fatalf("CompactEvery %d: of %d versioned rows, %d reconstruct and %d serve at another version",
+				every, versioned, lost, served)
+		}
+	}
+}
+
 // TestStreamJobCancelIsGraceful: canceling Run's context ends an
 // open-loop stream cleanly — a normal Result, not ErrCanceled — with the
 // log's final segment sealed behind the epilogue's drain.
