@@ -30,7 +30,10 @@
 // memory since the previous sweep, recorded as a full row image (key,
 // version, safe step, optimizer state, row). Full images — not deltas —
 // make replay idempotent and last-writer-wins, which is what lets
-// compaction and tail-salvage be simple.
+// compaction and tail-salvage be simple. The row is encoded by the
+// runtime row codec (runtime.AppendImage / runtime.ReadImage), the same
+// tier-tagged encoding a checkpoint body uses, so this package knows
+// neither tag values nor the cold layout.
 //
 // Each record's safe step is the one-sided staleness guarantee
 // transported from the primary: the image contains every update of that
@@ -54,30 +57,20 @@ import (
 	"strings"
 
 	"frugal/internal/runtime"
-	"frugal/internal/tensor"
 )
 
-// Segment and sidecar magics. The base slab itself reuses the runtime
-// checkpoint codec (and its own magic) unchanged.
-//
-// Segment format 2 is cut when the primary's host is tiered: each record
-// carries a tier tag, and a cold row's payload is its verbatim quantized
-// representation — (scale, zero) plus dim int8 codes, a quarter of the
-// float32 image — with the dequantized Row still materialized on read so
-// format-1 consumers of the Record see what they always saw. Verbatim
-// codes are what make tiered reconstruction bit-identical: no
-// dequantize→requantize round trip on either side of the log.
+// Segment and sidecar magics and versions. The base slab itself is an
+// ordinary runtime checkpoint with its own magic. writeSegment writes
+// segVer, whose records end in a tier-tagged runtime row image (a cold
+// row's codes verbatim, so tiered reconstruction is bit-identical);
+// segVerUntagged segments, whose rows are bare float32 images, are
+// still read.
 const (
-	segMagic     = uint32(0xD17A5E60)
-	metaMagic    = uint32(0xD17A5E61)
-	fmtVer       = uint32(1)
-	fmtVerTiered = uint32(2)
-)
-
-// Tier tags in a format-2 record.
-const (
-	recTagCold = byte(0)
-	recTagHot  = byte(1)
+	segMagic       = uint32(0xD17A5E60)
+	metaMagic      = uint32(0xD17A5E61)
+	metaVer        = uint32(1)
+	segVerUntagged = uint32(1)
+	segVer         = uint32(2)
 )
 
 // segHeader opens every delta segment. Records — the count is fixed at
@@ -93,44 +86,26 @@ type segHeader struct {
 }
 
 // Record is one logged row image: the key, the step through which the
-// image is complete, and the tier-tagged capture itself. Row always holds
-// the full-precision view (dequantized for a cold record); Cold, Scale,
-// Zero and Q carry the verbatim quantized representation when the record
-// came from a tiered host's cold tier (format 2 only).
+// image is complete, and the tier-tagged capture itself. On disk it is
+// the key, version, safe step and (when the segment carries optimizer
+// state) state, then the row image's encoding. Row always holds the
+// full-precision view, dequantized for a cold record.
 type Record struct {
 	Key      uint64
 	SafeStep int64 // image contains every update committed at step ≤ SafeStep
 	runtime.RowImage
 }
 
-// recordSize is the on-disk size of one format-1 record for dimension
-// dim.
-func recordSize(dim int, hasState bool) int {
-	n := 8 + 8 + 8 + 4*dim
+// recordPrefix is the size of a record's fields before its row image.
+func recordPrefix(hasState bool) int {
 	if hasState {
-		n += 4
+		return 8 + 8 + 8 + 4
 	}
-	return n
+	return 8 + 8 + 8
 }
 
-// recordFixed is the size of a record's tag-inclusive fixed prefix in
-// format 2; the payload (4·dim hot, 8+dim cold) follows.
-func recordFixed(hasState bool) int {
-	if hasState {
-		return 8 + 8 + 8 + 4 + 1
-	}
-	return 8 + 8 + 8 + 1
-}
-
-// maxRecordSize sizes a scratch buffer that fits any record of either
-// format.
-func maxRecordSize(dim int, hasState bool) int {
-	payload := 4 * dim
-	if 8+dim > payload {
-		payload = 8 + dim
-	}
-	return recordFixed(hasState) + payload
-}
+// maxRecordSize sizes a scratch buffer that fits any record.
+func maxRecordSize(dim int) int { return recordPrefix(true) + runtime.MaxImageSize(dim) }
 
 // SegmentInfo describes one sealed segment found in a log directory.
 type SegmentInfo struct {
@@ -231,18 +206,18 @@ func ReadSegment(path string, rows int64, dim int, fn func(*Record) error) (wate
 		return 0, fmt.Errorf("ckpt: %w", err)
 	}
 	defer f.Close()
-	return readSegment(bufio.NewReaderSize(f, 1<<16), filepath.Base(path), rows, dim, fn)
+	return readSegment(f, filepath.Base(path), rows, dim, fn)
 }
 
-func readSegment(r io.Reader, name string, rows int64, dim int, fn func(*Record) error) (int64, error) {
+func readSegment(f io.Reader, name string, rows int64, dim int, fn func(*Record) error) (int64, error) {
+	r := segReader(f, dim)
 	hdr, err := readSegHeader(r, dim)
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: segment %s: %w", name, err)
 	}
 	rec := newRecord(dim)
-	buf := make([]byte, maxRecordSize(dim, hdr.HasState == 1))
 	for i := int64(0); i < hdr.Records; i++ {
-		if err := readRecord(r, &hdr, rows, buf, &rec); err != nil {
+		if err := readRecord(r, &hdr, rows, &rec); err != nil {
 			return 0, fmt.Errorf("ckpt: segment %s: record %d/%d: %w", name, i, hdr.Records, err)
 		}
 		if err := fn(&rec); err != nil {
@@ -264,18 +239,18 @@ func Salvage(path string, rows int64, dim int, fn func(*Record) error) (records 
 		return 0, fmt.Errorf("ckpt: %w", err)
 	}
 	defer f.Close()
-	return salvage(bufio.NewReaderSize(f, 1<<16), rows, dim, fn)
+	return salvage(f, rows, dim, fn)
 }
 
-func salvage(r io.Reader, rows int64, dim int, fn func(*Record) error) (records int64, err error) {
+func salvage(f io.Reader, rows int64, dim int, fn func(*Record) error) (records int64, err error) {
+	r := segReader(f, dim)
 	hdr, err := readSegHeader(r, dim)
 	if err != nil {
 		return 0, nil // not even a complete header: nothing to salvage
 	}
 	rec := newRecord(dim)
-	buf := make([]byte, maxRecordSize(dim, hdr.HasState == 1))
 	for i := int64(0); i < hdr.Records; i++ {
-		if err := readRecord(r, &hdr, rows, buf, &rec); err != nil {
+		if err := readRecord(r, &hdr, rows, &rec); err != nil {
 			return records, nil // torn or corrupt tail: keep the complete prefix
 		}
 		if err := fn(&rec); err != nil {
@@ -284,6 +259,12 @@ func salvage(r io.Reader, rows int64, dim int, fn func(*Record) error) (records 
 		records++
 	}
 	return records, nil
+}
+
+// segReader buffers a segment for readRecord, which decodes records in
+// place and so needs a buffer that holds the largest one.
+func segReader(f io.Reader, dim int) *bufio.Reader {
+	return bufio.NewReaderSize(f, max(1<<16, maxRecordSize(dim)))
 }
 
 // newRecord sizes a record's payload buffers for dimension dim.
@@ -299,11 +280,14 @@ func readSegHeader(r io.Reader, dim int) (segHeader, error) {
 	if hdr.Magic != segMagic {
 		return hdr, fmt.Errorf("not a delta segment (magic %#x)", hdr.Magic)
 	}
-	if hdr.Version != fmtVer && hdr.Version != fmtVerTiered {
+	if hdr.Version != segVerUntagged && hdr.Version != segVer {
 		return hdr, fmt.Errorf("unsupported segment version %d", hdr.Version)
 	}
 	if int(hdr.Dim) != dim {
 		return hdr, fmt.Errorf("segment dim %d, want %d", hdr.Dim, dim)
+	}
+	if hdr.HasState != 0 && hdr.HasState != 1 {
+		return hdr, fmt.Errorf("state flag %d, want 0 or 1", hdr.HasState)
 	}
 	if hdr.Records < 0 {
 		return hdr, fmt.Errorf("negative record count %d", hdr.Records)
@@ -311,120 +295,39 @@ func readSegHeader(r io.Reader, dim int) (segHeader, error) {
 	return hdr, nil
 }
 
-func encodeRecord(buf []byte, hasState bool, rec *Record) {
-	binary.LittleEndian.PutUint64(buf[0:], rec.Key)
-	binary.LittleEndian.PutUint64(buf[8:], rec.Version)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(rec.SafeStep))
-	off := 24
+// appendRecord appends rec's encoding to buf.
+func appendRecord(buf []byte, hasState bool, rec *Record) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, rec.Key)
+	buf = binary.LittleEndian.AppendUint64(buf, rec.Version)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.SafeStep))
 	if hasState {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(rec.State))
-		off += 4
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(rec.State))
 	}
-	for i, v := range rec.Row {
-		binary.LittleEndian.PutUint32(buf[off+4*i:], math.Float32bits(v))
-	}
+	return runtime.AppendImage(buf, &rec.RowImage)
 }
 
-func decodeRecord(buf []byte, hasState bool, rec *Record) {
-	rec.Key = binary.LittleEndian.Uint64(buf[0:])
-	rec.Version = binary.LittleEndian.Uint64(buf[8:])
-	rec.SafeStep = int64(binary.LittleEndian.Uint64(buf[16:]))
-	off := 24
-	if hasState {
-		rec.State = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-	} else {
-		rec.State = 0
-	}
-	for i := range rec.Row {
-		rec.Row[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4*i:]))
-	}
-}
-
-// encodeRecordTiered lays out a format-2 record and returns its size.
-func encodeRecordTiered(buf []byte, hasState bool, rec *Record) int {
-	binary.LittleEndian.PutUint64(buf[0:], rec.Key)
-	binary.LittleEndian.PutUint64(buf[8:], rec.Version)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(rec.SafeStep))
-	off := 24
-	if hasState {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(rec.State))
-		off += 4
-	}
-	if rec.Cold {
-		buf[off] = recTagCold
-		off++
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(rec.Scale))
-		binary.LittleEndian.PutUint32(buf[off+4:], math.Float32bits(rec.Zero))
-		off += 8
-		for i, c := range rec.Q {
-			buf[off+i] = byte(c)
-		}
-		return off + len(rec.Q)
-	}
-	buf[off] = recTagHot
-	off++
-	for i, v := range rec.Row {
-		binary.LittleEndian.PutUint32(buf[off+4*i:], math.Float32bits(v))
-	}
-	return off + 4*len(rec.Row)
-}
-
-// readRecord streams one record of either format into rec. rec.Row (and,
-// for format 2, rec.Q) must be pre-sized to the segment's dim; buf must
-// hold maxRecordSize bytes. A short read — including a tear between the
-// fixed prefix and the payload — surfaces as an io error, and a key at
-// or beyond rows as a range error.
-func readRecord(r io.Reader, hdr *segHeader, rows int64, buf []byte, rec *Record) error {
+// readRecord decodes one record from r into rec, whose Row and Q are
+// pre-sized to the segment's dim. A short read — including a tear
+// between the prefix and the row image — surfaces as an io error, and a
+// key at or beyond rows as a range error.
+func readRecord(r *bufio.Reader, hdr *segHeader, rows int64, rec *Record) error {
 	hasState := hdr.HasState == 1
-	if hdr.Version == fmtVer {
-		n := recordSize(int(hdr.Dim), hasState)
-		if _, err := io.ReadFull(r, buf[:n]); err != nil {
-			return err
-		}
-		decodeRecord(buf[:n], hasState, rec)
-		rec.Cold = false
-		return checkKey(rec.Key, rows)
-	}
-	fixed := recordFixed(hasState)
-	if _, err := io.ReadFull(r, buf[:fixed]); err != nil {
+	p, err := r.Peek(recordPrefix(hasState))
+	if err != nil {
 		return err
 	}
-	rec.Key = binary.LittleEndian.Uint64(buf[0:])
+	rec.Key = binary.LittleEndian.Uint64(p)
 	if err := checkKey(rec.Key, rows); err != nil {
 		return err
 	}
-	rec.Version = binary.LittleEndian.Uint64(buf[8:])
-	rec.SafeStep = int64(binary.LittleEndian.Uint64(buf[16:]))
+	rec.Version = binary.LittleEndian.Uint64(p[8:])
+	rec.SafeStep = int64(binary.LittleEndian.Uint64(p[16:]))
 	rec.State = 0
 	if hasState {
-		rec.State = math.Float32frombits(binary.LittleEndian.Uint32(buf[24:]))
+		rec.State = math.Float32frombits(binary.LittleEndian.Uint32(p[24:]))
 	}
-	dim := int(hdr.Dim)
-	switch buf[fixed-1] {
-	case recTagHot:
-		if _, err := io.ReadFull(r, buf[:4*dim]); err != nil {
-			return err
-		}
-		rec.Cold, rec.Scale, rec.Zero = false, 0, 0
-		for i := range rec.Row {
-			rec.Row[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	case recTagCold:
-		if _, err := io.ReadFull(r, buf[:8+dim]); err != nil {
-			return err
-		}
-		rec.Cold = true
-		rec.Scale = math.Float32frombits(binary.LittleEndian.Uint32(buf[0:]))
-		rec.Zero = math.Float32frombits(binary.LittleEndian.Uint32(buf[4:]))
-		for i := 0; i < dim; i++ {
-			rec.Q[i] = int8(buf[8+i])
-		}
-		tensor.DequantizeRow(rec.Q, rec.Scale, rec.Zero, rec.Row)
-	default:
-		return fmt.Errorf("invalid tier tag %d", buf[fixed-1])
-	}
-	return nil
+	r.Discard(len(p))
+	return runtime.ReadImage(r, hdr.Version == segVer, &rec.RowImage)
 }
 
 // checkKey refuses a record key outside the slab it replays onto.

@@ -535,15 +535,16 @@ func TestTieredWriterCompaction(t *testing.T) {
 // dim, state flag, record count, watermark).
 const segHeaderSize = 4 + 4 + 4 + 4 + 8 + 8
 
-// setRecordKey overwrites the key of record i in a format-1 segment
-// without optimizer state, whose records are 24+4·dim bytes each.
+// setRecordKey overwrites the key of record i in a segment of an
+// untiered host without optimizer state, whose records are 24+1+4·dim
+// bytes each (prefix, hot tag, float32 row).
 func setRecordKey(t *testing.T, path string, dim, i int, key uint64) {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(b[segHeaderSize+i*(24+4*dim):], key)
+	binary.LittleEndian.PutUint64(b[segHeaderSize+i*(25+4*dim):], key)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -617,4 +618,33 @@ func TestCompactionKeyOutOfRange(t *testing.T) {
 		t.Fatalf("compaction over a corrupt segment: err = %v", err)
 	}
 	w.Close()
+}
+
+// TestOpenReplicaRefusesHugeBase plants a base that is a bare checkpoint
+// header claiming 2^62×4 rows (past the slab bound) or 2^27×32 rows (a
+// 16 GiB body in a 24-byte file). OpenReplica must return an error
+// before allocating either shape.
+func TestOpenReplicaRefusesHugeBase(t *testing.T) {
+	for _, tc := range []struct {
+		rows int64
+		dim  int32
+		want string
+	}{
+		{1 << 62, 4, "exceeds"},
+		{1 << 27, 32, "needs at least 17179869184 bytes, 0 remain"},
+	} {
+		dir := t.TempDir()
+		var b bytes.Buffer
+		binary.Write(&b, binary.LittleEndian, struct {
+			Magic, Version uint32
+			Rows           int64
+			Dim, HasState  int32
+		}{0xF21A6A10, 1, tc.rows, tc.dim, 0})
+		if err := os.WriteFile(filepath.Join(dir, "base-0000000000.ckpt"), b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ckpt.OpenReplica(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%d×%d base: err = %v, want %q", tc.rows, tc.dim, err, tc.want)
+		}
+	}
 }

@@ -15,9 +15,10 @@ import (
 // panic, and never a record whose key lies outside the slab it would
 // replay onto. The reader sizes its buffers by the caller's dim alone,
 // so a hostile record count or tier tag cannot size an allocation. The
-// seeds are valid segments of format 1 (with and without optimizer
-// state) and tier-tagged format 2 (hot and cold records), plus a
-// truncated one, an out-of-range key, a bad tier tag and a huge count.
+// seeds are valid segments of the untagged format 1 (with and without
+// optimizer state) and the tier-tagged format 2 (hot and cold records),
+// plus a truncated one, an out-of-range key, a bad tier tag and a huge
+// count.
 func FuzzSegmentRead(f *testing.F) {
 	const rows, dim = 16, 4
 	row := []float32{1, -2, 0.5, 3}
@@ -26,36 +27,31 @@ func FuzzSegmentRead(f *testing.F) {
 		{Key: 1, SafeStep: 3, RowImage: runtime.RowImage{Version: 2, State: 0.25, Row: row, Q: q}},
 		{Key: 15, SafeStep: 4, RowImage: runtime.RowImage{Version: 9, Row: row, Q: q, Cold: true, Scale: 0.1, Zero: -1}},
 	}
-	segment := func(version uint32, hasState bool, count int64, recs []Record) []byte {
-		hdr := segHeader{Magic: segMagic, Version: version, Dim: dim, Records: count, Watermark: 7}
+	// segment builds a tagged (format-2) segment; untaggedSegment builds
+	// format 1.
+	segment := func(hasState bool, count int64, recs []Record) []byte {
+		hdr := segHeader{Magic: segMagic, Version: segVer, Dim: dim, Records: count, Watermark: 7}
 		if hasState {
 			hdr.HasState = 1
 		}
 		var b bytes.Buffer
 		binary.Write(&b, binary.LittleEndian, hdr)
-		buf := make([]byte, maxRecordSize(dim, hasState))
 		for i := range recs {
-			n := recordSize(dim, hasState)
-			if version == fmtVerTiered {
-				n = encodeRecordTiered(buf, hasState, &recs[i])
-			} else {
-				encodeRecord(buf, hasState, &recs[i])
-			}
-			b.Write(buf[:n])
+			b.Write(appendRecord(nil, hasState, &recs[i]))
 		}
 		return b.Bytes()
 	}
-	v1 := segment(fmtVer, false, 2, recs)
-	v2 := segment(fmtVerTiered, true, 2, recs)
+	v1 := untaggedSegment(dim, false, 2, 7, recs)
+	v2 := segment(true, 2, recs)
 	f.Add(v1)
-	f.Add(segment(fmtVer, true, 2, recs))
+	f.Add(untaggedSegment(dim, true, 2, 7, recs))
 	f.Add(v2)
-	f.Add(segment(fmtVerTiered, false, 2, recs))
+	f.Add(segment(false, 2, recs))
 	f.Add(v2[:len(v2)-3])
-	f.Add(segment(fmtVerTiered, false, 1, []Record{{Key: 1 << 40, RowImage: runtime.RowImage{Row: row, Q: q}}}))
-	f.Add(segment(fmtVer, false, 1<<62, recs))
+	f.Add(segment(false, 1, []Record{{Key: 1 << 40, RowImage: runtime.RowImage{Row: row, Q: q}}}))
+	f.Add(untaggedSegment(dim, false, 1<<62, 7, recs))
 	badTag := bytes.Clone(v2)
-	badTag[32+recordFixed(true)-1] = 7
+	badTag[32+recordPrefix(true)] = 7
 	f.Add(badTag)
 	f.Add([]byte{})
 
@@ -94,10 +90,10 @@ func FuzzMetaRead(f *testing.F) {
 	}
 	f.Add(v)
 	f.Add(v[:len(v)-5])
-	f.Add(withHeader(segMagic, fmtVer, rows))
-	f.Add(withHeader(metaMagic, fmtVerTiered, rows))
-	f.Add(withHeader(metaMagic, fmtVer, rows-1))
-	f.Add(withHeader(metaMagic, fmtVer, 1<<62))
+	f.Add(withHeader(segMagic, metaVer, rows))
+	f.Add(withHeader(metaMagic, metaVer+1, rows))
+	f.Add(withHeader(metaMagic, metaVer, rows-1))
+	f.Add(withHeader(metaMagic, metaVer, 1<<62))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := runtime.NewHost(rows, 1)

@@ -223,7 +223,7 @@ type metaHeader struct {
 
 // writeMeta streams the replica's sidecar to w.
 func (r *Replica) writeMeta(w io.Writer) error {
-	hdr := metaHeader{metaMagic, fmtVer, r.host.Rows(), r.wm.Load()}
+	hdr := metaHeader{metaMagic, metaVer, r.host.Rows(), r.wm.Load()}
 	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
 		return err
 	}
@@ -242,7 +242,7 @@ func readMeta(r io.Reader, host *runtime.Host, safe []atomic.Int64) (watermark i
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return 0, fmt.Errorf("header: %w", err)
 	}
-	if hdr.Magic != metaMagic || hdr.Version != fmtVer {
+	if hdr.Magic != metaMagic || hdr.Version != metaVer {
 		return 0, fmt.Errorf("not a ckpt sidecar (magic %#x, version %d)", hdr.Magic, hdr.Version)
 	}
 	if hdr.Rows != host.Rows() {

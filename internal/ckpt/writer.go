@@ -145,7 +145,7 @@ func NewWriter(host *runtime.Host, pr Prober, opt Options) (*Writer, error) {
 		kick:   make(chan struct{}, 1),
 		lastWM: -1,
 		rec:    newRecord(host.Dim()),
-		recBuf: make([]byte, maxRecordSize(host.Dim(), host.HasOptState())),
+		recBuf: make([]byte, 0, maxRecordSize(host.Dim())),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -355,13 +355,9 @@ func (w *Writer) writeSegment(seq, wm int64, keys []uint64) (deferred []uint64, 
 	}
 
 	hasState := w.host.HasOptState()
-	tiered := w.host.Tiered()
 	hdr := segHeader{
-		Magic: segMagic, Version: fmtVer,
+		Magic: segMagic, Version: segVer,
 		Dim: int32(w.host.Dim()), Records: int64(len(kept)), Watermark: wm,
-	}
-	if tiered {
-		hdr.Version = fmtVerTiered
 	}
 	if hasState {
 		hdr.HasState = 1
@@ -379,13 +375,8 @@ func (w *Writer) writeSegment(seq, wm int64, keys []uint64) (deferred []uint64, 
 			// One critical section captures version, state and the row in
 			// its current tier — a cold row's codes verbatim.
 			w.host.CaptureRow(key, &rec.RowImage)
-			n := recordSize(int(hdr.Dim), hasState)
-			if tiered {
-				n = encodeRecordTiered(w.recBuf, hasState, rec)
-			} else {
-				encodeRecord(w.recBuf, hasState, rec)
-			}
-			bw.Write(w.recBuf[:n]) // bufio keeps the first error for Flush
+			w.recBuf = appendRecord(w.recBuf[:0], hasState, rec)
+			bw.Write(w.recBuf) // bufio keeps the first error for Flush
 		}
 		return bw.Flush()
 	})

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"frugal/internal/data"
@@ -120,5 +122,45 @@ func TestCheckpointResume(t *testing.T) {
 	warmFirst := res2.Losses[0]
 	if warmFirst > coldFirst*0.8 {
 		t.Fatalf("warm start (%v) should be well below cold start (%v)", warmFirst, coldFirst)
+	}
+}
+
+// TestCheckpointHugeHeaders: a bare header must be refused before its
+// shape is allocated. 2^62×4 overflows a multiplied rows×dim bound (it
+// wrapped to 0 and panicked in makeslice); 2^27×32 is inside the bound,
+// but its 16 GiB body cannot fit in the input that remains.
+func TestCheckpointHugeHeaders(t *testing.T) {
+	if _, err := NewHost(1<<62, 4); err == nil {
+		t.Fatal("NewHost(2^62, 4) accepted")
+	}
+	if _, err := NewTieredHost(1<<62, 4, 0.5); err == nil {
+		t.Fatal("NewTieredHost(2^62, 4) accepted")
+	}
+	for _, tc := range []struct {
+		rows int64
+		dim  int32
+		want string
+	}{
+		{1 << 62, 4, "exceeds"},
+		{1 << 27, 32, "needs at least 17179869184 bytes, 0 remain"},
+	} {
+		raw := checkpointHeaderOnly(tc.rows, tc.dim)
+		if _, err := LoadHost(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("LoadHost(%d×%d header): err = %v, want %q", tc.rows, tc.dim, err, tc.want)
+		}
+		if _, err := LoadHostTiered(bytes.NewReader(raw), 0.5); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("LoadHostTiered(%d×%d header): err = %v, want %q", tc.rows, tc.dim, err, tc.want)
+		}
+	}
+	// A state flag other than 0 or 1 is refused.
+	h, _ := NewHost(10, 2)
+	var buf bytes.Buffer
+	if err := h.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint32(raw[20:], 2)
+	if _, err := LoadHost(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "state flag 2") {
+		t.Fatalf("state flag 2: err = %v", err)
 	}
 }

@@ -52,15 +52,27 @@ type Host struct {
 
 const lockStripes = 1024
 
+// maxSlab bounds a host's rows×dim: 1<<33 float32s is 32 GiB, a sanity
+// bound for tests.
+const maxSlab = 1 << 33
+
+// checkShape refuses a host shape that is empty or past maxSlab. The
+// bound divides rather than multiplies, so no rows×dim can wrap past it.
+func checkShape(rows int64, dim int) error {
+	if rows <= 0 || dim <= 0 {
+		return fmt.Errorf("runtime: invalid host shape rows=%d dim=%d", rows, dim)
+	}
+	if rows > maxSlab/int64(dim) {
+		return fmt.Errorf("runtime: host slab %d×%d exceeds the %d-float bound; use a Scaled() spec", rows, dim, maxSlab)
+	}
+	return nil
+}
+
 // NewHost allocates a zero-initialised host slab for `rows` embeddings of
 // dimension dim. Use Init to fill it.
 func NewHost(rows int64, dim int) (*Host, error) {
-	if rows <= 0 || dim <= 0 {
-		return nil, fmt.Errorf("runtime: invalid host shape rows=%d dim=%d", rows, dim)
-	}
-	const maxSlab = 1 << 33 // 8 GiB of float32s — sanity bound for tests
-	if rows*int64(dim) > maxSlab {
-		return nil, fmt.Errorf("runtime: host slab %d floats exceeds bound; use a Scaled() spec", rows*int64(dim))
+	if err := checkShape(rows, dim); err != nil {
+		return nil, err
 	}
 	return &Host{
 		rows:     rows,

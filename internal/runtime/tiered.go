@@ -97,9 +97,6 @@ type coldTier struct {
 // rest cold, with promotion/demotion adapting the split to the access
 // distribution once training runs. hotFraction must be in (0, 1].
 func NewTieredHost(rows int64, dim int, hotFraction float64) (*Host, error) {
-	if rows <= 0 || dim <= 0 {
-		return nil, fmt.Errorf("runtime: invalid host shape rows=%d dim=%d", rows, dim)
-	}
 	if hotFraction <= 0 || hotFraction > 1 {
 		return nil, fmt.Errorf("runtime: hot fraction must be in (0, 1], got %g", hotFraction)
 	}
@@ -117,9 +114,8 @@ func NewTieredHost(rows int64, dim int, hotFraction float64) (*Host, error) {
 // the checkpoint loader uses it to reproduce a saved host's split
 // without hotFraction rounding drift.
 func newTieredHost(rows int64, dim int, hotCap int) (*Host, error) {
-	const maxSlab = 1 << 33 // same sanity bound as NewHost, in logical rows
-	if rows*int64(dim) > maxSlab {
-		return nil, fmt.Errorf("runtime: host slab %d floats exceeds bound; use a Scaled() spec", rows*int64(dim))
+	if err := checkShape(rows, dim); err != nil {
+		return nil, err
 	}
 	if hotCap < 1 || int64(hotCap) > rows {
 		return nil, fmt.Errorf("runtime: hot capacity %d outside [1, %d]", hotCap, rows)
@@ -227,6 +223,25 @@ func (t *coldTier) resetCold() {
 		t.free = append(t.free, int32(s))
 	}
 	t.clock = 0
+}
+
+// place installs an image decoded by a checkpoint load, after
+// resetCold. A cold image's codes already sit in the key's code row, so
+// only its scale and zero are stored; a hot one takes the next free
+// slot, or quantizes into the code row when the pool is full.
+func (t *coldTier) place(key uint64, img *RowImage) {
+	switch {
+	case img.Cold:
+		t.qscale[key], t.qzero[key] = img.Scale, img.Zero
+	case len(t.free) > 0:
+		slot := t.free[len(t.free)-1]
+		t.free = t.free[:len(t.free)-1]
+		copy(t.slotRow(slot), img.Row)
+		t.tier[key].Store(slot + 1)
+		t.owner[slot] = key
+	default:
+		t.qscale[key], t.qzero[key] = tensor.QuantizeRow(img.Row, t.qrow(key))
+	}
 }
 
 // qrow returns the key's code row.
@@ -445,9 +460,10 @@ func (t *coldTier) commitRow(key uint64, row []float32, cold bool) {
 
 // RowImage is a tier-tagged row capture: the full-precision image for a
 // hot (or untiered) row, or the verbatim (codes, scale, zero) triple
-// for a cold one. The delta-checkpoint log stores and restores cold
-// rows through it without a dequantize→requantize round trip, which is
-// what makes reconstruction bit-identical.
+// for a cold one. AppendImage and ReadImage are its one on-disk codec,
+// shared by checkpoint bodies and delta-log records; cold rows cross it
+// without a dequantize→requantize round trip, which is what makes
+// reconstruction bit-identical.
 type RowImage struct {
 	Version uint64
 	State   float32
