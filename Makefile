@@ -21,10 +21,11 @@ race-core:
 	$(GO) test -race ./internal/runtime/... ./internal/cache ./internal/p2f/... ./internal/fault/... ./internal/pq/... ./internal/lfht/... ./internal/serve ./internal/serve/loadgen ./internal/store ./internal/shard ./internal/stream ./internal/ckpt
 
 # The P²F soundness suite under the race detector at several GOMAXPROCS
-# values: the gate property and the random-trace invariant, Top's
-# self-healing below a raised lower bound, the flush-before-dequeue
-# protocol, concurrent queue and hash-table stress (single-winner and
-# build-once GetOrInsert), and the in-flight floor.
+# values: the gate property and the random-trace invariant, the queue
+# scan's self-healing below a raised lower bound (Top and ProcessBatch),
+# the flush-before-dequeue protocol, concurrent queue and hash-table
+# stress (single-winner and build-once GetOrInsert), and the in-flight
+# floor.
 invariants:
 	$(GO) test -race -cpu 1,2,4 -count=3 \
 		-run 'TestGatePropertyQuick|TestInvariantHoldsUnderRandomTraces|TestTopSelfHeals|TestProcessBatch|TestQueueConcurrentStress|TestConcurrent|TestGetOrInsertConcurrent|TestInFlight' \

@@ -222,7 +222,7 @@ func benchPQCycle(b *testing.B) {
 		for _, g := range entries {
 			g.Mu.Lock()
 			g.AddRead(1)
-			g.AddWrite(1, nil)
+			g.AddWriteState(1, nil, 0)
 			g.Priority = g.ComputePriority()
 			g.InQueue = true
 			q.Enqueue(g, g.Priority)

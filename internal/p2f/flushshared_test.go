@@ -13,7 +13,8 @@ import (
 // one hot key with pending writes and a deliberately slow sink: exactly
 // one of them must run the flush, the rest must piggyback on it. The
 // controller is never Start()ed, so no flusher pool races the serving
-// path — every sink call below is FlushKeyShared traffic.
+// path — every sink call below is FlushKey traffic. (The name is the
+// shared, singleflight flush it pins: FlushKey is the coalescing one.)
 func TestFlushKeySharedCoalesces(t *testing.T) {
 	const key, readers = uint64(7), 16
 	var flushes atomic.Int64
@@ -40,7 +41,7 @@ func TestFlushKeySharedCoalesces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if c.FlushKeyShared(key) {
+			if c.FlushKey(key) {
 				reportedFlushed.Add(1)
 			}
 		}()
@@ -64,7 +65,7 @@ func TestFlushKeySharedCoalesces(t *testing.T) {
 	}
 	// The storm is over and the entry drained: the next shared flush finds
 	// nothing and says so.
-	if c.FlushKeyShared(key) {
+	if c.FlushKey(key) {
 		t.Fatal("drained key reported another flush")
 	}
 }
@@ -80,7 +81,7 @@ func TestFlushKeySharedUntouchedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FlushKeyShared(42) {
+	if c.FlushKey(42) {
 		t.Fatal("untouched key reported a flush")
 	}
 	if co := c.Stats().CoalescedFlushes; co != 0 {

@@ -169,7 +169,7 @@ type Stats struct {
 	PrefetchedSteps int64
 	// CommittedSteps is the number of fully committed steps.
 	CommittedSteps int64
-	// CoalescedFlushes counts FlushKeyShared callers that piggybacked on
+	// CoalescedFlushes counts FlushKey callers that piggybacked on
 	// another caller's in-flight flush instead of running their own —
 	// refresh-storm pressure the singleflight layer absorbed.
 	CoalescedFlushes int64
@@ -214,7 +214,7 @@ type Controller struct {
 	urgentFlushes   atomic.Int64
 	prefetchedSteps atomic.Int64
 
-	// Singleflight state for FlushKeyShared: at most one serving-triggered
+	// Singleflight state for FlushKey: at most one serving-triggered
 	// flush per key is in flight; concurrent requesters wait on it.
 	flightMu  sync.Mutex
 	flight    map[uint64]*flushCall
@@ -538,25 +538,6 @@ func (c *Controller) committed(s int64) {
 	c.mu.Unlock()
 }
 
-// ReadDone removes step s from the read sets of keys that were read but
-// not updated at step s (e.g. an inference-only pass). Updated keys are
-// handled by CommitStep.
-func (c *Controller) ReadDone(s int64, keys []uint64) {
-	for _, k := range keys {
-		g, ok := c.dir.Get(k)
-		if !ok {
-			continue
-		}
-		g.Mu.Lock()
-		if g.RemoveRead(s) && g.InQueue {
-			if newP := g.ComputePriority(); newP != g.Priority {
-				c.queue.AdjustPriority(g, g.Priority, newP)
-			}
-		}
-		g.Mu.Unlock()
-	}
-}
-
 // ----------------------------------------------------------------------
 // Serving support (internal/serve)
 //
@@ -645,19 +626,18 @@ func (c *Controller) RowStaleness(key uint64) (lag, watermark int64) {
 	return lag, wm
 }
 
-// FlushKey synchronously drains key's pending write set through the sink,
-// making the host row reflect every update committed so far. It reports
-// whether anything was flushed. This is the `fresh` serve level's
-// mechanism: the inline flush mirrors commitDegraded's write-through
-// critical section (g.Mu held across the one-set sink call, which also
-// excludes the flusher pool — ProcessBatch runs its visit under the same
-// lock), and the emptied entry then rides the AdjustPriority path to the
-// ∞ slot so the consistency gate's Top() scan stops charging it for work
-// that is already on the host. The residue node left in the queue is
-// culled by the next flusher visit, exactly like a crash-redistributed
-// entry. A write set a flusher has in flight is waited for first, so the
-// key's updates still land in step order.
-func (c *Controller) FlushKey(key uint64) bool {
+// flushKey is FlushKey's uncoalesced body: it drains key's pending write
+// set through the sink and reports whether anything was flushed. The
+// inline flush mirrors commitDegraded's write-through critical section
+// (g.Mu held across the one-set sink call, which also excludes the
+// flusher pool — ProcessBatch runs its visit under the same lock), and
+// the emptied entry then rides the AdjustPriority path to the ∞ slot so
+// the consistency gate's Top() scan stops charging it for work that is
+// already on the host. The residue node left in the queue is culled by
+// the next flusher visit, exactly like a crash-redistributed entry. A
+// write set a flusher has in flight is waited for first, so the key's
+// updates still land in step order.
+func (c *Controller) flushKey(key uint64) bool {
 	g, ok := c.dir.Get(key)
 	if !ok {
 		return false
@@ -702,7 +682,7 @@ func (c *Controller) landWrites(g *pq.GEntry) {
 	g.FlushedWrites(w) // the sink does not retain w
 }
 
-// flushCall is one in-flight FlushKeyShared execution. wm is the
+// flushCall is one in-flight FlushKey execution. wm is the
 // committed-step watermark loaded by the leader *before* its TakeWrites:
 // every update committed at or before wm is covered by this flush, so a
 // waiter that only needs freshness up to wm may safely piggyback.
@@ -712,20 +692,22 @@ type flushCall struct {
 	flushed bool
 }
 
-// FlushKeyShared is FlushKey with singleflight coalescing: when N
-// concurrent readers of one hot stale key all demand a refresh, one of
-// them runs the flush and the rest wait on it — one urgent flush instead
-// of N goroutines hammering the g-entry lock (and, through broadcast, the
-// controller mutex the trainers' gate sleeps on). This is the serving
-// layer's refresh path for `fresh` and over-bound `bounded(k)` reads.
+// FlushKey synchronously drains key's pending write set through the sink,
+// making the host row reflect every update committed so far, and reports
+// whether anything was flushed. This is the serving layer's refresh path
+// for `fresh` and over-bound `bounded(k)` reads.
 //
-// Coalescing preserves the freshness contract: a waiter joins an
-// in-flight call only if that call's watermark (loaded before its
-// TakeWrites) covers the watermark current at the waiter's own entry.
-// Otherwise the in-flight flush may predate commits the waiter must
-// observe, and the waiter retries after it completes — at most one extra
-// flush, never a stale admit.
-func (c *Controller) FlushKeyShared(key uint64) bool {
+// Concurrent calls for one key coalesce (singleflight): when N readers of
+// one hot stale key all demand a refresh, one of them runs the flush
+// (flushKey) and the rest wait on it — one urgent flush instead of N
+// goroutines hammering the g-entry lock (and, through broadcast, the
+// controller mutex the trainers' gate sleeps on). Coalescing preserves
+// the freshness contract: a waiter joins an in-flight call only if that
+// call's watermark (loaded before its TakeWrites) covers the watermark
+// current at the waiter's own entry. Otherwise the in-flight flush may
+// predate commits the waiter must observe, and the waiter retries after
+// it completes — at most one extra flush, never a stale admit.
+func (c *Controller) FlushKey(key uint64) bool {
 	need := c.watermark.Load()
 	for {
 		c.flightMu.Lock()
@@ -743,7 +725,7 @@ func (c *Controller) FlushKeyShared(key uint64) bool {
 		c.flight[key] = call
 		c.flightMu.Unlock()
 
-		call.flushed = c.FlushKey(key)
+		call.flushed = c.flushKey(key)
 
 		c.flightMu.Lock()
 		delete(c.flight, key)

@@ -378,35 +378,6 @@ func TestTreeHeapBackendEquivalence(t *testing.T) {
 	}
 }
 
-func TestReadDone(t *testing.T) {
-	// A read-only pass must clear read sets so deferred updates stay ∞.
-	sink := newRecordSink()
-	src := &sliceSource{batches: [][]uint64{{1}, {1}}}
-	c := newTestController(t, Options{MaxStep: 2, FlushThreads: 1, Sink: sink, Source: src})
-	b, _ := c.NextBatch()
-	c.WaitForStep(b.Step)
-	c.CommitStep(b.Step, []KeyDelta{{Key: 1, Delta: []float32{1}}})
-	b2, _ := c.NextBatch()
-	c.WaitForStep(b2.Step)
-	// Read-only step: no update, just retire the read.
-	c.ReadDone(b2.Step, b2.Keys)
-	c.mu.Lock()
-	c.commits[b2.Step] = 0 // nothing to commit
-	c.committedStep = b2.Step
-	c.gate.Broadcast()
-	c.mu.Unlock()
-	c.DrainAll()
-	g, ok := c.Entry(1)
-	if !ok {
-		t.Fatal("entry missing")
-	}
-	g.Mu.Lock()
-	defer g.Mu.Unlock()
-	if len(g.R) != 0 || len(g.W) != 0 {
-		t.Fatalf("entry not fully retired: %v", g)
-	}
-}
-
 func TestStopIsIdempotentAndUnblocks(t *testing.T) {
 	sink := newRecordSink()
 	src := &sliceSource{batches: [][]uint64{{1}, {1}, {1}}}

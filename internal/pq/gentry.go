@@ -114,11 +114,6 @@ func (g *GEntry) RemoveRead(step int64) bool {
 	return false
 }
 
-// AddWrite appends a pending update. Callers must hold Mu.
-func (g *GEntry) AddWrite(step int64, delta []float32) {
-	g.W = append(g.W, Update{Step: step, Delta: delta})
-}
-
 // AddWriteState appends a pending update carrying an optimizer-state
 // increment. Callers must hold Mu.
 func (g *GEntry) AddWriteState(step int64, delta []float32, stateDelta float32) {
@@ -133,7 +128,7 @@ func (g *GEntry) TakeWrites() []Update {
 }
 
 // FlushedWrites hands the storage of a flushed write set back to the entry
-// so future AddWrite calls reuse its capacity instead of growing a fresh
+// so future AddWriteState calls reuse its capacity instead of growing a fresh
 // slice from nil. Callers must hold Mu and must be done with w's
 // elements — the delta buffers they reference have been applied and
 // returned to their pool. A write set started since the TakeWrites that
@@ -158,18 +153,13 @@ func (g *GEntry) String() string {
 // TreeHeap baseline. All methods are safe for concurrent use.
 //
 // The contract mirrors §3.4: Enqueue inserts a g-entry under a priority,
-// Dequeue removes a minimum-priority entry, DequeueBatch amortises the
-// scan, AdjustPriority moves an already-queued entry, and Top exposes the
-// front priority for the consistency gate (training step s may start only
-// when Top() > s).
+// AdjustPriority moves an already-queued entry, ProcessBatch is the
+// batched dequeue the flushers drain (Fig 7) and the only way out of the
+// queue, and Top exposes the front priority for the consistency gate
+// (training step s may start only when Top() > s).
 type Queue interface {
 	// Enqueue inserts g under priority p.
 	Enqueue(g *GEntry, p int64)
-	// Dequeue removes and returns a minimum-priority entry with its
-	// priority, or ok=false when the queue is empty.
-	Dequeue() (g *GEntry, p int64, ok bool)
-	// DequeueBatch appends up to max minimum-priority entries to dst.
-	DequeueBatch(dst []*GEntry, max int) []*GEntry
 	// AdjustPriority moves g from priority old to priority new.
 	AdjustPriority(g *GEntry, old, new int64)
 	// ProcessBatch visits up to max minimum-priority entries, calling fn
@@ -180,7 +170,10 @@ type Queue interface {
 	// slotPriority), claim it by clearing g.InQueue, and report whether
 	// it did (false culls a stale residue). fn must be idempotent —
 	// concurrent processors may visit the same node twice. Returns the
-	// number of nodes processed.
+	// number of nodes processed, which under concurrency is not the
+	// number fn claimed: another processor may unlink a node this call
+	// claimed, and this call then goes on past max claims. Callers count
+	// their claims in fn.
 	ProcessBatch(max int, fn func(g *GEntry, slotPriority int64) bool) int
 	// Top returns the priority at the front of the queue (Inf when empty:
 	// an empty queue never blocks training).

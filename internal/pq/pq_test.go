@@ -54,7 +54,7 @@ func TestGEntryPriorityEquation(t *testing.T) {
 		t.Fatalf("W=∅ priority = %d, want Inf", p)
 	}
 	// Both non-empty → min(R).
-	g.AddWrite(3, []float32{1})
+	g.AddWriteState(3, []float32{1}, 0)
 	if p := g.ComputePriority(); p != 5 {
 		t.Fatalf("priority = %d, want 5", p)
 	}
@@ -103,8 +103,8 @@ func TestGEntryReadSetOps(t *testing.T) {
 func TestGEntryTakeWrites(t *testing.T) {
 	g := NewGEntry(1)
 	g.Mu.Lock()
-	g.AddWrite(0, []float32{1})
-	g.AddWrite(1, []float32{2})
+	g.AddWriteState(0, []float32{1}, 0)
+	g.AddWriteState(1, []float32{2}, 0)
 	w := g.TakeWrites()
 	g.Mu.Unlock()
 	if len(w) != 2 || w[0].Step != 0 || w[1].Step != 1 {
@@ -141,7 +141,7 @@ func TestQueueOrdering(t *testing.T) {
 			}
 			var got []int64
 			for {
-				_, p, ok := q.Dequeue()
+				_, p, ok := pop(q)
 				if !ok {
 					break
 				}
@@ -171,13 +171,13 @@ func TestQueueAdjustPriority(t *testing.T) {
 			enq(q, a, 10)
 			enq(q, b, 20)
 			adj(q, a, 50) // a: 10 → 50; b now smallest
-			g, p, ok := q.Dequeue()
+			g, p, ok := pop(q)
 			if !ok || g.Key != 2 || p != 20 {
-				t.Fatalf("Dequeue = (%v,%d,%v), want b@20", g, p, ok)
+				t.Fatalf("ProcessBatch = (%v,%d,%v), want b@20", g, p, ok)
 			}
-			g, p, ok = q.Dequeue()
+			g, p, ok = pop(q)
 			if !ok || g.Key != 1 || p != 50 {
-				t.Fatalf("Dequeue = (%v,%d,%v), want a@50", g, p, ok)
+				t.Fatalf("ProcessBatch = (%v,%d,%v), want a@50", g, p, ok)
 			}
 			if q.Len() != 0 {
 				t.Fatalf("Len = %d after drain", q.Len())
@@ -195,7 +195,7 @@ func TestQueueAdjustToInf(t *testing.T) {
 			if top := q.Top(); top != Inf {
 				t.Fatalf("Top = %d, want Inf after deferring the only entry", top)
 			}
-			g, p, ok := q.Dequeue()
+			g, p, ok := pop(q)
 			if !ok || p != Inf || g.Key != 1 {
 				t.Fatalf("deferred entry should still drain: (%v,%d,%v)", g, p, ok)
 			}
@@ -209,25 +209,25 @@ func TestQueueDequeueBatch(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				enq(q, NewGEntry(uint64(i)), int64(i))
 			}
-			batch := q.DequeueBatch(nil, 20)
+			batch := take(q, 20)
 			if len(batch) != 20 {
 				t.Fatalf("batch len = %d, want 20", len(batch))
 			}
-			rest := q.DequeueBatch(nil, 100)
+			rest := take(q, 100)
 			if len(rest) != 30 {
 				t.Fatalf("rest len = %d, want 30", len(rest))
 			}
 			// Batch respects priority order: every priority in the first
 			// batch is ≤ every priority in the second.
 			maxFirst, minRest := int64(-1), Inf
-			for _, g := range batch {
-				if g.Priority > maxFirst {
-					maxFirst = g.Priority
+			for _, c := range batch {
+				if c.g.Priority > maxFirst {
+					maxFirst = c.g.Priority
 				}
 			}
-			for _, g := range rest {
-				if g.Priority < minRest {
-					minRest = g.Priority
+			for _, c := range rest {
+				if c.g.Priority < minRest {
+					minRest = c.g.Priority
 				}
 			}
 			if maxFirst > minRest {
@@ -240,11 +240,11 @@ func TestQueueDequeueBatch(t *testing.T) {
 func TestQueueEmptyDequeue(t *testing.T) {
 	for name, q := range queues(t, 10) {
 		t.Run(name, func(t *testing.T) {
-			if _, _, ok := q.Dequeue(); ok {
-				t.Fatal("Dequeue on empty should fail")
+			if _, _, ok := pop(q); ok {
+				t.Fatal("ProcessBatch(1) on empty should claim nothing")
 			}
-			if got := q.DequeueBatch(nil, 5); len(got) != 0 {
-				t.Fatal("DequeueBatch on empty should return nothing")
+			if got := take(q, 5); len(got) != 0 {
+				t.Fatal("ProcessBatch(5) on empty should claim nothing")
 			}
 			if q.Top() != Inf {
 				t.Fatal("Top on empty should be Inf")
@@ -296,7 +296,7 @@ func TestTwoLevelScanCompressionEquivalence(t *testing.T) {
 	// same entries in the same priority order.
 	on := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 5000})
 	off := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 5000, DisableScanCompression: true})
-	if !on.ScanCompressionEnabled() || off.ScanCompressionEnabled() {
+	if !on.compress || off.compress {
 		t.Fatal("compression flags wrong")
 	}
 	rng := rand.New(rand.NewSource(42))
@@ -309,8 +309,8 @@ func TestTwoLevelScanCompressionEquivalence(t *testing.T) {
 	}
 	sort.Slice(prios, func(i, j int) bool { return prios[i] < prios[j] })
 	for i, want := range prios {
-		_, p1, ok1 := on.Dequeue()
-		_, p2, ok2 := off.Dequeue()
+		_, p1, ok1 := pop(on)
+		_, p2, ok2 := pop(off)
 		if !ok1 || !ok2 || p1 != want || p2 != want {
 			t.Fatalf("drain %d: on=(%d,%v) off=(%d,%v) want %d", i, p1, ok1, p2, ok2, want)
 		}
@@ -325,11 +325,11 @@ func TestTwoLevelStaleResidueCulled(t *testing.T) {
 	// The §3.4 protocol inserts-then-deletes, so the old slot may hold a
 	// residue; whatever happens, the entry must drain exactly once at its
 	// final priority.
-	got, p, ok := q.Dequeue()
+	got, p, ok := pop(q)
 	if !ok || got.Key != 1 || p != 60 {
-		t.Fatalf("Dequeue = (%v,%d,%v), want key1@60", got, p, ok)
+		t.Fatalf("ProcessBatch = (%v,%d,%v), want key1@60", got, p, ok)
 	}
-	if _, _, ok := q.Dequeue(); ok {
+	if _, _, ok := pop(q); ok {
 		t.Fatal("entry must not drain twice")
 	}
 }
@@ -355,21 +355,24 @@ func TestQueueConcurrentStress(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for {
-						if g, _, ok := q.Dequeue(); ok {
-							if g == nil {
-								t.Error("nil entry dequeued")
-								return
+						if got := take(q, 1); len(got) > 0 {
+							for _, c := range got {
+								if c.g == nil {
+									t.Error("nil entry claimed")
+									return
+								}
 							}
-							claimed.Add(1)
+							claimed.Add(int64(len(got)))
 							continue
 						}
 						select {
 						case <-done:
 							for {
-								if _, _, ok := q.Dequeue(); !ok {
+								got := take(q, 1)
+								if len(got) == 0 {
 									return
 								}
-								claimed.Add(1)
+								claimed.Add(int64(len(got)))
 							}
 						default:
 							time.Sleep(100 * time.Microsecond)
@@ -427,7 +430,7 @@ func TestQueueDrainProperty(t *testing.T) {
 			last := int64(-1)
 			n := 0
 			for {
-				_, p, ok := impl.Dequeue()
+				_, p, ok := pop(impl)
 				if !ok {
 					break
 				}
@@ -452,8 +455,9 @@ func TestQueueDrainProperty(t *testing.T) {
 
 // benchQueueMixed models the P²F access pattern: a shared training-step
 // cursor advances, enqueues land within the lookahead window [step,
-// step+L], dequeues drain from the front, and the controller raises the
-// scan lower bound as steps complete — exactly what WaitForStep does.
+// step+L], one-entry ProcessBatch calls under the flusher's claim drain
+// from the front, and the controller raises the scan lower bound as steps
+// complete — exactly what WaitForStep does.
 func benchQueueMixed(b *testing.B, mk func(maxStep int64) Queue) {
 	const L = 10
 	maxStep := int64(b.N) + 1<<15
@@ -464,6 +468,8 @@ func benchQueueMixed(b *testing.B, mk func(maxStep int64) Queue) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(int64(keys.Add(1))))
+		var flushed atomic.Int64
+		claim := flushClaim(&flushed)
 		for pb.Next() {
 			switch rng.Intn(4) {
 			case 0, 1:
@@ -472,7 +478,7 @@ func benchQueueMixed(b *testing.B, mk func(maxStep int64) Queue) {
 				q.Enqueue(g, step.Load()+int64(rng.Intn(L))+1)
 				g.Mu.Unlock()
 			case 2:
-				q.Dequeue()
+				q.ProcessBatch(1, claim)
 			case 3:
 				// The gate: advance the step cursor (and the scan window)
 				// only when the front of the queue has moved past it —
@@ -501,9 +507,10 @@ func BenchmarkTreeHeapMixed(b *testing.B) {
 	benchQueueMixed(b, func(int64) Queue { return NewTreeHeap(1 << 16) })
 }
 
-// BenchmarkPQScanRangeCompression is the §3.4 ablation: dequeue cost with
-// and without the bounded scan, late in a long training run when the
-// priority index is huge and live priorities cluster near the end.
+// BenchmarkPQScanRangeCompression is the §3.4 ablation: the cost of one
+// flusher claim (a one-entry ProcessBatch) with and without the bounded
+// scan, late in a long training run when the priority index is huge and
+// live priorities cluster near the end.
 func BenchmarkPQScanRangeCompression(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -522,10 +529,23 @@ func BenchmarkPQScanRangeCompression(b *testing.B) {
 			// window (compression keeps the scan there; the "off" mode
 			// must scan the whole index from zero).
 			q.RaiseLowerBound(base)
+			var flushed atomic.Int64
+			fc := flushClaim(&flushed)
+			var got *GEntry
+			var gotP int64
+			claim := func(g *GEntry, p int64) bool {
+				if !fc(g, p) {
+					return false
+				}
+				got, gotP = g, p
+				return true
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, p, ok := q.Dequeue()
-				if !ok {
+				got = nil
+				q.ProcessBatch(1, claim)
+				g, p := got, gotP
+				if g == nil {
 					b.StopTimer()
 					g = NewGEntry(uint64(i))
 					p = base + int64(i%1024)
@@ -540,7 +560,8 @@ func BenchmarkPQScanRangeCompression(b *testing.B) {
 }
 
 // BenchmarkPQDequeueBatchSize is the batched-dequeue ablation of Fig 7:
-// larger batches amortise the priority-index scan.
+// larger flusher batches (ProcessBatch's max) amortise the priority-index
+// scan.
 func BenchmarkPQDequeueBatchSize(b *testing.B) {
 	for _, batch := range []int{1, 8, 64, 256} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
@@ -548,11 +569,11 @@ func BenchmarkPQDequeueBatchSize(b *testing.B) {
 			for i := 0; i < 8192; i++ {
 				enq(q, NewGEntry(uint64(i)), int64(i%1024))
 			}
-			buf := make([]*GEntry, 0, batch)
+			var flushed atomic.Int64
+			claim := flushClaim(&flushed)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = q.DequeueBatch(buf[:0], batch)
-				if len(buf) == 0 {
+				if q.ProcessBatch(batch, claim) == 0 {
 					b.StopTimer()
 					for j := 0; j < 8192; j++ {
 						enq(q, NewGEntry(uint64(j)), int64(j%1024))

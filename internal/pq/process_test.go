@@ -21,13 +21,57 @@ func flushClaim(flushed *atomic.Int64) func(g *GEntry, p int64) bool {
 	}
 }
 
+// claim is one entry a ProcessBatch call claimed, with the slot priority
+// it was claimed at.
+type claim struct {
+	g *GEntry
+	p int64
+}
+
+// take claims up to max minimum-priority entries through ProcessBatch under
+// flushClaim's contract and returns them in claim order. It counts claims
+// in the visit, as the p2f flusher does: ProcessBatch's return counts the
+// nodes it unlinked, and a concurrent processor may unlink a node this
+// call claimed, so under concurrency a call can claim more than max.
+// Culled residues do not count toward max; take stops once a call neither
+// processes nor claims anything.
+func take(q Queue, max int) []claim {
+	var flushed atomic.Int64
+	fc := flushClaim(&flushed)
+	var got []claim
+	for len(got) < max {
+		before := len(got)
+		n := q.ProcessBatch(max-len(got), func(g *GEntry, p int64) bool {
+			if !fc(g, p) {
+				return false
+			}
+			got = append(got, claim{g, p})
+			return true
+		})
+		if n == 0 && len(got) == before {
+			break
+		}
+	}
+	return got
+}
+
+// pop claims one minimum-priority entry through ProcessBatch, or reports
+// ok=false when the queue has nothing to claim. Single-goroutine use only:
+// a concurrent caller uses take, which keeps every claim.
+func pop(q Queue) (g *GEntry, p int64, ok bool) {
+	if got := take(q, 1); len(got) > 0 {
+		return got[0].g, got[0].p, true
+	}
+	return nil, 0, false
+}
+
 func TestProcessBatchDrainsInPriorityOrder(t *testing.T) {
 	for name, q := range queues(t, 1000) {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				g := NewGEntry(uint64(i))
 				g.Mu.Lock()
-				g.AddWrite(0, []float32{1})
+				g.AddWriteState(0, []float32{1}, 0)
 				q.Enqueue(g, int64(i))
 				g.Mu.Unlock()
 			}
@@ -64,7 +108,7 @@ func TestProcessBatchVisibilityBeforeRemoval(t *testing.T) {
 	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
 	g := NewGEntry(1)
 	g.Mu.Lock()
-	g.AddWrite(0, []float32{1})
+	g.AddWriteState(0, []float32{1}, 0)
 	q.Enqueue(g, 5)
 	g.Mu.Unlock()
 
@@ -96,7 +140,7 @@ func TestProcessBatchCullsResidues(t *testing.T) {
 	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
 	g := NewGEntry(1)
 	g.Mu.Lock()
-	g.AddWrite(0, []float32{1})
+	g.AddWriteState(0, []float32{1}, 0)
 	q.Enqueue(g, 10)
 	q.AdjustPriority(g, 10, 40) // may leave a residue in slot 10
 	g.Mu.Unlock()
@@ -125,7 +169,7 @@ func TestProcessBatchConcurrentExactlyOnce(t *testing.T) {
 			for i := 0; i < entries; i++ {
 				g := NewGEntry(uint64(i))
 				g.Mu.Lock()
-				g.AddWrite(0, []float32{1})
+				g.AddWriteState(0, []float32{1}, 0)
 				q.Enqueue(g, int64(i%1024))
 				g.Mu.Unlock()
 			}
@@ -164,5 +208,34 @@ func TestProcessBatchEmptyAndZeroMax(t *testing.T) {
 				t.Fatalf("max=0 processed %d", n)
 			}
 		})
+	}
+}
+
+// TestProcessBatchSelfHealsBelowRaisedLowerBound plants a live finite
+// entry below a raised scan lower bound — the outcome of the
+// Enqueue/RaiseLowerBound race the compressed scan range admits — and
+// asserts one flusher batch still claims it at its own slot: the scan's
+// fallback must reach below the range before it settles for ∞ or nothing.
+func TestProcessBatchSelfHealsBelowRaisedLowerBound(t *testing.T) {
+	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	g := NewGEntry(1)
+	g.Mu.Lock()
+	g.AddWriteState(0, []float32{1}, 0)
+	q.Enqueue(g, 5)
+	g.Mu.Unlock()
+	q.RaiseLowerBound(20)
+
+	var flushed atomic.Int64
+	fc := flushClaim(&flushed)
+	var slots []int64
+	n := q.ProcessBatch(8, func(e *GEntry, p int64) bool {
+		slots = append(slots, p)
+		return fc(e, p)
+	})
+	if n != 1 || flushed.Load() != 1 || len(slots) != 1 || slots[0] != 5 {
+		t.Fatalf("ProcessBatch = %d nodes, %d flushed, slots %v; want 1, 1, [5]", n, flushed.Load(), slots)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after the claim", q.Len())
 	}
 }

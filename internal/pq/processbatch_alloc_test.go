@@ -29,7 +29,7 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 			for i := 0; i < entries; i++ {
 				g := NewGEntry(uint64(i))
 				g.AddRead(int64(i))
-				g.AddWrite(int64(i), nil)
+				g.AddWriteState(int64(i), nil, 0)
 				g.Priority = g.ComputePriority()
 				g.InQueue = true
 				q.Enqueue(g, g.Priority)

@@ -7,9 +7,8 @@ import "testing"
 // race the compressed scan range admits — and asserts Top still reports
 // it. Before the fallback, Top returned Inf here: an over-report that
 // would open the consistency gate while an unflushed entry with a pending
-// read was still queued (a stale read). Dequeue has self-healed this race
-// since the beginning (twolevel.go's compressed-scan fallback); Top now
-// shares it.
+// read was still queued (a stale read). Top and ProcessBatch share one
+// scan and so one fallback for this race.
 func TestTopSelfHealsBelowRaisedLowerBound(t *testing.T) {
 	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
 	g := NewGEntry(1)
@@ -26,14 +25,31 @@ func TestTopSelfHealsBelowRaisedLowerBound(t *testing.T) {
 	if top := q.Top(); top != 5 {
 		t.Fatalf("Top = %d, want 5: gate would open over a live finite entry", top)
 	}
-	// The fallback must also have healed the bound so dequeuers find the
+	// The fallback must also have healed the bound so flushers find the
 	// entry without their own full rescan.
-	got, p, ok := q.Dequeue()
+	got, p, ok := pop(q)
 	if !ok || p != 5 || got != g {
-		t.Fatalf("Dequeue after heal = (%v, %d, %v), want (entry, 5, true)", got, p, ok)
+		t.Fatalf("ProcessBatch after heal = (%v, %d, %v), want (entry, 5, true)", got, p, ok)
 	}
 	if top := q.Top(); top != Inf {
 		t.Fatalf("Top on drained queue = %d, want Inf", top)
+	}
+}
+
+// TestTopSelfHealsBeforeDeferredWork is the same race with deferred work
+// queued beside the hidden entry: the fallback must run before the scan
+// reaches the ∞ slot, or Top would report Inf over a live finite entry.
+func TestTopSelfHealsBeforeDeferredWork(t *testing.T) {
+	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	g, d := NewGEntry(1), NewGEntry(2)
+	enq(q, g, 5)
+	enq(q, d, Inf)
+	q.RaiseLowerBound(20)
+	if top := q.Top(); top != 5 {
+		t.Fatalf("Top = %d, want 5: gate would open over a live finite entry", top)
+	}
+	if got, p, ok := pop(q); !ok || p != 5 || got != g {
+		t.Fatalf("ProcessBatch = (%v, %d, %v), want (entry, 5, true) before deferred work", got, p, ok)
 	}
 }
 
@@ -53,8 +69,8 @@ func TestTopSkipsFallbackWhenOnlyDeferred(t *testing.T) {
 	if top := q.Top(); top != Inf {
 		t.Fatalf("Top = %d, want Inf (only deferred work queued)", top)
 	}
-	// The lower bound must be untouched: the fallback (which resets it to
-	// 0) should not have run at all.
+	// The lower bound must be untouched: the fallback (which lowers it to
+	// the first occupied slot) should not have run at all.
 	if lo := q.lower.Load(); lo != 40 {
 		t.Fatalf("lower bound = %d, want 40 (fallback ran on deferred-only state)", lo)
 	}

@@ -70,46 +70,6 @@ func (h *TreeHeap) Enqueue(g *GEntry, p int64) {
 	h.o.Enqueue(g.Key)
 }
 
-// Dequeue removes and returns the minimum-priority entry. The removal and
-// the claim (g.InQueue = false) happen atomically with respect to the
-// controller, which mutates entries under g.Mu before touching the heap:
-// Dequeue acquires g.Mu with TryLock while holding the heap lock (the
-// opposite order would deadlock against Enqueue/AdjustPriority callers).
-func (h *TreeHeap) Dequeue() (*GEntry, int64, bool) {
-	for {
-		h.lock.Lock()
-		if len(h.items) == 0 {
-			h.lock.Unlock()
-			return nil, 0, false
-		}
-		top := h.items[0]
-		if !top.g.Mu.TryLock() {
-			// The controller is mutating this entry; back off and retry.
-			h.lock.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		h.removeAt(0)
-		top.g.InQueue = false
-		top.g.Mu.Unlock()
-		h.lock.Unlock()
-		h.o.Dequeue(top.g.Key)
-		return top.g, top.p, true
-	}
-}
-
-// DequeueBatch appends up to max minimum-priority entries to dst.
-func (h *TreeHeap) DequeueBatch(dst []*GEntry, max int) []*GEntry {
-	for i := 0; i < max; i++ {
-		g, _, ok := h.Dequeue()
-		if !ok {
-			break
-		}
-		dst = append(dst, g)
-	}
-	return dst
-}
-
 // ProcessBatch visits up to max minimum-priority entries, calling fn on
 // each before removing it from the heap. The heap lock is held across fn,
 // so Top() (and every other operation) blocks until the flush completes —

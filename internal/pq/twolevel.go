@@ -16,19 +16,23 @@ import (
 //
 //   - Enqueue inserts into the slot table for the entry's priority.
 //   - AdjustPriority inserts into the new slot first and then deletes from
-//     the old one; dequeuers detect the transient duplicate by comparing
-//     the entry's current priority with the slot they popped it from.
-//   - Dequeue scans the priority index for the first non-empty slot. With
-//     scan-range compression (on by default) the scan is restricted to
-//     [lower bound, upper bound] ∪ {∞}, where the lower bound is raised to
-//     each dequeued priority (a g-entry's priority never decreases) and
-//     the upper bound tracks the largest finite priority ever enqueued
-//     (≤ current step + lookahead L).
+//     the old one; the flusher's claim detects the transient duplicate by
+//     comparing the entry's current priority with the slot it was found in.
+//   - Top and ProcessBatch share one scan (scan) for the first non-empty
+//     slot. With scan-range compression (on by default) it is restricted
+//     to [lower bound, upper bound] ∪ {∞}, where the gate raises the lower
+//     bound past each step it opens (RaiseLowerBound) and the upper bound
+//     tracks the largest finite priority ever enqueued (≤ current step +
+//     lookahead L).
+//
+// ProcessBatch is the only way out of the queue: it hands each entry to
+// the caller's claim while the entry is still visible to Top.
 //
 // Locking protocol: Enqueue and AdjustPriority require the caller to hold
 // g.Mu across the call; this makes the entry's Priority field and its slot
-// membership change atomically with respect to dequeuers, which validate
-// under the same lock. Dequeue/DequeueBatch/Top take no caller locks.
+// membership change atomically with respect to ProcessBatch, which
+// validates under the same lock. ProcessBatch and Top take no caller
+// locks.
 type TwoLevelPQ struct {
 	maxStep int64
 	slots   []atomic.Pointer[lfht.Map[*GEntry]]
@@ -38,7 +42,7 @@ type TwoLevelPQ struct {
 	// *before* an entry becomes visible in a finite slot and decremented
 	// only after it is claimed (or moved to ∞), so a zero reading proves no
 	// finite entry can be hiding below the compressed scan range — the
-	// guard that keeps Top's self-healing fallback off the common
+	// guard that keeps scan's self-healing fallback off the common
 	// only-deferred-work path.
 	finite atomic.Int64
 
@@ -46,10 +50,6 @@ type TwoLevelPQ struct {
 	compress bool
 	lower    atomic.Int64 // smallest slot a finite-priority entry may occupy
 	upper    atomic.Int64 // largest finite priority ever enqueued
-
-	// stalePops counts residue nodes culled during dequeue validation;
-	// exposed for tests and the ablation bench.
-	stalePops atomic.Int64
 
 	// o mirrors operation counts into the observability layer (nil = off).
 	o *obs.PQObs
@@ -202,8 +202,8 @@ func (q *TwoLevelPQ) AdjustPriority(g *GEntry, old, new int64) {
 	}
 }
 
-// scanBounds returns the inclusive range of finite slots a dequeue scan
-// must cover.
+// scanBounds returns the inclusive range of finite slots a scan must
+// cover.
 func (q *TwoLevelPQ) scanBounds() (lo, hi int64) {
 	if q.compress {
 		lo, hi = q.lower.Load(), q.upper.Load()
@@ -218,159 +218,61 @@ func (q *TwoLevelPQ) scanBounds() (lo, hi int64) {
 	return 0, q.maxStep
 }
 
-// claim validates a popped candidate under its lock: the pop is good when
-// the entry still believes it lives in slot p. Returns false for residue
-// nodes left behind by AdjustPriority (or already-claimed entries).
-func (q *TwoLevelPQ) claim(g *GEntry, p int64) bool {
-	g.Mu.Lock()
-	defer g.Mu.Unlock()
-	if !g.InQueue || g.Priority != p {
-		q.stalePops.Add(1)
-		q.o.StalePop(g.Key)
-		return false
-	}
-	g.InQueue = false
-	if p != Inf {
-		q.finite.Add(-1)
-	}
-	q.o.Dequeue(g.Key)
-	return true
-}
-
-// dequeueRange scans finite slots in [lo, hi] and claims the first live
-// entry found.
-func (q *TwoLevelPQ) dequeueRange(lo, hi int64) (*GEntry, int64, bool) {
-	for p := lo; p <= hi; p++ {
-		t := q.peek(p)
-		if t == nil || t.Empty() {
-			continue
-		}
-		for {
-			_, g, ok := t.PopAny()
-			if !ok {
-				break
-			}
-			if q.claim(g, p) {
-				q.count.Add(-1)
-				return g, p, true
-			}
-		}
-	}
-	return nil, 0, false
-}
-
-// dequeueInf drains one deferred (∞ priority) entry.
-func (q *TwoLevelPQ) dequeueInf() (*GEntry, int64, bool) {
-	t := q.peek(q.maxStep + 1)
-	if t == nil {
-		return nil, 0, false
-	}
-	for {
-		_, g, ok := t.PopAny()
-		if !ok {
-			return nil, 0, false
-		}
-		if q.claim(g, Inf) {
-			q.count.Add(-1)
-			return g, Inf, true
-		}
-	}
-}
-
-// Dequeue removes and returns a minimum-priority entry. Finite priorities
-// drain before ∞ (deferred updates flush only when nothing urgent is
-// pending).
+// scan is the one walk of the priority index behind Top and ProcessBatch:
+// it calls visit on each non-empty slot in priority order — the finite
+// slots of the scan range, then ∞ — until visit returns false.
 //
 // The compressed scan range is a performance hint, not a correctness
-// invariant: a concurrent enqueue below the lower bound can race with a
-// dequeuer raising it. When the bounded scan and the ∞ slot both come up
-// empty while entries remain, Dequeue self-heals with one full-index scan
-// and resets the bound it finds.
-func (q *TwoLevelPQ) Dequeue() (*GEntry, int64, bool) {
-	if q.count.Load() == 0 {
-		return nil, 0, false
-	}
+// invariant: an Enqueue below the lower bound can race with a
+// RaiseLowerBound and leave a live entry beneath [lo, hi]. When the range
+// holds no non-empty slot while finite entries remain, scan self-heals
+// before it reaches ∞: it rescans the full finite index and lowers the
+// bound to the first slot it finds occupied. The guard is the live finite
+// count rather than the total count, so the common only-deferred-work
+// state — everything at ∞ — never pays a full-index scan. The count also
+// covers an entry between its count update and its slot change, so the
+// fallback fires spuriously at times; it lowers the bound only to an
+// occupied slot, so such a rescan leaves later scans as narrow as before.
+func (q *TwoLevelPQ) scan(visit func(p int64, t *lfht.Map[*GEntry]) bool) {
 	lo, hi := q.scanBounds()
-	if g, p, ok := q.dequeueRange(lo, hi); ok {
-		return g, p, ok
-	}
-	if g, p, ok := q.dequeueInf(); ok {
-		return g, p, ok
-	}
-	if q.compress && q.count.Load() > 0 {
-		// Fallback: an entry may live below the (racy) lower bound.
-		casMin(&q.lower, 0)
-		return q.dequeueRange(0, q.upper.Load())
-	}
-	return nil, 0, false
-}
-
-// DequeueBatch appends up to max entries to dst in priority order,
-// amortising the priority-index scan across the batch (Fig 7's batched
-// dequeue).
-func (q *TwoLevelPQ) DequeueBatch(dst []*GEntry, max int) []*GEntry {
-	if max <= 0 || q.count.Load() == 0 {
-		return dst
-	}
-	taken := 0
-	lo, hi := q.scanBounds()
-	take := func(from, to int64) {
-		for p := from; p <= to && taken < max; p++ {
-			t := q.peek(p)
-			if t == nil || t.Empty() {
-				continue
+	found := false
+	for p := lo; p <= hi; p++ {
+		if t := q.peek(p); t != nil && !t.Empty() {
+			found = true
+			if !visit(p, t) {
+				return
 			}
-			for taken < max {
-				_, g, ok := t.PopAny()
-				if !ok {
-					break
-				}
-				if q.claim(g, p) {
-					q.count.Add(-1)
-					dst = append(dst, g)
-					taken++
+		}
+	}
+	if !found && q.compress && q.finite.Load() > 0 {
+		for p, hi := int64(0), q.upper.Load(); p <= hi; p++ {
+			if t := q.peek(p); t != nil && !t.Empty() {
+				casMin(&q.lower, p)
+				if !visit(p, t) {
+					return
 				}
 			}
 		}
 	}
-	take(lo, hi)
-	if t := q.peek(q.maxStep + 1); t != nil {
-		for taken < max {
-			_, g, ok := t.PopAny()
-			if !ok {
-				break
-			}
-			if q.claim(g, Inf) {
-				q.count.Add(-1)
-				dst = append(dst, g)
-				taken++
-			}
-		}
+	if t := q.peek(q.maxStep + 1); t != nil && !t.Empty() {
+		visit(Inf, t)
 	}
-	if taken == 0 && q.compress && q.count.Load() > 0 {
-		// Same self-healing fallback as Dequeue.
-		casMin(&q.lower, 0)
-		take(0, q.upper.Load())
-	}
-	return dst
 }
 
 // ProcessBatch visits up to max minimum-priority entries in priority
 // order, invoking fn on each while its node is still live in the slot
 // table — the flush-before-dequeue protocol that keeps the consistency
 // gate sound (an urgent entry stays visible to Top until its updates have
-// reached host memory). Claimed entries (fn returned true) leave the
-// logical count; stale residues are culled for free.
+// reached host memory). Finite priorities drain before ∞, so deferred
+// updates flush only when nothing urgent is pending. Claimed entries (fn
+// returned true) leave the logical count; stale residues are culled for
+// free.
 func (q *TwoLevelPQ) ProcessBatch(max int, fn func(g *GEntry, slotPriority int64) bool) int {
 	if max <= 0 || q.count.Load() == 0 {
 		return 0
 	}
 	processed := 0
-	visit := func(p int64) {
-		t := q.peek(q.slotIndex(p))
-		if t == nil || t.Empty() {
-			return
-		}
+	q.scan(func(p int64, t *lfht.Map[*GEntry]) bool {
 		processed += t.DrainN(max-processed, func(_ uint64, g *GEntry) {
 			g.Mu.Lock()
 			claimed := fn(g, p)
@@ -385,21 +287,8 @@ func (q *TwoLevelPQ) ProcessBatch(max int, fn func(g *GEntry, slotPriority int64
 				q.o.StalePop(g.Key)
 			}
 		})
-	}
-	lo, hi := q.scanBounds()
-	for p := lo; p <= hi && processed < max; p++ {
-		visit(p)
-	}
-	if processed < max {
-		visit(Inf)
-	}
-	if processed == 0 && q.compress && q.count.Load() > 0 {
-		// Same self-healing fallback as Dequeue.
-		casMin(&q.lower, 0)
-		for p := int64(0); p <= q.upper.Load() && processed < max; p++ {
-			visit(p)
-		}
-	}
+		return processed < max
+	})
 	return processed
 }
 
@@ -409,39 +298,22 @@ func (q *TwoLevelPQ) ProcessBatch(max int, fn func(g *GEntry, slotPriority int64
 // only blocks training longer, never lets a stale read through.
 //
 // Over-reporting is the dangerous direction — a Top that misses a live
-// finite entry opens the §3.3 gate early, i.e. a stale read. The
-// compressed scan range is only a hint: an Enqueue below the lower bound
-// can race with a RaiseLowerBound and leave a live entry beneath [lo, hi],
-// exactly the race Dequeue/DequeueBatch/ProcessBatch self-heal. Top gets
-// the same fallback, guarded by the live finite-entry count: when the
-// bounded scan comes up empty while finite entries remain, it resets the
-// lower bound and rescans the full index. (The guard is the finite count
-// rather than the total count so that the common only-deferred-work state
-// — count > 0, everything at ∞ — never pays a full-index scan.)
+// finite entry opens the §3.3 gate early, i.e. a stale read. scan's
+// self-healing fallback is what rules it out when an entry hides below a
+// raised lower bound.
 func (q *TwoLevelPQ) Top() int64 {
 	if q.count.Load() == 0 {
 		return Inf
 	}
-	lo, hi := q.scanBounds()
-	for p := lo; p <= hi; p++ {
-		if t := q.peek(p); t != nil && !t.Empty() {
-			return p
-		}
-	}
-	if q.compress && q.finite.Load() > 0 {
-		// Same self-healing fallback as Dequeue: a finite-priority entry
-		// may live below the (racy) lower bound.
-		casMin(&q.lower, 0)
-		for p := int64(0); p <= q.upper.Load(); p++ {
-			if t := q.peek(p); t != nil && !t.Empty() {
-				return p
-			}
-		}
-	}
-	return Inf
+	top := Inf
+	q.scan(func(p int64, _ *lfht.Map[*GEntry]) bool {
+		top = p
+		return false
+	})
+	return top
 }
 
-// RaiseLowerBound narrows the dequeue/Top scan range from below (§3.4
+// RaiseLowerBound narrows the Top/ProcessBatch scan range from below (§3.4
 // scan-range compression). The caller must guarantee that no current or
 // future g-entry can carry a finite priority below p — in P²F this holds
 // with p = s+1 once the consistency gate for step s has passed, because
@@ -456,11 +328,5 @@ func (q *TwoLevelPQ) RaiseLowerBound(p int64) {
 
 // Len returns the number of claimed-in entries (excludes residues).
 func (q *TwoLevelPQ) Len() int { return int(q.count.Load()) }
-
-// StalePops reports how many residue nodes dequeue validation has culled.
-func (q *TwoLevelPQ) StalePops() int64 { return q.stalePops.Load() }
-
-// ScanCompressionEnabled reports whether the §3.4 optimisation is active.
-func (q *TwoLevelPQ) ScanCompressionEnabled() bool { return q.compress }
 
 var _ Queue = (*TwoLevelPQ)(nil)

@@ -125,7 +125,7 @@ func TestStepPathZeroAllocPrefetch(t *testing.T) {
 	}
 }
 
-// TestStepPathBoundedAllocFrugal bounds the asynchronous engine's residual.
+// TestStepPathBoundedAllocFrugal bounds the frugal engine's residual.
 // EngineFrugal cannot be strictly zero-alloc per step: the lock-free queue
 // index claims immutable nodes from a chunked arena (amortized one chunk
 // allocation per chunkNodes enqueues — nodes are never recycled, see

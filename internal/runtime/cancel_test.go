@@ -85,7 +85,7 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 // particular the gate and the step barriers must not deadlock.
 func TestRunContextCancelMidRun(t *testing.T) {
 	const total = 2000
-	for _, engine := range []Engine{EngineFrugal, EngineFrugalSync, EngineDirect, EngineAsync} {
+	for _, engine := range []Engine{EngineFrugal, EngineFrugalSync, EngineDirect} {
 		engine := engine
 		t.Run(string(engine), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -28,13 +28,6 @@ const (
 	EngineFrugal     Engine = "frugal"
 	EngineFrugalSync Engine = "frugal-sync"
 	EngineDirect     Engine = "direct"
-	// EngineAsync is a deliberately inconsistent baseline: workers
-	// free-run with no gate and no step barriers, so reads can observe
-	// parameters missing other workers' updates. It exists to demonstrate
-	// what §3 of the paper argues — asynchronous training forfeits the
-	// reproducible-parameter guarantee the other engines share (the
-	// divergence test measures it). Not part of the paper's evaluation.
-	EngineAsync Engine = "async"
 )
 
 // Engines lists the synchronous engines (the paper's systems).
@@ -162,7 +155,7 @@ func (c *Config) normalize() error {
 		c.Engine = EngineFrugal
 	}
 	switch c.Engine {
-	case EngineFrugal, EngineFrugalSync, EngineDirect, EngineAsync:
+	case EngineFrugal, EngineFrugalSync, EngineDirect:
 	default:
 		return fmt.Errorf("runtime: unknown engine %q", c.Engine)
 	}
@@ -197,8 +190,7 @@ func (c *Config) normalize() error {
 		return errors.New("runtime: PrefetchDepth requires Prefetch")
 	}
 	if c.Prefetch {
-		switch c.Engine {
-		case EngineDirect, EngineAsync:
+		if c.Engine == EngineDirect {
 			return fmt.Errorf("runtime: Prefetch requires a cached engine, not %q", c.Engine)
 		}
 		if c.PrefetchDepth == 0 {
@@ -442,7 +434,7 @@ func newJob(cfg Config, steps int64, samplesPerStep int,
 	if cfg.Optimizer == OptAdagrad {
 		host.EnableOptimizerState()
 	}
-	if cfg.Engine != EngineDirect && cfg.Engine != EngineAsync {
+	if cfg.Engine != EngineDirect {
 		rowsPerGPU := int(float64(cfg.Rows) * cfg.CacheRatio)
 		if rowsPerGPU < cache.Ways {
 			rowsPerGPU = cache.Ways

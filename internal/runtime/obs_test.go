@@ -19,7 +19,7 @@ func obsMicroJob(t *testing.T, engine Engine, steps int64) (*Job, Result) {
 	job, err := NewMicro(Config{
 		Engine: engine, NumGPUs: 2, Rows: 400, Dim: 4,
 		CacheRatio: 0.2, Seed: 9, FlushThreads: 4,
-		CheckConsistency: engine != EngineAsync,
+		CheckConsistency: true,
 		Observer:         obs.New(obs.Options{Shards: 4, TraceCapacity: 1 << 14}),
 	}, trace, 0)
 	if err != nil {

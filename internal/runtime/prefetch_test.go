@@ -20,8 +20,6 @@ func TestPrefetchConfigValidation(t *testing.T) {
 	}{
 		{"direct", Config{Engine: EngineDirect, Rows: 100, Dim: 4, Prefetch: true},
 			"cached engine"},
-		{"async", Config{Engine: EngineAsync, Rows: 100, Dim: 4, Prefetch: true},
-			"cached engine"},
 		{"depth-without-prefetch", Config{Engine: EngineFrugal, Rows: 100, Dim: 4, PrefetchDepth: 4},
 			"requires Prefetch"},
 		{"negative-depth", Config{Engine: EngineFrugal, Rows: 100, Dim: 4, Prefetch: true, PrefetchDepth: -1},

@@ -391,51 +391,6 @@ func TestUnknownOptimizerRejected(t *testing.T) {
 	}
 }
 
-// TestAsyncEngineDiverges demonstrates the paper's §3 premise: without the
-// synchronous-consistency machinery, free-running workers read parameters
-// that miss other workers' updates, so the final model differs from the
-// synchronous engines' reproducible result.
-func TestAsyncEngineDiverges(t *testing.T) {
-	run := func(engine Engine) *Host {
-		trace := data.NewSyntheticTrace(data.NewScrambledZipf(29, 300, 0.9), 64, 60)
-		job, err := NewMicro(Config{
-			Engine: engine, NumGPUs: 4, Rows: 300, Dim: 4,
-			LR: 0.1, Seed: 29,
-		}, trace, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := job.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return job.Host()
-	}
-	sync := run(EngineDirect)
-	async := run(EngineAsync)
-	var maxDiff float64
-	for k := uint64(0); k < 300; k++ {
-		a, b := sync.Snapshot(k), async.Snapshot(k)
-		for d := range a {
-			if diff := math.Abs(float64(a[d] - b[d])); diff > maxDiff {
-				maxDiff = diff
-			}
-		}
-	}
-	// The async run still trains (loss falls — free-running SGD converges
-	// on this toy task) but is NOT parameter-equivalent. Tolerate the rare
-	// scheduling where workers happen to stay in lockstep by requiring
-	// only that divergence is *permitted*; in practice it is large.
-	t.Logf("max parameter divergence sync vs async: %v", maxDiff)
-	// Sanity: the synchronous engines agree to 1e-3 (TestEngineEquivalence),
-	// so any divergence beyond that is the async effect.
-	if maxDiff == 0 {
-		t.Skip("async run happened to serialise; divergence not observable this run")
-	}
-	if maxDiff < 1e-3 {
-		t.Logf("note: divergence %v below the sync tolerance this run", maxDiff)
-	}
-}
-
 func TestGNNJobTrains(t *testing.T) {
 	g, err := graph.Generate(51, 2000, 3)
 	if err != nil {

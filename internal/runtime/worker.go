@@ -194,15 +194,12 @@ func (j *Job) step(ws *workerState, msg stepMsg) {
 	}
 
 	// 3. Read barrier: nobody commits step s until everyone has read it
-	// (the synchronous-training contract CommitStep documents). The async
-	// engine deliberately skips it — that is its inconsistency. In the
+	// (the synchronous-training contract CommitStep documents). In the
 	// trace this is the collective phase of the step (the spot the
 	// allgather/allreduce occupies on real hardware).
-	if j.cfg.Engine != EngineAsync {
-		j.tracer.Emit(obs.EvCollectiveStart, ws.id, msg.step, 0, 0)
-		j.barrier.Wait()
-		j.tracer.Emit(obs.EvCollectiveEnd, ws.id, msg.step, 0, 0)
-	}
+	j.tracer.Emit(obs.EvCollectiveStart, ws.id, msg.step, 0, 0)
+	j.barrier.Wait()
+	j.tracer.Emit(obs.EvCollectiveEnd, ws.id, msg.step, 0, 0)
 
 	// 4. Compute forward/backward on the gathered rows.
 	loss := shard.compute(ws.rows[:n], ws.grads[:n])
@@ -219,7 +216,7 @@ func (j *Job) step(ws *workerState, msg stepMsg) {
 
 	// 6. Step barrier for the synchronous engines (the Frugal gate already
 	// serialises steps through the committed-step watermark).
-	if j.ctrl == nil && j.cfg.Engine != EngineAsync {
+	if j.ctrl == nil {
 		j.barrier.Wait()
 	}
 
@@ -344,7 +341,7 @@ func (j *Job) commit(ws *workerState, step int64, keys []uint64) {
 	// deterministic first-occurrence order (the old map iteration was
 	// random; per-key results are order-independent either way).
 	switch j.cfg.Engine {
-	case EngineDirect, EngineAsync:
+	case EngineDirect:
 		for _, s := range ws.dirty {
 			d, dG := j.optimize(s)
 			j.slab.ApplyDelta(s.key, d, dG)

@@ -188,7 +188,7 @@ func (s *LocalStore) FlushKey(key uint64) (bool, error) {
 	if s.ctrl == nil {
 		return false, nil
 	}
-	return s.ctrl.FlushKeyShared(key), nil
+	return s.ctrl.FlushKey(key), nil
 }
 
 // AddFlushHook registers an index-maintenance hook on the controller;
