@@ -24,11 +24,12 @@ race-core:
 # values: the gate property and the random-trace invariant, the queue
 # scan's self-healing below a raised lower bound (Top and ProcessBatch),
 # the flush-before-dequeue protocol, concurrent queue and hash-table
-# stress (single-winner and build-once GetOrInsert), and the in-flight
-# floor.
+# stress (single-winner and build-once GetOrInsert), the in-flight
+# floor, and the priority ring's slot recycling (wraps, and inserts,
+# drainers and deletes racing a retire).
 invariants:
 	$(GO) test -race -cpu 1,2,4 -count=3 \
-		-run 'TestGatePropertyQuick|TestInvariantHoldsUnderRandomTraces|TestTopSelfHeals|TestProcessBatch|TestQueueConcurrentStress|TestConcurrent|TestGetOrInsertConcurrent|TestInFlight' \
+		-run 'TestGatePropertyQuick|TestInvariantHoldsUnderRandomTraces|TestTopSelfHeals|TestProcessBatch|TestQueueConcurrentStress|TestConcurrent|TestGetOrInsertConcurrent|TestInFlight|TestRing' \
 		./internal/pq ./internal/lfht ./internal/p2f
 
 # The lookahead-prefetch suite under the race detector at several

@@ -46,7 +46,6 @@ func run() int {
 		of       = flag.Int("of", 1, "total shard count")
 		flushers = flag.Int("flushers", 4, "P²F flusher-pool size")
 		trainers = flag.Int("trainers", 1, "trainer clients per step (the watermark advances when all have committed)")
-		maxStep  = flag.Int64("max-step", 1<<16, "largest accepted step number (sizes the priority queue)")
 		uncoord  = flag.Bool("uncoordinated", false, "skip the P²F gate: write-through scatters, no watermark (required for training slabs)")
 		seed     = flag.Int64("seed", 1, "row-initialisation seed (keyed per global row, identical across shards)")
 		connect  = flag.String("connect", "", "driver mode: comma-separated shard addresses to train against")
@@ -59,7 +58,7 @@ func run() int {
 
 	o := options{
 		Addr: *addr, Rows: *rows, Dim: *dim, Shard: *shardIdx, Of: *of,
-		Flushers: *flushers, Trainers: *trainers, MaxStep: *maxStep,
+		Flushers: *flushers, Trainers: *trainers,
 		Connect: *connect, Steps: *steps, Batch: *batch, LR: *lr,
 	}
 	if err := o.validate(); err != nil {
@@ -81,7 +80,7 @@ func run() int {
 func runNode(ctx context.Context, o options, uncoordinated bool, seed int64) int {
 	node, err := shard.NewNode(shard.NodeOptions{
 		Rows: o.Rows, Dim: o.Dim, Shard: o.Shard, Of: o.Of,
-		Flushers: o.Flushers, Trainers: o.Trainers, MaxStep: o.MaxStep,
+		Flushers: o.Flushers, Trainers: o.Trainers,
 		Uncoordinated: uncoordinated,
 		Init:          rowInit(seed, o.Dim),
 	})

@@ -15,7 +15,6 @@ type options struct {
 	Of       int
 	Flushers int
 	Trainers int
-	MaxStep  int64
 	Connect  string
 	Steps    int64
 	Batch    int
@@ -58,9 +57,6 @@ func (o options) validate() error {
 	}
 	if o.Trainers <= 0 {
 		return fmt.Errorf("-trainers must be positive (got %d)", o.Trainers)
-	}
-	if o.MaxStep <= 0 {
-		return fmt.Errorf("-max-step must be positive (got %d)", o.MaxStep)
 	}
 	return nil
 }

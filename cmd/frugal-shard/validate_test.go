@@ -8,7 +8,7 @@ import (
 func nodeOpts() options {
 	return options{
 		Addr: "127.0.0.1:7101", Rows: 1000, Dim: 16, Shard: 0, Of: 3,
-		Flushers: 4, Trainers: 1, MaxStep: 1 << 16,
+		Flushers: 4, Trainers: 1,
 	}
 }
 
@@ -29,7 +29,6 @@ func TestValidateNodeMode(t *testing.T) {
 		{"negative shard", func(o *options) { o.Shard = -1 }, "-shard"},
 		{"zero flushers", func(o *options) { o.Flushers = 0 }, "-flushers"},
 		{"zero trainers", func(o *options) { o.Trainers = 0 }, "-trainers"},
-		{"zero max-step", func(o *options) { o.MaxStep = 0 }, "-max-step"},
 	}
 	for _, tc := range cases {
 		o := nodeOpts()

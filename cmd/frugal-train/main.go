@@ -408,8 +408,8 @@ func reportObs(s frugal.Snapshot) {
 		s.GatePasses, s.GateBlocks, s.GateStall.Mean())
 	fmt.Printf("flush:            %d updates in %d g-entries (%d deferred, latency mean %v)\n",
 		s.FlushApplied, s.FlushedEntries, s.DeferredEntries, s.FlushLatency.Mean())
-	fmt.Printf("pq ops:           %d enqueue, %d dequeue, %d adjust, %d stale-pop\n",
-		s.PQEnqueues, s.PQDequeues, s.PQAdjusts, s.PQStalePops)
+	fmt.Printf("pq ops:           %d enqueue, %d dequeue, %d adjust, %d stale-pop, %d rescan\n",
+		s.PQEnqueues, s.PQDequeues, s.PQAdjusts, s.PQStalePops, s.PQRescans)
 	fmt.Printf("step wall mean:   %v over %d steps\n", s.StepWall.Mean(), s.StepsCompleted)
 	if s.TierPromotions+s.TierDemotions+s.TierColdWrites > 0 {
 		fmt.Printf("tier:             %d promotions, %d demotions (%d declined), %d cold writes, %d dequant reads\n",

@@ -198,10 +198,13 @@ func benchAddOuter() func(b *testing.B) {
 }
 
 // benchPQCycle measures one enqueue+drain cycle of 64 g-entries through
-// the two-level queue (the flusher pool's hot loop).
+// the two-level queue (the flusher pool's hot loop). Each cycle is one
+// training step: the entries are read at the next step, and once they
+// are drained the gate passes that step and raises the lower bound, so
+// the step's ring slot is recycled as in a training run.
 func benchPQCycle(b *testing.B) {
 	const cycle = 64
-	q, err := pq.NewTwoLevelPQ(pq.TwoLevelOptions{MaxStep: 4})
+	q, err := pq.NewTwoLevelPQ(pq.TwoLevelOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,10 +222,11 @@ func benchPQCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		step := int64(i) + 1
 		for _, g := range entries {
 			g.Mu.Lock()
-			g.AddRead(1)
-			g.AddWriteState(1, nil, 0)
+			g.AddRead(step)
+			g.AddWriteState(step, nil, 0)
 			g.Priority = g.ComputePriority()
 			g.InQueue = true
 			q.Enqueue(g, g.Priority)
@@ -238,13 +242,14 @@ func benchPQCycle(b *testing.B) {
 					// back for reuse — discarding it would charge the row an
 					// allocation per cycle the real flush loop never pays.
 					w := g.TakeWrites()
-					g.RemoveRead(1)
+					g.RemoveRead(step)
 					g.FlushedWrites(w)
 				}
 				return ok
 			})
 			drained += n
 		}
+		q.RaiseLowerBound(step + 1)
 	}
 }
 

@@ -2,19 +2,21 @@
 // level of Frugal's two-level priority queue (§3.4). Each priority slot of
 // the queue owns one table holding the g-entries that currently carry that
 // priority; enqueue inserts here, adjustPriority moves entries between two
-// tables, and the flusher threads pop arbitrary entries concurrently.
+// tables, and the flusher threads drain entries concurrently.
 //
 // The paper builds on a write-optimized dynamic hash table (FAST '19 [34]).
 // This implementation keeps the properties that matter for the P²F
-// algorithm — lock-free inserts/deletes/pops with O(1) expected cost and no
-// central point of contention — using a segmented design: a fixed directory
-// of 2^k segments (sized from a capacity hint), each an atomic singly
-// linked list with logical deletion. Capacity is dynamic because the lists
-// grow and shrink with the population; the directory spreads contention so
-// that concurrent operations on different keys rarely touch the same cache
-// line. Nodes are claimed from a chunked append-only arena (one heap
-// allocation per chunkNodes inserts) and never recycled; see chunk for why
-// reuse is off the table.
+// algorithm — lock-free inserts/deletes/drains with O(1) expected cost and
+// no central point of contention — using a segmented design: a fixed
+// directory of 2^k segments (sized from a capacity hint), each an atomic
+// singly linked list with logical deletion. Capacity is dynamic because the
+// lists grow and shrink with the population; the directory spreads
+// contention so that concurrent operations on different keys rarely touch
+// the same cache line. Nodes are claimed from a chain of arena chunks (one
+// heap allocation per chunkNodes inserts). A node is never recycled while
+// the table is in use; Reset recycles the whole table — its directory and
+// every chunk — once its owner has proved that no operation can still
+// reach it (see chunk).
 //
 // The directory is sized up front instead of being resized online: every
 // table in Frugal knows its population bound when it is built, and a
@@ -22,8 +24,8 @@
 // gate for no gain. The g-entry directory (internal/p2f) is sized from the
 // key space it serves (≈ keys/4 segments, so a lookup walks one or two
 // nodes); a finite priority slot of the two-level queue holds at most one
-// step's keys and gets a small table; only the ∞ slot, which holds all
-// deferred work, gets a large one (internal/pq).
+// step's keys and gets a small table, recycled step after step; only the
+// ∞ slot, which holds all deferred work, gets a large one (internal/pq).
 package lfht
 
 import (
@@ -52,20 +54,23 @@ func (n *node[V]) kill() bool { return n.state.CompareAndSwap(0, 1) }
 const chunkNodes = 256
 
 // chunk is an append-only node arena block. Claiming is a single atomic
-// increment; nodes are NEVER recycled — a logically deleted node may still
-// be traversed by a concurrent reader, so returning it to a free list would
-// reintroduce the ABA/lost-entry hazards that safe memory reclamation
-// exists to solve (out of scope per DESIGN.md §5d). The chunk stays
-// reachable (and thus alive) while any of its nodes is linked in a segment;
-// dead prefixes are unlinked opportunistically, after which the GC collects
-// whole chunks.
+// increment; a node is never returned to a free list while the table is
+// live — a logically deleted node may still be traversed by a concurrent
+// reader, so reusing it would reintroduce the ABA/lost-entry hazards that
+// safe memory reclamation exists to solve (out of scope per DESIGN.md
+// §5d). A map built by NewReusable links each chunk to the next and holds
+// the first, so the chain stays alive for Reset to hand back. Any other
+// map holds only its current chunk, and the GC collects an older one once
+// no segment links a node in it.
 type chunk[V any] struct {
 	next  atomic.Uint32
+	succ  atomic.Pointer[chunk[V]] // the chunk claimed after this one (NewReusable)
 	nodes [chunkNodes]node[V]
 }
 
-// newNode claims a zeroed node from the current arena chunk, publishing a
-// fresh chunk when the current one is exhausted. Lock-free: a claim is one
+// newNode claims a zeroed node from the current arena chunk. When the
+// chunk is exhausted, a reusable map moves to the chunk's successor and
+// any other map publishes a fresh chunk. Lock-free: a claim is one
 // fetch-add; losing the publish CAS still yields a valid node (slot 0 of
 // the loser's private chunk — slightly wasteful, never wrong).
 func (m *Map[V]) newNode() *node[V] {
@@ -76,11 +81,33 @@ func (m *Map[V]) newNode() *node[V] {
 				return &c.nodes[i-1]
 			}
 		}
+		if m.reusable {
+			m.advance(c)
+			continue
+		}
 		fresh := &chunk[V]{}
 		fresh.next.Store(1)
 		m.arena.CompareAndSwap(c, fresh)
 		return &fresh.nodes[0]
 	}
+}
+
+// advance moves a reusable map's arena past the exhausted chunk c (nil
+// before the first claim) to the next chunk of the chain — one kept by
+// Reset, or a fresh one appended with one CAS that every racing claimer
+// then follows.
+func (m *Map[V]) advance(c *chunk[V]) {
+	if c == nil {
+		m.first.CompareAndSwap(nil, &chunk[V]{})
+		m.arena.CompareAndSwap(nil, m.first.Load())
+		return
+	}
+	nxt := c.succ.Load()
+	if nxt == nil {
+		c.succ.CompareAndSwap(nil, &chunk[V]{})
+		nxt = c.succ.Load()
+	}
+	m.arena.CompareAndSwap(c, nxt)
 }
 
 // Map is a concurrent hash map from uint64 keys to values of type V.
@@ -89,8 +116,10 @@ type Map[V any] struct {
 	segments []atomic.Pointer[node[V]]
 	mask     uint64
 	count    atomic.Int64
-	cursor   atomic.Uint64 // rotating start segment for PopAny fairness
-	arena    atomic.Pointer[chunk[V]]
+	cursor   atomic.Uint64            // rotating start segment, so drains spread out
+	arena    atomic.Pointer[chunk[V]] // the chunk nodes are claimed from
+	reusable bool
+	first    atomic.Pointer[chunk[V]] // head of the chunk chain (NewReusable)
 }
 
 // DefaultSegments is the directory size used by New.
@@ -115,6 +144,17 @@ func NewWithHint[V any](hint int) *Map[V] {
 		segments: make([]atomic.Pointer[node[V]], segs),
 		mask:     uint64(segs - 1),
 	}
+}
+
+// NewReusable is NewWithHint for a table that is filled, drained and
+// Reset over and over: it keeps every arena chunk it claims, so Reset can
+// hand them back and a refill allocates nothing. A map that is never
+// reset should come from NewWithHint, or it keeps every chunk it ever
+// claimed.
+func NewReusable[V any](hint int) *Map[V] {
+	m := NewWithHint[V](hint)
+	m.reusable = true
+	return m
 }
 
 // hash mixes the key (fibonacci hashing) so sequential embedding keys
@@ -218,55 +258,6 @@ func (m *Map[V]) unlink(head *atomic.Pointer[node[V]]) {
 	}
 }
 
-// PopAny removes and returns an arbitrary live entry, or ok=false when the
-// table is (momentarily) empty. Concurrent poppers start at a rotating
-// cursor so they drain different segments — this is what gives the
-// two-level PQ its dequeue scalability.
-func (m *Map[V]) PopAny() (key uint64, val V, ok bool) {
-	if m.count.Load() == 0 {
-		var zero V
-		return 0, zero, false
-	}
-	segs := uint64(len(m.segments))
-	start := m.cursor.Add(1)
-	for i := uint64(0); i < segs; i++ {
-		head := &m.segments[(start+i)&m.mask]
-		for n := head.Load(); n != nil; n = n.next.Load() {
-			if n.kill() {
-				m.count.Add(-1)
-				m.unlink(head)
-				return n.key, n.val, true
-			}
-		}
-	}
-	var zero V
-	return 0, zero, false
-}
-
-// PopBatch removes up to max live entries, appending their values to dst
-// and returning the extended slice. Batching amortises the segment scan —
-// the "batched Dequeue" optimisation of Fig 7.
-func (m *Map[V]) PopBatch(dst []V, max int) []V {
-	if max <= 0 || m.count.Load() == 0 {
-		return dst
-	}
-	segs := uint64(len(m.segments))
-	start := m.cursor.Add(1)
-	taken := 0
-	for i := uint64(0); i < segs && taken < max; i++ {
-		head := &m.segments[(start+i)&m.mask]
-		for n := head.Load(); n != nil && taken < max; n = n.next.Load() {
-			if n.kill() {
-				m.count.Add(-1)
-				dst = append(dst, n.val)
-				taken++
-			}
-		}
-		m.unlink(head)
-	}
-	return dst
-}
-
 // DrainN visits up to max live entries, invoking fn on each BEFORE the
 // node is removed, then kills the node (exactly once across concurrent
 // callers; the count reflects only successful kills). The visit-then-kill
@@ -307,15 +298,20 @@ func (m *Map[V]) Len() int { return int(m.count.Load()) }
 // Empty reports whether the table holds no live entries.
 func (m *Map[V]) Empty() bool { return m.count.Load() == 0 }
 
-// Range calls fn for every live entry until fn returns false. The snapshot
-// is weakly consistent: entries inserted or deleted concurrently may or may
-// not be observed.
-func (m *Map[V]) Range(fn func(key uint64, val V) bool) {
+// Reset empties the map for reuse: the directory is cleared and, for a
+// map built by NewReusable, every arena chunk is zeroed and handed back
+// to newNode, so a table that is filled and drained over and over
+// allocates nothing after its first fill. The caller must guarantee that
+// no other goroutine operates on the map, and that none can still hold a
+// node of it, while Reset runs.
+func (m *Map[V]) Reset() {
 	for i := range m.segments {
-		for n := m.segments[i].Load(); n != nil; n = n.next.Load() {
-			if n.live() && !fn(n.key, n.val) {
-				return
-			}
-		}
+		m.segments[i].Store(nil)
 	}
+	for c := m.first.Load(); c != nil; c = c.succ.Load() {
+		clear(c.nodes[:min(c.next.Load(), chunkNodes)])
+		c.next.Store(0)
+	}
+	m.arena.Store(m.first.Load())
+	m.count.Store(0)
 }

@@ -43,94 +43,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestPopAnyDrainsAll(t *testing.T) {
-	m := New[uint64]()
-	const n = 1000
-	for i := uint64(0); i < n; i++ {
-		m.Insert(i, i*3)
-	}
-	seen := make(map[uint64]uint64)
-	for {
-		k, v, ok := m.PopAny()
-		if !ok {
-			break
-		}
-		if _, dup := seen[k]; dup {
-			t.Fatalf("key %d popped twice", k)
-		}
-		seen[k] = v
-	}
-	if len(seen) != n {
-		t.Fatalf("popped %d entries, want %d", len(seen), n)
-	}
-	for k, v := range seen {
-		if v != k*3 {
-			t.Fatalf("key %d has value %d, want %d", k, v, k*3)
-		}
-	}
-}
-
-func TestPopAnyEmpty(t *testing.T) {
-	m := New[int]()
-	if _, _, ok := m.PopAny(); ok {
-		t.Fatal("PopAny on empty map should fail")
-	}
-}
-
-func TestPopBatch(t *testing.T) {
-	m := New[int]()
-	for i := 0; i < 100; i++ {
-		m.Insert(uint64(i), i)
-	}
-	got := m.PopBatch(nil, 30)
-	if len(got) != 30 {
-		t.Fatalf("PopBatch returned %d, want 30", len(got))
-	}
-	if m.Len() != 70 {
-		t.Fatalf("Len after batch = %d, want 70", m.Len())
-	}
-	rest := m.PopBatch(nil, 1000)
-	if len(rest) != 70 {
-		t.Fatalf("second PopBatch returned %d, want 70", len(rest))
-	}
-	if got = m.PopBatch(got[:0], 5); len(got) != 0 {
-		t.Fatal("PopBatch on empty map should return nothing")
-	}
-	if got = m.PopBatch(nil, 0); len(got) != 0 {
-		t.Fatal("PopBatch with max=0 should return nothing")
-	}
-}
-
-func TestRange(t *testing.T) {
-	m := New[int]()
-	for i := 0; i < 50; i++ {
-		m.Insert(uint64(i), i)
-	}
-	m.Delete(10)
-	sum, count := 0, 0
-	m.Range(func(k uint64, v int) bool {
-		sum += v
-		count++
-		return true
-	})
-	if count != 49 {
-		t.Fatalf("Range visited %d, want 49", count)
-	}
-	want := 49*50/2 - 10
-	if sum != want {
-		t.Fatalf("Range sum = %d, want %d", sum, want)
-	}
-	// Early termination.
-	visited := 0
-	m.Range(func(k uint64, v int) bool {
-		visited++
-		return false
-	})
-	if visited != 1 {
-		t.Fatalf("early-exit Range visited %d, want 1", visited)
-	}
-}
-
 func TestNewWithHintClamps(t *testing.T) {
 	small := NewWithHint[int](0)
 	if len(small.segments) < 16 {
@@ -160,25 +72,26 @@ func TestConcurrentInsertPop(t *testing.T) {
 	var wg sync.WaitGroup
 	var popped atomic.Int64
 	stop := make(chan struct{})
-	// Concurrent poppers.
+	// Concurrent drainers, each taking one entry per call.
+	drainOne := func() bool {
+		return m.DrainN(1, func(uint64, uint64) {}) > 0
+	}
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if _, _, ok := m.PopAny(); ok {
+				if drainOne() {
 					popped.Add(1)
 					continue
 				}
 				select {
 				case <-stop:
 					// Final drain after writers finish.
-					for {
-						if _, _, ok := m.PopAny(); !ok {
-							return
-						}
+					for drainOne() {
 						popped.Add(1)
 					}
+					return
 				default:
 				}
 			}
@@ -285,19 +198,6 @@ func BenchmarkInsertParallel(b *testing.B) {
 	})
 }
 
-func BenchmarkPopAnyParallel(b *testing.B) {
-	m := NewWithHint[int](b.N)
-	for i := 0; i < b.N; i++ {
-		m.Insert(uint64(i), i)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			m.PopAny()
-		}
-	})
-}
-
 func TestGetOrInsert(t *testing.T) {
 	m := New[*int]()
 	mk := func() *int { v := 42; return &v }
@@ -378,5 +278,51 @@ func TestGetOrInsertConcurrentBuildsOnce(t *testing.T) {
 	}
 	if m.Len() != workers*perWorker {
 		t.Fatalf("Len = %d, want %d", m.Len(), workers*perWorker)
+	}
+}
+
+// TestResetEmpties fills a map past one arena chunk, resets it, and
+// checks that it behaves as a fresh map: nothing is found, and a second
+// population is stored and drained exactly.
+func TestResetEmpties(t *testing.T) {
+	m := NewReusable[int](64)
+	const n = 3*chunkNodes + 7
+	for round := 0; round < 3; round++ {
+		for i := 0; i < n; i++ {
+			m.Insert(uint64(i), i+round)
+		}
+		if v, ok := m.Get(5); !ok || v != 5+round {
+			t.Fatalf("round %d: Get(5) = %v,%v", round, v, ok)
+		}
+		m.Delete(7)
+		if got := m.DrainN(n, func(uint64, int) {}); got != n-1 {
+			t.Fatalf("round %d: drained %d, want %d", round, got, n-1)
+		}
+		m.Reset()
+		if !m.Empty() || m.Len() != 0 {
+			t.Fatalf("round %d: Len = %d after Reset", round, m.Len())
+		}
+		if _, ok := m.Get(5); ok {
+			t.Fatalf("round %d: Get after Reset found a node", round)
+		}
+	}
+}
+
+// TestResetReusesChunks pins the point of Reset: once a table has held
+// its largest population, filling, draining and resetting it again
+// allocates nothing — every arena chunk is reused.
+func TestResetReusesChunks(t *testing.T) {
+	m := NewReusable[int](64)
+	const n = 2*chunkNodes + 1
+	cycle := func() {
+		for i := 0; i < n; i++ {
+			m.Insert(uint64(i), i)
+		}
+		m.DrainN(n, func(uint64, int) {})
+		m.Reset()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Fatalf("fill/drain/Reset allocates %v times, want 0", got)
 	}
 }

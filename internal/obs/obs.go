@@ -408,7 +408,7 @@ func (f *FlushObs) SampleDepth(depth int) {
 // flusher threads) carry no stable worker identity, so counters shard by
 // key instead — same contention-avoidance, no plumbing.
 type PQObs struct {
-	enqueues, dequeues, adjusts, stalePops Counter
+	enqueues, dequeues, adjusts, stalePops, rescans Counter
 }
 
 // Enqueue records one queue insert.
@@ -441,6 +441,15 @@ func (p *PQObs) StalePop(key uint64) {
 		return
 	}
 	p.stalePops.Add(int(key), 1)
+}
+
+// Rescan records one run of the two-level queue's self-healing fallback:
+// a check of every ring slot for an entry hidden below the scan range.
+func (p *PQObs) Rescan() {
+	if p == nil {
+		return
+	}
+	p.rescans.Add(0, 1)
 }
 
 // FaultObs observes the fault-injection and recovery machinery: faults
@@ -584,7 +593,7 @@ func New(opt Options) *Observer {
 	}
 	o.pq = PQObs{
 		enqueues: newCounter(n), dequeues: newCounter(n),
-		adjusts: newCounter(n), stalePops: newCounter(n),
+		adjusts: newCounter(n), stalePops: newCounter(n), rescans: newCounter(n),
 	}
 	o.step = StepObs{completed: newCounter(n), wall: newHistogram(DurationBuckets), tr: o.tracer}
 	o.fault = FaultObs{
@@ -715,6 +724,9 @@ type Snapshot struct {
 	PQDequeues  int64 `json:"pqDequeues"`
 	PQAdjusts   int64 `json:"pqAdjusts"`
 	PQStalePops int64 `json:"pqStalePops"`
+	// PQRescans counts runs of the two-level queue's self-healing
+	// fallback; 0 unless an entry hid below the scan range.
+	PQRescans int64 `json:"pqRescans"`
 
 	// Steps.
 	StepsCompleted int64        `json:"stepsCompleted"`
@@ -777,6 +789,7 @@ func (o *Observer) Snapshot() Snapshot {
 		PQDequeues:  o.pq.dequeues.Total(),
 		PQAdjusts:   o.pq.adjusts.Total(),
 		PQStalePops: o.pq.stalePops.Total(),
+		PQRescans:   o.pq.rescans.Total(),
 
 		StepsCompleted: o.step.completed.Total(),
 		StepWall:       o.step.wall.snapshot(),

@@ -100,7 +100,8 @@ type Options struct {
 	// backpressures the lookahead window.
 	OnPrefetch func(step int64, keys []uint64)
 	// Queue overrides the priority queue implementation (default: a
-	// TwoLevelPQ sized for MaxStep). Exp #4 passes a TreeHeap here.
+	// TwoLevelPQ whose ring covers queueWindow). Exp #4 passes a TreeHeap
+	// here.
 	Queue pq.Queue
 	// DequeueBatchSize bounds each flusher's batched dequeue (default 64).
 	DequeueBatchSize int
@@ -243,6 +244,19 @@ type Controller struct {
 	faultObs *obs.FaultObs
 }
 
+// queueWindow is the span of finite priorities the default queue's ring
+// must hold at once. A finite priority is the next read step of a key
+// with pending writes: at least the oldest step some trainer has not
+// committed, at most the newest step the prefetcher has registered. The
+// two are at most Lookahead (the sample queue) + 1 (the batch the
+// prefetcher holds) + Trainers + 1 (batches handed out and not yet
+// committed, and the trainer skew at the gate) apart. The window is twice
+// that, so a slot the gate leaves behind has a full window's time to be
+// recycled before its priority comes round again.
+func queueWindow(o Options) int64 {
+	return 2 * int64(o.Lookahead+o.Trainers+2)
+}
+
 // NewController validates opt and builds a controller. Call Start to launch
 // the prefetch and flusher goroutines.
 func NewController(opt Options) (*Controller, error) {
@@ -252,7 +266,7 @@ func NewController(opt Options) (*Controller, error) {
 	q := opt.Queue
 	if q == nil {
 		var err error
-		q, err = pq.NewTwoLevelPQ(pq.TwoLevelOptions{MaxStep: opt.MaxStep})
+		q, err = pq.NewTwoLevelPQ(pq.TwoLevelOptions{Window: queueWindow(opt)})
 		if err != nil {
 			return nil, err
 		}
@@ -589,10 +603,6 @@ func (c *Controller) notifyFlush(key uint64) {
 // completes). Together with RowStaleness it bounds how far a host row can
 // lag the training frontier. Lock-free; safe from any goroutine.
 func (c *Controller) Watermark() int64 { return c.watermark.Load() }
-
-// MaxStep returns the step-count bound the controller was built with;
-// step numbers run 0 … MaxStep-1.
-func (c *Controller) MaxStep() int64 { return c.opt.MaxStep }
 
 // RowStaleness reports how many gate steps the host copy of key may lag
 // the committed watermark. lag = 0 means every committed update of the

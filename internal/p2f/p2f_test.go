@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"frugal/internal/obs"
 	"frugal/internal/pq"
 )
 
@@ -498,5 +499,36 @@ func TestGatePropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSequentialRunNeedsNoRescan trains one trainer through 3,000 steps
+// over a small key space, with the flusher pool draining alongside, and
+// checks that the queue's self-healing rescan never ran: with the gate
+// raising the lower bound only past drained steps, no entry hides below
+// it, and entries on their way into a slot do not trigger the rescan.
+func TestSequentialRunNeedsNoRescan(t *testing.T) {
+	const steps, keys, batch = 3000, 400, 24
+	rng := rand.New(rand.NewSource(7))
+	batches := make([][]uint64, steps)
+	for i := range batches {
+		for j := 0; j < batch; j++ {
+			batches[i] = append(batches[i], uint64(rng.Intn(keys)))
+		}
+	}
+	o := obs.New(obs.Options{TraceCapacity: -1})
+	c := newTestController(t, Options{
+		MaxStep: steps, Lookahead: 10, FlushThreads: 2, Obs: o,
+		Sink: newRecordSink(), Source: &sliceSource{batches: batches},
+	})
+	if got := runTrace(t, c, 1); got != steps {
+		t.Fatalf("trained %d steps, want %d", got, steps)
+	}
+	s := o.Snapshot()
+	if s.PQDequeues == 0 {
+		t.Fatal("the queue saw no traffic")
+	}
+	if s.PQRescans != 0 {
+		t.Fatalf("%d self-healing rescans in a sequential run, want 0", s.PQRescans)
 	}
 }

@@ -11,8 +11,10 @@ import (
 	"time"
 )
 
-func newTwoLevel(t testing.TB, maxStep int64) Queue {
-	q, err := NewTwoLevelPQ(TwoLevelOptions{MaxStep: maxStep})
+// mustTwoLevel builds a two-level queue whose ring covers window
+// priorities.
+func mustTwoLevel(t testing.TB, window int64) *TwoLevelPQ {
+	q, err := NewTwoLevelPQ(TwoLevelOptions{Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,10 +22,11 @@ func newTwoLevel(t testing.TB, maxStep int64) Queue {
 }
 
 // queues returns both implementations so every contract test runs against
-// the two-level PQ and the TreeHeap baseline.
-func queues(t testing.TB, maxStep int64) map[string]Queue {
+// the two-level PQ and the TreeHeap baseline. The two-level queue's ring
+// covers window priorities.
+func queues(t testing.TB, window int64) map[string]Queue {
 	return map[string]Queue{
-		"twolevel": newTwoLevel(t, maxStep),
+		"twolevel": mustTwoLevel(t, window),
 		"treeheap": NewTreeHeap(16),
 	}
 }
@@ -258,44 +261,47 @@ func TestQueueEmptyDequeue(t *testing.T) {
 // gets a small directory, the ∞ slot holds all deferred work and keeps a
 // large one.
 func TestSlotTableSizing(t *testing.T) {
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	for p := int64(0); p < 100; p++ {
 		q.Enqueue(NewGEntry(uint64(p)), p)
 	}
 	q.Enqueue(NewGEntry(1000), Inf)
 	for _, p := range []int64{0, 50, 99} {
-		if n := q.peek(q.slotIndex(p)).Segments(); n > 64 {
+		if n := q.slot(p).t.Load().Segments(); n > 64 {
 			t.Fatalf("finite slot %d has %d segments, want ≤ 64", p, n)
 		}
 	}
-	if n := q.peek(q.slotIndex(Inf)).Segments(); n < 1024 {
+	if n := q.inf.Segments(); n < 1024 {
 		t.Fatalf("∞ slot has %d segments, want ≥ 1024", n)
 	}
 }
 
 func TestTwoLevelPQValidation(t *testing.T) {
-	if _, err := NewTwoLevelPQ(TwoLevelOptions{MaxStep: -1}); err == nil {
-		t.Fatal("negative MaxStep should error")
+	if _, err := NewTwoLevelPQ(TwoLevelOptions{Window: -1}); err == nil {
+		t.Fatal("negative Window should error")
 	}
-	if _, err := NewTwoLevelPQ(TwoLevelOptions{MaxStep: 1 << 30}); err == nil {
-		t.Fatal("huge MaxStep should error")
+	if _, err := NewTwoLevelPQ(TwoLevelOptions{Window: 1 << 30}); err == nil {
+		t.Fatal("huge Window should error")
 	}
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 10})
+	q := mustTwoLevel(t, 10)
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("out-of-range priority should panic")
+				t.Fatal("negative priority should panic")
 			}
 		}()
-		enq(q, NewGEntry(1), 11)
+		enq(q, NewGEntry(1), -2)
 	}()
 }
 
 func TestTwoLevelScanCompressionEquivalence(t *testing.T) {
 	// With and without scan-range compression the queue must drain the
 	// same entries in the same priority order.
-	on := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 5000})
-	off := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 5000, DisableScanCompression: true})
+	on := mustTwoLevel(t, 5000)
+	off, err := NewTwoLevelPQ(TwoLevelOptions{Window: 5000, DisableScanCompression: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !on.compress || off.compress {
 		t.Fatal("compression flags wrong")
 	}
@@ -318,7 +324,7 @@ func TestTwoLevelScanCompressionEquivalence(t *testing.T) {
 }
 
 func TestTwoLevelStaleResidueCulled(t *testing.T) {
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	g := NewGEntry(1)
 	enq(q, g, 10)
 	adj(q, g, 60)
@@ -334,8 +340,17 @@ func TestTwoLevelStaleResidueCulled(t *testing.T) {
 	}
 }
 
+// TestQueueConcurrentStress runs the queue in the shape P²F drives it:
+// a driver plays the gate, raising the lower bound past step s once Top
+// has moved beyond it; producers enqueue and adjust entries at
+// priorities drawn from the live window above the current step; four
+// consumers claim through ProcessBatch. Every entry must be claimed
+// exactly once. A producer that read the step before the driver moved
+// on files its entry below the bound, which exercises the self-healing
+// scan and, on the ring, slot recycling racing with inserts.
 func TestQueueConcurrentStress(t *testing.T) {
-	for name, q := range queues(t, 1<<16) {
+	const window = 16
+	for name, q := range queues(t, 2*window) {
 		t.Run(name, func(t *testing.T) {
 			const (
 				producers = 4
@@ -346,9 +361,31 @@ func TestQueueConcurrentStress(t *testing.T) {
 			for i := range entries {
 				entries[i] = NewGEntry(uint64(i))
 			}
+			raiser, _ := q.(interface{ RaiseLowerBound(int64) })
+			var step atomic.Int64
 			var claimed atomic.Int64
 			var wg sync.WaitGroup
 			done := make(chan struct{})
+			// The gate driver.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if s := step.Load(); q.Top() > s {
+						step.Store(s + 1)
+						if raiser != nil {
+							raiser.RaiseLowerBound(s + 1)
+						}
+					} else {
+						time.Sleep(20 * time.Microsecond)
+					}
+				}
+			}()
 			// Consumers.
 			for c := 0; c < 4; c++ {
 				wg.Add(1)
@@ -380,7 +417,8 @@ func TestQueueConcurrentStress(t *testing.T) {
 					}
 				}()
 			}
-			// Producers enqueue then randomly adjust.
+			// Producers enqueue inside the live window, then randomly
+			// adjust within it.
 			var pwg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				pwg.Add(1)
@@ -389,14 +427,13 @@ func TestQueueConcurrentStress(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(p)))
 					for i := 0; i < perP; i++ {
 						g := entries[p*perP+i]
-						prio := int64(rng.Intn(1 << 15))
 						g.Mu.Lock()
-						q.Enqueue(g, prio)
+						q.Enqueue(g, step.Load()+1+int64(rng.Intn(window)))
 						g.Mu.Unlock()
 						if rng.Intn(3) == 0 {
 							g.Mu.Lock()
 							if g.InQueue {
-								q.AdjustPriority(g, g.Priority, g.Priority+int64(rng.Intn(1000)))
+								q.AdjustPriority(g, g.Priority, step.Load()+1+int64(rng.Intn(window)))
 							}
 							g.Mu.Unlock()
 						}
@@ -420,7 +457,7 @@ func TestQueueConcurrentStress(t *testing.T) {
 // non-decreasing order with nothing lost or duplicated.
 func TestQueueDrainProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
-		q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 1 << 16})
+		q := mustTwoLevel(t, 1<<16)
 		h := NewTreeHeap(len(raw))
 		for i, r := range raw {
 			enq(q, NewGEntry(uint64(i)), int64(r))
@@ -458,10 +495,9 @@ func TestQueueDrainProperty(t *testing.T) {
 // step+L], one-entry ProcessBatch calls under the flusher's claim drain
 // from the front, and the controller raises the scan lower bound as steps
 // complete — exactly what WaitForStep does.
-func benchQueueMixed(b *testing.B, mk func(maxStep int64) Queue) {
+func benchQueueMixed(b *testing.B, mk func(window int64) Queue) {
 	const L = 10
-	maxStep := int64(b.N) + 1<<15
-	q := mk(maxStep)
+	q := mk(2 * (L + 2))
 	raiser, _ := q.(interface{ RaiseLowerBound(int64) })
 	var step atomic.Int64
 	var keys atomic.Uint64
@@ -484,7 +520,7 @@ func benchQueueMixed(b *testing.B, mk func(maxStep int64) Queue) {
 				// only when the front of the queue has moved past it —
 				// exactly WaitForStep's condition.
 				s := step.Load()
-				if q.Top() > s && s < maxStep-L-2 {
+				if q.Top() > s {
 					if step.CompareAndSwap(s, s+1) && raiser != nil {
 						raiser.RaiseLowerBound(s + 1)
 					}
@@ -497,8 +533,8 @@ func benchQueueMixed(b *testing.B, mk func(maxStep int64) Queue) {
 // BenchmarkTwoLevelPQMixed measures the two-level queue under the real
 // P²F access pattern (Exp #4's wall-clock counterpart).
 func BenchmarkTwoLevelPQMixed(b *testing.B) {
-	benchQueueMixed(b, func(maxStep int64) Queue {
-		return MustTwoLevelPQ(TwoLevelOptions{MaxStep: maxStep})
+	benchQueueMixed(b, func(window int64) Queue {
+		return mustTwoLevel(b, window)
 	})
 }
 
@@ -509,26 +545,31 @@ func BenchmarkTreeHeapMixed(b *testing.B) {
 
 // BenchmarkPQScanRangeCompression is the §3.4 ablation: the cost of one
 // flusher claim (a one-entry ProcessBatch) with and without the bounded
-// scan, late in a long training run when the priority index is huge and
-// live priorities cluster near the end.
+// scan, late in a long training run. Live priorities fill half the ring,
+// the ratio the P²F controller sizes it for: compression starts the scan
+// at the lower bound, while the "off" mode covers all R slots below the
+// largest priority and so first passes the empty half.
 func BenchmarkPQScanRangeCompression(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
 		disable bool
 	}{{"on", false}, {"off", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			q := MustTwoLevelPQ(TwoLevelOptions{
-				MaxStep:                1 << 20,
+			const live = 1024
+			q, err := NewTwoLevelPQ(TwoLevelOptions{
+				Window:                 2 * live,
 				DisableScanCompression: mode.disable,
 			})
-			base := int64(1<<20 - 4096)
-			for i := 0; i < 4096; i++ {
-				enq(q, NewGEntry(uint64(i)), base+int64(i%1024))
+			if err != nil {
+				b.Fatal(err)
 			}
+			base := int64(1<<20 - 4096)
 			// The controller has passed the gate for every step below the
-			// window (compression keeps the scan there; the "off" mode
-			// must scan the whole index from zero).
+			// window.
 			q.RaiseLowerBound(base)
+			for i := 0; i < 4*live; i++ {
+				enq(q, NewGEntry(uint64(i)), base+int64(i%live))
+			}
 			var flushed atomic.Int64
 			fc := flushClaim(&flushed)
 			var got *GEntry
@@ -548,7 +589,7 @@ func BenchmarkPQScanRangeCompression(b *testing.B) {
 				if g == nil {
 					b.StopTimer()
 					g = NewGEntry(uint64(i))
-					p = base + int64(i%1024)
+					p = base + int64(i%live)
 					b.StartTimer()
 				}
 				g.Mu.Lock()
@@ -565,7 +606,7 @@ func BenchmarkPQScanRangeCompression(b *testing.B) {
 func BenchmarkPQDequeueBatchSize(b *testing.B) {
 	for _, batch := range []int{1, 8, 64, 256} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 1 << 16})
+			q := mustTwoLevel(b, 1024)
 			for i := 0; i < 8192; i++ {
 				enq(q, NewGEntry(uint64(i)), int64(i%1024))
 			}

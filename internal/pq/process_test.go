@@ -105,7 +105,7 @@ func TestProcessBatchDrainsInPriorityOrder(t *testing.T) {
 func TestProcessBatchVisibilityBeforeRemoval(t *testing.T) {
 	// The gate-soundness property: while fn runs (the flush), Top() must
 	// still see the entry — the queue may not hide it until fn returned.
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	g := NewGEntry(1)
 	g.Mu.Lock()
 	g.AddWriteState(0, []float32{1}, 0)
@@ -137,7 +137,7 @@ func TestProcessBatchVisibilityBeforeRemoval(t *testing.T) {
 }
 
 func TestProcessBatchCullsResidues(t *testing.T) {
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	g := NewGEntry(1)
 	g.Mu.Lock()
 	g.AddWriteState(0, []float32{1}, 0)
@@ -217,7 +217,7 @@ func TestProcessBatchEmptyAndZeroMax(t *testing.T) {
 // asserts one flusher batch still claims it at its own slot: the scan's
 // fallback must reach below the range before it settles for ∞ or nothing.
 func TestProcessBatchSelfHealsBelowRaisedLowerBound(t *testing.T) {
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	g := NewGEntry(1)
 	g.Mu.Lock()
 	g.AddWriteState(0, []float32{1}, 0)

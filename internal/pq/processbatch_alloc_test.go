@@ -15,7 +15,7 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 	)
 	queues := map[string]func() Queue{
 		"twolevel": func() Queue {
-			q, err := NewTwoLevelPQ(TwoLevelOptions{MaxStep: entries})
+			q, err := NewTwoLevelPQ(TwoLevelOptions{Window: entries})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import "testing"
 // read was still queued (a stale read). Top and ProcessBatch share one
 // scan and so one fallback for this race.
 func TestTopSelfHealsBelowRaisedLowerBound(t *testing.T) {
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	g := NewGEntry(1)
 	g.Mu.Lock()
 	q.Enqueue(g, 5)
@@ -40,7 +40,7 @@ func TestTopSelfHealsBelowRaisedLowerBound(t *testing.T) {
 // queued beside the hidden entry: the fallback must run before the scan
 // reaches the ∞ slot, or Top would report Inf over a live finite entry.
 func TestTopSelfHealsBeforeDeferredWork(t *testing.T) {
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	g, d := NewGEntry(1), NewGEntry(2)
 	enq(q, g, 5)
 	enq(q, d, Inf)
@@ -57,7 +57,7 @@ func TestTopSelfHealsBeforeDeferredWork(t *testing.T) {
 // (deferred) entries queued, Top must return Inf without disturbing the
 // compressed bounds — the fallback is for racing *finite* entries only.
 func TestTopSkipsFallbackWhenOnlyDeferred(t *testing.T) {
-	q := MustTwoLevelPQ(TwoLevelOptions{MaxStep: 100})
+	q := mustTwoLevel(t, 100)
 	// Raise upper via a finite entry that is then moved to ∞, leaving the
 	// queue with deferred work only.
 	g := NewGEntry(2)

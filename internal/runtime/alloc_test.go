@@ -126,13 +126,14 @@ func TestStepPathZeroAllocPrefetch(t *testing.T) {
 }
 
 // TestStepPathBoundedAllocFrugal bounds the frugal engine's residual.
-// EngineFrugal cannot be strictly zero-alloc per step: the lock-free queue
-// index claims immutable nodes from a chunked arena (amortized one chunk
-// allocation per chunkNodes enqueues — nodes are never recycled, see
-// DESIGN.md §5d), and this harness also generates the sample stream live
-// (the P²F lookahead loop owns the trace, so it cannot be pre-pumped). The
-// bound asserts the residual stays well below one allocation per batch key,
-// nowhere near the old per-key-buffer churn.
+// EngineFrugal cannot be strictly zero-alloc per step: a key the run
+// touches for the first time gets a g-entry with fresh read and write
+// sets, the ∞ slot claims a new arena chunk every 256 deferred enqueues
+// (its table is never reset; the finite slot tables are recycled and add
+// nothing, see DESIGN.md §5d), and this harness also generates the sample
+// stream live (the P²F lookahead loop owns the trace, so it cannot be
+// pre-pumped). The residual measures 14 allocations per 128-key step; the
+// bound is a quarter of the batch.
 func TestStepPathBoundedAllocFrugal(t *testing.T) {
 	for _, prefetch := range []bool{false, true} {
 		name := "demand"
@@ -171,10 +172,7 @@ func TestStepPathBoundedAllocFrugal(t *testing.T) {
 				one()
 			}
 			got := testing.AllocsPerRun(runs, one)
-			// The flush-queue index claims nodes from a chunked arena, so the
-			// residual is sample generation, cold-tail g-entry creation and
-			// amortized arena chunks — well under one alloc per batch key.
-			if limit := float64(allocTestBatch); got > limit {
+			if limit := float64(allocTestBatch / 4); got > limit {
 				t.Fatalf("frugal step allocates %v times, want ≤ %v", got, limit)
 			}
 		})

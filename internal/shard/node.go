@@ -9,6 +9,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"frugal/internal/p2f"
 	"frugal/internal/pq"
@@ -31,9 +32,6 @@ type NodeOptions struct {
 	// Trainers is how many trainer clients scatter each step; the node's
 	// watermark advances once all of them have committed it (default 1).
 	Trainers int
-	// MaxStep sizes the priority queue; Scatter rejects steps ≥ MaxStep
-	// (default 1<<16).
-	MaxStep int64
 	// Uncoordinated skips the P²F controller: scatters apply write-through
 	// and the watermark surface degenerates (-1, trivially fresh reads).
 	Uncoordinated bool
@@ -115,16 +113,12 @@ func NewNode(opt NodeOptions) (*Node, error) {
 // slab; unowned keys cannot reach it, because Scatter validates
 // ownership.
 func newNodeController(opt NodeOptions, km *store.KeyMap, host *runtime.Host) (*p2f.Controller, error) {
-	maxStep := opt.MaxStep
-	if maxStep <= 0 {
-		maxStep = 1 << 16
-	}
 	flushers := opt.Flushers
 	if flushers <= 0 {
 		flushers = 4
 	}
 	return p2f.NewController(p2f.Options{
-		MaxStep:      maxStep,
+		MaxStep:      math.MaxInt64, // no trace: the prefetch loop ends at once
 		KeySpace:     km.Owned(),
 		FlushThreads: flushers,
 		Trainers:     opt.Trainers,

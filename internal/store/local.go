@@ -132,13 +132,10 @@ func (s *LocalStore) Versions(keys []uint64, out []uint64) error {
 // Scatter commits one step's updates: through the controller's P²F
 // commit path when coordinated (the write sets drain asynchronously and
 // the watermark advances), straight onto the slab otherwise. Every key
-// must be placed here and every delta dim long; a coordinated store also
-// refuses a step beyond its controller's MaxStep. Nothing is applied
-// unless the whole batch passes.
+// must be placed here and every delta dim long. No step bound applies:
+// the priority queue holds a sliding window of steps, not a range fixed
+// up front. Nothing is applied unless the whole batch passes.
 func (s *LocalStore) Scatter(step int64, updates []KeyDelta) error {
-	if s.ctrl != nil && step >= s.ctrl.MaxStep() {
-		return fmt.Errorf("store: step %d ≥ MaxStep %d", step, s.ctrl.MaxStep())
-	}
 	d := s.host.Dim()
 	for _, u := range updates {
 		if _, err := s.slot(u.Key); err != nil {

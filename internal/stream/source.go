@@ -32,9 +32,8 @@ type Options struct {
 	Distribution data.Distribution
 	// Seed makes the event stream reproducible.
 	Seed int64
-	// Horizon caps the stream's length in steps (default 1<<20). The P²F
-	// priority queue is sized for the step horizon up front, so a
-	// continuous job runs in bounded horizons; restart the job to renew.
+	// Horizon caps the stream's length in steps (default 1<<20); after
+	// it, Next reports end-of-stream.
 	Horizon int64
 }
 

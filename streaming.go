@@ -33,9 +33,10 @@ type StreamOptions struct {
 	Distribution string
 	// Dim is the embedding dimension (default 32).
 	Dim int
-	// Horizon caps the stream's length in steps (default 1<<20). The P²F
-	// priority queue is sized for the step horizon up front, so a
-	// continuous job runs in bounded horizons; restart the job to renew.
+	// Horizon caps the stream's length in steps (default 1<<20); the job
+	// ends through its normal epilogue when it runs out. It sizes nothing:
+	// the P²F queue recycles a ring of step slots, so the job's memory
+	// does not grow with the steps it runs.
 	Horizon int64
 
 	// LogDir, when set, enables the delta-checkpoint log: an empty (or

@@ -3,6 +3,7 @@ package frugal
 import (
 	"bytes"
 	"context"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -230,5 +231,45 @@ func TestRestoreCheckpointErrors(t *testing.T) {
 	// And the happy path still round-trips after all that.
 	if err := mk(16).RestoreCheckpoint(bytes.NewReader(good)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamJobHeapFlat runs an unpaced stream for 8,000 steps and
+// checks that its live heap after a GC barely grows between steps 4,000
+// and 8,000: a continuous job must not retain memory per step it runs.
+// The P²F queue once kept a slot table for every step (about 10 KB each,
+// 40 MB over this span); its ring of recycled slots keeps a fixed set.
+func TestStreamJobHeapFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8,000 training steps")
+	}
+	const mid, end = 4000, 8000
+	heap := map[int64]uint64{}
+	liveHeap := func() uint64 {
+		var ms goruntime.MemStats
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	cfg := Config{NumGPUs: 2, Seed: 1, OnStep: func(s StepStats) {
+		if s.Step == mid || s.Step == end {
+			heap[s.Step] = liveHeap()
+		}
+	}}
+	sj, err := NewStreamJob(cfg, StreamOptions{Batch: 64, KeySpace: 2000, Dim: 8, Horizon: end + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sj.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	a, b := heap[mid], heap[end]
+	if a == 0 || b == 0 {
+		t.Fatalf("heap not sampled at steps %d and %d: %v", mid, end, heap)
+	}
+	if grew := int64(b) - int64(a); grew >= 1<<20 {
+		t.Fatalf("live heap grew %d B between steps %d and %d (%.0f B/step), want < 1 MB",
+			grew, mid, end, float64(grew)/(end-mid))
 	}
 }
