@@ -28,7 +28,6 @@ func main() {
 		keys    = flag.Uint64("keys", 1_000_000, "trace key-space size")
 		batch   = flag.Int("batch", 1024, "trace batch size / KG batch size")
 		samples = flag.Int64("samples", 10_000, "samples (REC), triples (KG) or batches (trace)")
-		scale   = flag.Int64("scale", 100_000, "dataset scale-down factor")
 		seed    = flag.Int64("seed", 1, "random seed")
 		out     = flag.String("o", "-", "output path ('-' = stdout)")
 	)
@@ -44,7 +43,7 @@ func main() {
 	case *trace != "":
 		err = emitTrace(w, data.Distribution(*trace), *seed, *keys, *batch, *samples)
 	case *dataset != "":
-		err = emitDataset(w, *dataset, *seed, *batch, *samples, *scale)
+		err = emitDataset(w, *dataset, *seed, *batch, *samples)
 	default:
 		err = fmt.Errorf("need -dataset or -trace; see -h")
 	}
@@ -92,12 +91,15 @@ func emitTrace(w *bufio.Writer, dist data.Distribution, seed int64, keys uint64,
 	}
 }
 
-func emitDataset(w *bufio.Writer, name string, seed int64, batch int, samples, scale int64) error {
+// datasetScale is the scale-down factor of a materialised dataset.
+const datasetScale = 100_000
+
+func emitDataset(w *bufio.Writer, name string, seed int64, batch int, samples int64) error {
 	spec, err := data.SpecByName(name)
 	if err != nil {
 		return err
 	}
-	spec = spec.Scaled(scale)
+	spec = spec.Scaled(datasetScale)
 	if spec.Kind == data.KG {
 		return emitKG(w, spec, seed, batch, samples)
 	}

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"frugal"
+	"frugal/internal/shard"
 )
 
 func main() { os.Exit(run()) }
@@ -52,21 +53,14 @@ func run() int {
 		checkpoint  = flag.String("checkpoint", "", "checkpoint to serve (from frugal-train -checkpoint-out)")
 		shards      = flag.String("shards", "", "comma-separated frugal-shard addresses to serve from, in -shard index order (instead of -checkpoint)")
 		follow      = flag.String("follow", "", "delta-checkpoint log directory to tail as a serve replica (from frugal-train -stream-log; instead of -checkpoint)")
-		poll        = flag.Duration("poll", 0, "follower log-tail interval (0 = 50ms default; requires -follow)")
 		promote     = flag.Duration("promote-after", 0, "self-promote once the log stops growing for this long (0 = never; requires -follow)")
 		waitForLog  = flag.Duration("wait-for-log", 0, "keep retrying this long when the log directory has no base yet (requires -follow)")
 		level       = flag.String("level", "stale", "default consistency level: stale, bounded(k), fresh")
-		rejectStale = flag.Bool("reject-stale", false, "refuse bounded lookups over the bound instead of force-flushing")
-		maxTopK     = flag.Int("max-topk", 128, "largest accepted top-K query size")
 		maxInflight = flag.Int("max-inflight", 256, "admission-control capacity in lookup units (0 = unlimited)")
 		reqTimeout  = flag.Duration("request-timeout", 2*time.Second, "per-request deadline (0 = none)")
 		drain       = flag.Duration("drain", 5*time.Second, "connection-drain budget on shutdown")
 		loadGen     = flag.Duration("loadgen", 0, "run the load generator for this long and exit (0 = serve HTTP)")
 		rate        = flag.Float64("rate", 0, "load-generator open-loop arrival rate, queries/s (0 = closed loop)")
-		workers     = flag.Int("workers", 4, "load-generator workers")
-		zipf        = flag.Float64("zipf", 0.9, "load-generator Zipf key-skew exponent θ")
-		topkFrac    = flag.Float64("topk-frac", 0.05, "load-generator fraction of top-K queries")
-		k           = flag.Int("k", 10, "load-generator top-K size")
 		seed        = flag.Int64("seed", 1, "load-generator random seed")
 		jsonOut     = flag.Bool("json", false, "emit the load-generator report as JSON")
 		index       = flag.String("index", "flat", "top-K scan strategy: flat (exhaustive) or ivf (sublinear inverted file)")
@@ -81,12 +75,9 @@ func run() int {
 
 	lvl, kind, err := validate(options{
 		Addr: *addr, Checkpoint: *checkpoint, Shards: *shards,
-		Follow: *follow, Poll: *poll, PromoteAfter: *promote, WaitForLog: *waitForLog,
-		Level: *level, MaxTopK: *maxTopK,
-		MaxInflight: *maxInflight, RequestTimeout: *reqTimeout, Drain: *drain,
-		LoadGen: *loadGen, Rate: *rate, Workers: *workers, Zipf: *zipf, TopKFrac: *topkFrac, K: *k,
-		Index: *index, Centroids: *centroids, NProbe: *nprobe,
-		ColdTier: *coldTier, HotFraction: *hotFraction,
+		Follow: *follow, PromoteAfter: *promote, WaitForLog: *waitForLog,
+		Level: *level, Drain: *drain, LoadGen: *loadGen, Rate: *rate,
+		Index: *index, ColdTier: *coldTier,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "frugal-serve:", err)
@@ -95,8 +86,7 @@ func run() int {
 	}
 
 	opt := frugal.ServeOptions{
-		Level: lvl, RejectStale: *rejectStale, MaxTopK: *maxTopK,
-		MaxInflight: *maxInflight, RequestTimeout: *reqTimeout,
+		Level: lvl, MaxInflight: *maxInflight, RequestTimeout: *reqTimeout,
 		Index: kind, Centroids: *centroids, NProbe: *nprobe,
 		ColdTier: *coldTier, HotFraction: *hotFraction,
 	}
@@ -106,7 +96,7 @@ func run() int {
 	switch {
 	case *shards != "":
 		role = "sharded"
-		srv, err = frugal.NewServerFromShards(splitAddrs(*shards), opt)
+		srv, err = frugal.NewServerFromShards(shard.SplitAddrs(*shards), opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -114,7 +104,7 @@ func run() int {
 		defer srv.Close()
 	case *follow != "":
 		fsrv, err = frugal.NewServerFromLog(*follow, opt, frugal.FollowOptions{
-			Poll: *poll, WaitForLog: *waitForLog, PromoteAfter: *promote,
+			WaitForLog: *waitForLog, PromoteAfter: *promote,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -149,9 +139,7 @@ func run() int {
 
 	if *loadGen > 0 {
 		rep, err := srv.RunLoadGen(frugal.LoadGenOptions{
-			Workers: *workers, Duration: *loadGen, Zipf: *zipf,
-			TopKFraction: *topkFrac, K: *k, Level: lvl, Seed: *seed,
-			ArrivalRate: *rate,
+			Duration: *loadGen, Level: lvl, Seed: *seed, ArrivalRate: *rate,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

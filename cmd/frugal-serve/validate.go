@@ -3,57 +3,35 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"frugal"
+	"frugal/internal/shard"
 )
-
-// splitAddrs parses the -shards comma list, dropping blanks.
-func splitAddrs(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // options are the flag values vetted before any serving work starts.
 type options struct {
-	Addr           string
-	Checkpoint     string
-	Shards         string
-	Follow         string
-	Poll           time.Duration
-	PromoteAfter   time.Duration
-	WaitForLog     time.Duration
-	Level          string
-	MaxTopK        int
-	MaxInflight    int
-	RequestTimeout time.Duration
-	Drain          time.Duration
-	LoadGen        time.Duration
-	Rate           float64
-	Workers        int
-	Zipf           float64
-	TopKFrac       float64
-	K              int
-	Index          string
-	Centroids      int
-	NProbe         int
-	ColdTier       bool
-	HotFraction    float64
-	statFile       func(string) error // test seam; nil = os.Stat
+	Addr         string
+	Checkpoint   string
+	Shards       string
+	Follow       string
+	PromoteAfter time.Duration
+	WaitForLog   time.Duration
+	Level        string
+	Drain        time.Duration
+	LoadGen      time.Duration
+	Rate         float64
+	Index        string
+	ColdTier     bool
+	statFile     func(string) error // test seam; nil = os.Stat
 }
 
 // validate rejects invalid flag combinations up front with a usage error —
-// a bad consistency level, a negative staleness bound, a missing
-// checkpoint — instead of failing after the slab is half-loaded or the
-// load run has started. It returns the parsed default consistency level
-// and top-K index kind.
+// a bad consistency level, a flag without the mode it needs, a missing
+// checkpoint. Option values the library checks (admission, timeouts, IVF
+// knobs, the hot fraction) are left to the server constructors, which
+// reject them before loading or dialing anything. It returns the parsed
+// default consistency level and top-K index kind.
 func validate(o options) (frugal.ServeLevel, frugal.IndexKind, error) {
 	fail := func(err error) (frugal.ServeLevel, frugal.IndexKind, error) {
 		return frugal.ServeLevel{}, frugal.IndexAuto, err
@@ -65,15 +43,6 @@ func validate(o options) (frugal.ServeLevel, frugal.IndexKind, error) {
 	kind, err := frugal.ParseIndexKind(o.Index)
 	if err != nil {
 		return fail(fmt.Errorf("-index: %w", err))
-	}
-	if o.Centroids < 0 {
-		return fail(fmt.Errorf("-centroids must not be negative (got %d; 0 picks the default)", o.Centroids))
-	}
-	if o.NProbe < 0 {
-		return fail(fmt.Errorf("-nprobe must not be negative (got %d; 0 picks the default)", o.NProbe))
-	}
-	if kind != frugal.IndexIVF && (o.Centroids > 0 || o.NProbe > 0) {
-		return fail(fmt.Errorf("-centroids/-nprobe need -index=ivf (got -index=%s)", kind))
 	}
 	sources := 0
 	for _, set := range []bool{o.Checkpoint != "", o.Shards != "", o.Follow != ""} {
@@ -88,9 +57,6 @@ func validate(o options) (frugal.ServeLevel, frugal.IndexKind, error) {
 		return fail(fmt.Errorf("-checkpoint, -shards and -follow are mutually exclusive (one slab per server)"))
 	}
 	if o.Follow == "" {
-		if o.Poll != 0 {
-			return fail(fmt.Errorf("-poll requires -follow"))
-		}
 		if o.PromoteAfter != 0 {
 			return fail(fmt.Errorf("-promote-after requires -follow"))
 		}
@@ -98,37 +64,21 @@ func validate(o options) (frugal.ServeLevel, frugal.IndexKind, error) {
 			return fail(fmt.Errorf("-wait-for-log requires -follow"))
 		}
 	} else {
-		if o.Poll < 0 {
-			return fail(fmt.Errorf("-poll must not be negative (got %v)", o.Poll))
-		}
 		if o.PromoteAfter < 0 {
 			return fail(fmt.Errorf("-promote-after must not be negative (got %v; 0 never auto-promotes)", o.PromoteAfter))
 		}
 		if o.WaitForLog < 0 {
 			return fail(fmt.Errorf("-wait-for-log must not be negative (got %v)", o.WaitForLog))
 		}
-		if kind == frugal.IndexIVF {
-			return fail(fmt.Errorf("-index=ivf is not available on followers (the IVF repair feed is the primary's flush stream)"))
-		}
 	}
-	if o.Shards != "" {
-		if len(splitAddrs(o.Shards)) == 0 {
-			return fail(fmt.Errorf("-shards lists no addresses (got %q)", o.Shards))
-		}
-		if kind == frugal.IndexIVF {
-			return fail(fmt.Errorf("-index=ivf needs an in-process slab (-checkpoint); sharded servers scan per shard"))
-		}
+	if o.Shards != "" && len(shard.SplitAddrs(o.Shards)) == 0 {
+		return fail(fmt.Errorf("-shards lists no addresses (got %q)", o.Shards))
 	}
-	if o.HotFraction != 0 && !o.ColdTier {
-		return fail(fmt.Errorf("-hot-fraction requires -cold-tier"))
+	if kind == frugal.IndexIVF && o.Checkpoint == "" {
+		return fail(fmt.Errorf("-index=ivf needs an in-process slab (-checkpoint); sharded servers scan per shard and followers get no IVF repair feed"))
 	}
-	if o.ColdTier {
-		if o.Checkpoint == "" {
-			return fail(fmt.Errorf("-cold-tier needs an in-process checkpoint slab (-checkpoint)"))
-		}
-		if o.HotFraction < 0 || o.HotFraction > 1 {
-			return fail(fmt.Errorf("-hot-fraction must be in (0, 1] (got %g)", o.HotFraction))
-		}
+	if o.ColdTier && o.Checkpoint == "" {
+		return fail(fmt.Errorf("-cold-tier needs an in-process checkpoint slab (-checkpoint)"))
 	}
 	if o.Checkpoint != "" {
 		stat := o.statFile
@@ -141,20 +91,6 @@ func validate(o options) (frugal.ServeLevel, frugal.IndexKind, error) {
 		if err := stat(o.Checkpoint); err != nil {
 			return fail(fmt.Errorf("-checkpoint: %w", err))
 		}
-	}
-	if o.MaxTopK < 1 {
-		return fail(fmt.Errorf("-max-topk must be at least 1 (got %d)", o.MaxTopK))
-	}
-	if o.MaxInflight < 0 {
-		return fail(fmt.Errorf("-max-inflight must not be negative (got %d; 0 disables admission control)", o.MaxInflight))
-	}
-	if o.MaxInflight > 0 && o.MaxInflight < 8 {
-		// The engine charges a top-K query 8 lookup units; a smaller pool
-		// could never admit one.
-		return fail(fmt.Errorf("-max-inflight must be 0 or at least 8 (got %d; a top-K query costs 8 units)", o.MaxInflight))
-	}
-	if o.RequestTimeout < 0 {
-		return fail(fmt.Errorf("-request-timeout must not be negative (got %v)", o.RequestTimeout))
 	}
 	if o.Drain < 0 {
 		return fail(fmt.Errorf("-drain must not be negative (got %v)", o.Drain))
@@ -170,20 +106,6 @@ func validate(o options) (frugal.ServeLevel, frugal.IndexKind, error) {
 	}
 	if o.LoadGen == 0 && o.Addr == "" {
 		return fail(fmt.Errorf("-addr must not be empty without -loadgen (nothing to do)"))
-	}
-	if o.LoadGen > 0 {
-		if o.Workers < 1 {
-			return fail(fmt.Errorf("-workers must be at least 1 (got %d)", o.Workers))
-		}
-		if o.Zipf <= 0 || o.Zipf >= 1 {
-			return fail(fmt.Errorf("-zipf must be in (0, 1) (got %v)", o.Zipf))
-		}
-		if o.TopKFrac < 0 || o.TopKFrac > 1 {
-			return fail(fmt.Errorf("-topk-frac must be in [0, 1] (got %v)", o.TopKFrac))
-		}
-		if o.K < 1 || o.K > o.MaxTopK {
-			return fail(fmt.Errorf("-k must be in [1, -max-topk] (got %d, max-topk %d)", o.K, o.MaxTopK))
-		}
 	}
 	return lvl, kind, nil
 }

@@ -11,8 +11,7 @@ import (
 // good returns a valid flag set; tests break one field at a time.
 func good() options {
 	return options{
-		Addr: ":8080", Checkpoint: "x.ckpt", Level: "stale", MaxTopK: 128,
-		Workers: 4, Zipf: 0.9, TopKFrac: 0.05, K: 10,
+		Addr: ":8080", Checkpoint: "x.ckpt", Level: "stale",
 		statFile: func(string) error { return nil },
 	}
 }
@@ -25,12 +24,9 @@ func TestValidateAccepts(t *testing.T) {
 		func(o *options) { o.Level = "bounded(3)" },
 		func(o *options) { o.LoadGen = time.Second },
 		func(o *options) { o.LoadGen = time.Second; o.Addr = "" },
-		func(o *options) { o.MaxInflight = 0 }, // 0 = admission control off
-		func(o *options) { o.MaxInflight = 8 },
-		func(o *options) { o.RequestTimeout = 2 * time.Second; o.Drain = 5 * time.Second },
+		func(o *options) { o.Drain = 5 * time.Second },
 		func(o *options) { o.LoadGen = time.Second; o.Rate = 5000 },
 		func(o *options) { o.Index = "ivf" },
-		func(o *options) { o.Index = "ivf"; o.Centroids = 512; o.NProbe = 8 },
 		func(o *options) { o.Index = "flat" },
 		func(o *options) { o.Checkpoint = ""; o.Shards = "127.0.0.1:7101,127.0.0.1:7102" },
 		func(o *options) { o.Checkpoint = ""; o.Shards = "h:1"; o.LoadGen = time.Second },
@@ -57,25 +53,17 @@ func TestValidateRejects(t *testing.T) {
 		{"checkpoint and shards", func(o *options) { o.Shards = "h:1" }, "mutually exclusive"},
 		{"blank shards list", func(o *options) { o.Checkpoint = ""; o.Shards = " , " }, "-shards"},
 		{"ivf over shards", func(o *options) { o.Checkpoint = ""; o.Shards = "h:1"; o.Index = "ivf" }, "-index=ivf"},
+		{"ivf on a follower", func(o *options) { o.Checkpoint = ""; o.Follow = "log"; o.Index = "ivf" }, "-index=ivf"},
+		{"cold tier over shards", func(o *options) { o.Checkpoint = ""; o.Shards = "h:1"; o.ColdTier = true }, "-cold-tier"},
+		{"promote-after without follow", func(o *options) { o.PromoteAfter = time.Second }, "-follow"},
+		{"negative wait-for-log", func(o *options) { o.Checkpoint = ""; o.Follow = "log"; o.WaitForLog = -time.Second }, "-wait-for-log"},
 		{"stat failure", func(o *options) { o.statFile = func(string) error { return os.ErrNotExist } }, "-checkpoint"},
-		{"bad max-topk", func(o *options) { o.MaxTopK = 0 }, "-max-topk"},
 		{"negative loadgen", func(o *options) { o.LoadGen = -time.Second }, "-loadgen"},
 		{"no addr no loadgen", func(o *options) { o.Addr = "" }, "-addr"},
-		{"bad workers", func(o *options) { o.LoadGen = time.Second; o.Workers = 0 }, "-workers"},
-		{"bad zipf", func(o *options) { o.LoadGen = time.Second; o.Zipf = 1.5 }, "-zipf"},
-		{"bad topk-frac", func(o *options) { o.LoadGen = time.Second; o.TopKFrac = 2 }, "-topk-frac"},
-		{"k over max", func(o *options) { o.LoadGen = time.Second; o.K = 500 }, "-k"},
-		{"negative max-inflight", func(o *options) { o.MaxInflight = -1 }, "-max-inflight"},
-		{"max-inflight under topk weight", func(o *options) { o.MaxInflight = 4 }, "-max-inflight"},
-		{"negative request-timeout", func(o *options) { o.RequestTimeout = -time.Second }, "-request-timeout"},
 		{"negative drain", func(o *options) { o.Drain = -time.Second }, "-drain"},
 		{"negative rate", func(o *options) { o.LoadGen = time.Second; o.Rate = -1 }, "-rate"},
 		{"rate without loadgen", func(o *options) { o.Rate = 100 }, "-rate"},
 		{"bad index", func(o *options) { o.Index = "hnsw" }, "-index"},
-		{"negative centroids", func(o *options) { o.Index = "ivf"; o.Centroids = -1 }, "-centroids"},
-		{"negative nprobe", func(o *options) { o.Index = "ivf"; o.NProbe = -1 }, "-nprobe"},
-		{"centroids without ivf", func(o *options) { o.Centroids = 64 }, "-index=ivf"},
-		{"nprobe without ivf", func(o *options) { o.Index = "flat"; o.NProbe = 4 }, "-index=ivf"},
 	}
 	for _, tc := range cases {
 		o := good()

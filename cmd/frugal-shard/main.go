@@ -27,7 +27,6 @@ import (
 	"math"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -52,7 +51,6 @@ func run() int {
 		steps    = flag.Int64("steps", 200, "driver mode: training steps")
 		batch    = flag.Int("batch", 0, "driver mode: keys per step (0 = full table sweep)")
 		lr       = flag.Float64("lr", 0.05, "driver mode: learning rate")
-		report   = flag.Duration("report", time.Second, "driver mode: progress-report interval (0 = silent)")
 	)
 	flag.Parse()
 
@@ -71,7 +69,7 @@ func run() int {
 	defer stop()
 
 	if *connect != "" {
-		return runDriver(ctx, splitAddrs(*connect), *steps, *batch, float32(*lr), uint64(*seed), *report)
+		return runDriver(ctx, shard.SplitAddrs(*connect), *steps, *batch, float32(*lr), uint64(*seed))
 	}
 	return runNode(ctx, o, *uncoord, *seed)
 }
@@ -106,8 +104,11 @@ func runNode(ctx context.Context, o options, uncoordinated bool, seed int64) int
 	return 0
 }
 
+// reportEvery is the driver's progress-report interval.
+const reportEvery = time.Second
+
 // runDriver dials the shards and runs the store-level training loop.
-func runDriver(ctx context.Context, addrs []string, steps int64, batch int, lr float32, seed uint64, report time.Duration) int {
+func runDriver(ctx context.Context, addrs []string, steps int64, batch int, lr float32, seed uint64) int {
 	st, err := shard.DialSharded(addrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -122,7 +123,7 @@ func runDriver(ctx context.Context, addrs []string, steps int64, batch int, lr f
 	err = store.RunTrainer(ctx, st, store.TrainerConfig{
 		Steps: steps, BatchSize: batch, LR: lr, Seed: seed,
 		OnStep: func(step int64) {
-			if report <= 0 || time.Since(last) < report {
+			if time.Since(last) < reportEvery {
 				return
 			}
 			last = time.Now()
@@ -158,16 +159,4 @@ func rowInit(seed int64, dim int) func(key uint64, row []float32) {
 			row[j] = bound * float32(int64(h%(1<<20))-(1<<19)) / (1 << 19)
 		}
 	}
-}
-
-// splitAddrs parses the -connect / -shards comma list.
-func splitAddrs(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"strings"
+
+	"frugal/internal/shard"
 )
 
 // options are the flag values vetted before the node binds its listener
@@ -22,11 +24,13 @@ type options struct {
 }
 
 // validate rejects invalid flag combinations up front with a usage
-// error. Node mode needs a shape and a coherent topology slot; driver
-// mode needs addresses and a positive step budget.
+// error. Driver mode needs addresses and a positive step budget, checked
+// here because the trainer sees them only after dialing. The node's
+// shape and topology slot (-rows, -dim, -shard) are shard.NewNode's to
+// check, before the listener binds.
 func (o options) validate() error {
 	if o.Connect != "" {
-		if len(splitAddrs(o.Connect)) == 0 {
+		if len(shard.SplitAddrs(o.Connect)) == 0 {
 			return fmt.Errorf("-connect lists no addresses (got %q)", o.Connect)
 		}
 		if o.Steps <= 0 {
@@ -43,14 +47,8 @@ func (o options) validate() error {
 	if strings.TrimSpace(o.Addr) == "" {
 		return fmt.Errorf("-addr must not be empty")
 	}
-	if o.Rows <= 0 || o.Dim <= 0 {
-		return fmt.Errorf("-rows and -dim are required in node mode (got %d, %d)", o.Rows, o.Dim)
-	}
 	if o.Of <= 0 {
 		return fmt.Errorf("-of must be positive (got %d)", o.Of)
-	}
-	if o.Shard < 0 || o.Shard >= o.Of {
-		return fmt.Errorf("-shard must be in [0, %d) (got %d)", o.Of, o.Shard)
 	}
 	if o.Flushers <= 0 {
 		return fmt.Errorf("-flushers must be positive (got %d)", o.Flushers)

@@ -22,11 +22,7 @@ func TestValidateNodeMode(t *testing.T) {
 		want string
 	}{
 		{"empty addr", func(o *options) { o.Addr = " " }, "-addr"},
-		{"missing rows", func(o *options) { o.Rows = 0 }, "-rows"},
-		{"missing dim", func(o *options) { o.Dim = 0 }, "-rows"},
 		{"zero of", func(o *options) { o.Of = 0 }, "-of"},
-		{"shard out of range", func(o *options) { o.Shard = 3 }, "-shard"},
-		{"negative shard", func(o *options) { o.Shard = -1 }, "-shard"},
 		{"zero flushers", func(o *options) { o.Flushers = 0 }, "-flushers"},
 		{"zero trainers", func(o *options) { o.Trainers = 0 }, "-trainers"},
 	}
@@ -75,19 +71,6 @@ func TestValidateDriverMode(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestSplitAddrs(t *testing.T) {
-	got := splitAddrs(" a:1, b:2 ,,c:3 ")
-	want := []string{"a:1", "b:2", "c:3"}
-	if len(got) != len(want) {
-		t.Fatalf("splitAddrs = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("splitAddrs = %v, want %v", got, want)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 //
 //	frugal-train -dataset Avazu -engine frugal -gpus 4 -steps 200
 //	frugal-train -dataset FB15k -model ComplEx -gpus 2
-//	frugal-train -micro -dist zipf-0.99 -batch 512
+//	frugal-train -micro -batch 512
 package main
 
 import (
@@ -33,9 +33,6 @@ func run() int {
 		gpus     = flag.Int("gpus", 4, "number of simulated GPUs")
 		steps    = flag.Int64("steps", 200, "training steps")
 		batch    = flag.Int("batch", 0, "global batch size (0 = dataset default)")
-		scale    = flag.Int64("scale", 0, "dataset scale-down factor (0 = sensible default)")
-		cache    = flag.Float64("cache", 0.05, "per-GPU cache ratio")
-		lr       = flag.Float64("lr", 0.05, "embedding learning rate")
 		threads  = flag.Int("flush-threads", 8, "P2F flushing threads")
 		prefetch = flag.Bool("prefetch", false,
 			"overlap cache fills with compute: prefetch upcoming batches' rows and window-pin them (cached engines only)")
@@ -45,13 +42,12 @@ func run() int {
 		micro     = flag.Bool("micro", false, "run the embedding-only microbenchmark instead of a dataset")
 		replay    = flag.String("replay", "", "replay a recorded key trace file (see frugal-datagen -trace)")
 		streaming = flag.Bool("stream", false,
-			"continuous online training from a rate-paced event stream (uses -dist/-keys/-batch; -steps caps the horizon)")
+			"continuous online training from a rate-paced event stream (uses -keys/-batch; -steps caps the horizon)")
 		streamRate = flag.Float64("stream-rate", 0, "stream event arrivals per second (0 = unpaced; requires -stream)")
 		streamLog  = flag.String("stream-log", "",
 			"cut a delta-checkpoint log into this empty directory while training (requires -stream; serve it with frugal-serve -follow)")
 		duration = flag.Duration("duration", 0,
 			"stop the stream gracefully after this long (0 = run to the horizon; requires -stream)")
-		dist      = flag.String("dist", "zipf-0.9", "microbenchmark key distribution")
 		keySpace  = flag.Uint64("keys", 100_000, "microbenchmark key-space size")
 		seed      = flag.Int64("seed", 1, "random seed")
 		check     = flag.Bool("check", true, "verify the synchronous-consistency invariant every step")
@@ -79,9 +75,7 @@ func run() int {
 		Engine: *engine, GPUs: *gpus, Steps: *steps, Micro: *micro,
 		Replay: *replay, Stream: *streaming, StreamRate: *streamRate,
 		StreamLog: *streamLog, Duration: *duration,
-		FaultPlan: *faultPlan, GateTimeout: *gateTimeout,
-		MaxRespawns: *maxRespawns, Prefetch: *prefetch, PrefetchDepth: *prefetchDepth,
-		ColdTier: *coldTier, HotFraction: *hotFraction,
+		FaultPlan: *faultPlan, GateTimeout: *gateTimeout, MaxRespawns: *maxRespawns,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "frugal-train:", err)
@@ -89,19 +83,6 @@ func run() int {
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
 	defer writeMemProfile(*memprofile)
 
 	if *traceOut != "" || *metrics != "" {
@@ -110,8 +91,6 @@ func run() int {
 	cfg := frugal.Config{
 		Engine:           frugal.Engine(*engine),
 		NumGPUs:          *gpus,
-		CacheRatio:       *cache,
-		LR:               float32(*lr),
 		FlushThreads:     *threads,
 		CheckConsistency: *check,
 		Prefetch:         *prefetch,
@@ -133,21 +112,35 @@ func run() int {
 				horizon = *steps
 			}
 		})
-		return runStream(cfg, frugal.StreamOptions{
-			Rate:         *streamRate,
-			Batch:        *batch,
-			KeySpace:     *keySpace,
-			Distribution: *dist,
-			Horizon:      horizon,
-			LogDir:       *streamLog,
-		}, *duration, *metrics, *jsonOut, *obsOn)
+		opt := frugal.StreamOptions{
+			Rate: *streamRate, Batch: *batch, KeySpace: *keySpace,
+			Horizon: horizon, LogDir: *streamLog,
+		}
+		sj, err := frugal.NewStreamJob(cfg, opt)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer stop()
+		return runStream(sj, opt, *gpus, *duration, *metrics, *jsonOut, *obsOn)
 	}
 
-	job, name, err := buildJob(cfg, *micro, *replay, *dataset, *kgModel, *dist, *keySpace, *batch, *scale, *steps)
+	job, name, err := buildJob(cfg, *micro, *replay, *dataset, *kgModel, *keySpace, *batch, *steps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	stop, err := startCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer stop()
 	if *metrics != "" {
 		// GET /debug/vars on this address returns the live Snapshot under
 		// the "frugal" key while the job trains.
@@ -191,14 +184,9 @@ func run() int {
 // -duration elapses, the horizon runs out, or the process is
 // interrupted — all three end the stream gracefully (the epilogue
 // drains, the delta log seals its final segment).
-func runStream(cfg frugal.Config, opt frugal.StreamOptions, dur time.Duration,
+func runStream(sj *frugal.StreamJob, opt frugal.StreamOptions, gpus int, dur time.Duration,
 	metricsAddr string, jsonOut, obsOn bool) int {
 
-	sj, err := frugal.NewStreamJob(cfg, opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
 	if metricsAddr != "" {
 		obs.ServeMetrics(metricsAddr, "frugal", func() any { return sj.Snapshot() })
 	}
@@ -210,7 +198,7 @@ func runStream(cfg frugal.Config, opt frugal.StreamOptions, dur time.Duration,
 	}
 	if !jsonOut {
 		w := frugal.Streaming{Options: opt}
-		fmt.Printf("streaming %s with engine=frugal gpus=%d", w.Name(), cfg.NumGPUs)
+		fmt.Printf("streaming %s with engine=frugal gpus=%d", w.Name(), gpus)
 		if opt.LogDir != "" {
 			fmt.Printf(" log=%s", opt.LogDir)
 		}
@@ -253,6 +241,24 @@ func runStream(cfg frugal.Config, opt frugal.StreamOptions, dur time.Duration,
 		reportObs(sj.Snapshot())
 	}
 	return 0
+}
+
+// startCPUProfile starts a CPU profile into path ("" profiles nothing) and
+// returns the function that stops it. It runs once the job is built, so a
+// flag the library rejects writes no file.
+func startCPUProfile(path string) (stop func(), err error) {
+	if path == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() { pprof.StopCPUProfile(); f.Close() }, nil
 }
 
 // writeMemProfile dumps the post-run live heap (after a GC pass) to path.
@@ -337,8 +343,8 @@ func reportJSON(name, engine string, res frugal.Result, job *frugal.TrainingJob,
 
 // buildJob resolves the flag set to a Workload and builds it through
 // frugal.New — the single construction entry point.
-func buildJob(cfg frugal.Config, micro bool, replay, dataset, kgModel, dist string,
-	keySpace uint64, batch int, scale, steps int64) (*frugal.TrainingJob, string, error) {
+func buildJob(cfg frugal.Config, micro bool, replay, dataset, kgModel string,
+	keySpace uint64, batch int, steps int64) (*frugal.TrainingJob, string, error) {
 
 	if replay != "" {
 		f, err := os.Open(replay)
@@ -354,7 +360,7 @@ func buildJob(cfg frugal.Config, micro bool, replay, dataset, kgModel, dist stri
 	switch {
 	case micro:
 		w = frugal.Microbenchmark{Options: frugal.MicroOptions{
-			Distribution: dist, KeySpace: keySpace, Batch: batch, Steps: steps,
+			KeySpace: keySpace, Batch: batch, Steps: steps,
 		}}
 	default:
 		ds, err := frugal.DatasetByName(dataset)
@@ -363,11 +369,11 @@ func buildJob(cfg frugal.Config, micro bool, replay, dataset, kgModel, dist stri
 		}
 		if ds.Kind == "KG" {
 			w = frugal.KnowledgeGraph{Dataset: ds, Options: frugal.KGOptions{
-				Model: kgModel, Scale: scale, Batch: batch, Steps: steps,
+				Model: kgModel, Batch: batch, Steps: steps,
 			}}
 		} else {
 			w = frugal.Recommendation{Dataset: ds, Options: frugal.RECOptions{
-				Scale: scale, Batch: batch, Steps: steps,
+				Batch: batch, Steps: steps,
 			}}
 		}
 	}

@@ -9,35 +9,29 @@ import (
 
 // options are the flag values vetted before any training work starts.
 type options struct {
-	Engine        string
-	GPUs          int
-	Steps         int64
-	Micro         bool
-	Replay        string
-	Stream        bool
-	StreamRate    float64
-	StreamLog     string
-	Duration      time.Duration
-	FaultPlan     string
-	GateTimeout   time.Duration
-	MaxRespawns   int
-	Prefetch      bool
-	PrefetchDepth int
-	ColdTier      bool
-	HotFraction   float64
+	Engine      string
+	GPUs        int
+	Steps       int64
+	Micro       bool
+	Replay      string
+	Stream      bool
+	StreamRate  float64
+	StreamLog   string
+	Duration    time.Duration
+	FaultPlan   string
+	GateTimeout time.Duration
+	MaxRespawns int
 }
 
 // validate rejects invalid flag combinations up front with a usage error —
-// a bad plan spec, or fault machinery requested on an engine that does not
-// have it — instead of letting the run silently no-op or fail midway. It
-// returns the parsed fault plan (empty for an empty -fault-plan).
+// a bad plan spec, a flag without the mode it needs, or fault machinery
+// requested on an engine that does not have it — instead of letting the
+// run silently no-op or fail midway. Config values the library checks
+// (the engine name, prefetch and cold-tier settings) are left to
+// frugal.New and frugal.NewStreamJob. It returns the parsed fault plan
+// (empty for an empty -fault-plan).
 func validate(o options) (frugal.FaultPlan, error) {
 	engine := frugal.Engine(o.Engine)
-	switch engine {
-	case frugal.EngineFrugal, frugal.EngineFrugalSync, frugal.EngineDirect:
-	default:
-		return frugal.FaultPlan{}, fmt.Errorf("unknown engine %q (want frugal, frugal-sync or direct)", o.Engine)
-	}
 	if o.GPUs < 1 {
 		return frugal.FaultPlan{}, fmt.Errorf("-gpus must be at least 1 (got %d)", o.GPUs)
 	}
@@ -49,9 +43,6 @@ func validate(o options) (frugal.FaultPlan, error) {
 	}
 	if o.Stream && (o.Micro || o.Replay != "") {
 		return frugal.FaultPlan{}, fmt.Errorf("-stream is mutually exclusive with -micro and -replay")
-	}
-	if o.Stream && engine != frugal.EngineFrugal {
-		return frugal.FaultPlan{}, fmt.Errorf("-stream requires -engine frugal (the delta log rides the P²F flush stream)")
 	}
 	if !o.Stream {
 		if o.StreamRate != 0 {
@@ -69,21 +60,6 @@ func validate(o options) (frugal.FaultPlan, error) {
 	}
 	if o.Duration < 0 {
 		return frugal.FaultPlan{}, fmt.Errorf("-duration must be ≥ 0 (got %v)", o.Duration)
-	}
-	if o.Prefetch && engine == frugal.EngineDirect {
-		return frugal.FaultPlan{}, fmt.Errorf("-prefetch requires a cached engine (direct has no cache to fill)")
-	}
-	if o.PrefetchDepth < 0 {
-		return frugal.FaultPlan{}, fmt.Errorf("-prefetch-depth must be positive (got %d)", o.PrefetchDepth)
-	}
-	if o.PrefetchDepth > 0 && !o.Prefetch {
-		return frugal.FaultPlan{}, fmt.Errorf("-prefetch-depth requires -prefetch")
-	}
-	if o.HotFraction != 0 && !o.ColdTier {
-		return frugal.FaultPlan{}, fmt.Errorf("-hot-fraction requires -cold-tier")
-	}
-	if o.ColdTier && (o.HotFraction < 0 || o.HotFraction > 1) {
-		return frugal.FaultPlan{}, fmt.Errorf("-hot-fraction must be in (0, 1] (got %g)", o.HotFraction)
 	}
 	plan, err := frugal.ParseFaultPlan(o.FaultPlan)
 	if err != nil {

@@ -38,7 +38,6 @@ func TestValidateRejections(t *testing.T) {
 		mutate func(*options)
 		want   string // substring of the usage error
 	}{
-		{"unknown engine", func(o *options) { o.Engine = "turbo" }, "unknown engine"},
 		{"zero gpus", func(o *options) { o.GPUs = 0 }, "-gpus"},
 		{"zero steps", func(o *options) { o.Steps = 0 }, "-steps"},
 		{"micro and replay", func(o *options) { o.Micro = true; o.Replay = "t.trace" }, "mutually exclusive"},

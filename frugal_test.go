@@ -209,3 +209,43 @@ func TestGraphLearningJob(t *testing.T) {
 		t.Fatal("graph-learning loss did not drop")
 	}
 }
+
+// failReader fails the test on any read: a constructor handed one must
+// reject its options before it loads anything.
+type failReader struct{ t *testing.T }
+
+func (r failReader) Read([]byte) (int, error) {
+	r.t.Fatal("server constructor read the checkpoint before rejecting its options")
+	return 0, nil
+}
+
+// TestServerOptionsRejectedBeforeLoad pins that every server constructor
+// checks its options before it loads a checkpoint, reads a log directory
+// or dials a shard.
+func TestServerOptionsRejectedBeforeLoad(t *testing.T) {
+	bad := map[string]ServeOptions{
+		"hot fraction without cold tier": {HotFraction: 0.5},
+		"hot fraction above 1":           {ColdTier: true, HotFraction: 1.5},
+		"negative hot fraction":          {ColdTier: true, HotFraction: -0.1},
+		"max-inflight under a top-K":     {MaxInflight: 4},
+		"negative max-inflight":          {MaxInflight: -1},
+		"negative request timeout":       {RequestTimeout: -1},
+		"negative max top-K":             {MaxTopK: -1},
+		"centroids without IVF":          {Centroids: 64},
+		"negative nprobe":                {Index: IndexIVF, NProbe: -1},
+	}
+	missing := t.TempDir() + "/no-such-log"
+	for name, opt := range bad {
+		if _, err := NewServerFromCheckpoint(failReader{t}, opt); err == nil {
+			t.Errorf("%s: NewServerFromCheckpoint accepted", name)
+		}
+		// An unroutable address would fail the dial too; the error must
+		// come from the options instead.
+		if _, err := NewServerFromShards([]string{"127.0.0.1:1"}, opt); err == nil || strings.Contains(err.Error(), "127.0.0.1:1") {
+			t.Errorf("%s: NewServerFromShards err = %v, want an options error before dialing", name, err)
+		}
+		if _, err := NewServerFromLog(missing, opt, FollowOptions{}); err == nil || strings.Contains(err.Error(), "no-such-log") {
+			t.Errorf("%s: NewServerFromLog err = %v, want an options error before reading the log", name, err)
+		}
+	}
+}

@@ -78,20 +78,6 @@ func TestBump(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(64, 2)
-	c.Insert(7, 1)
-	if !c.Invalidate(7) {
-		t.Fatal("Invalidate of present key should succeed")
-	}
-	if c.Invalidate(7) {
-		t.Fatal("second Invalidate should fail")
-	}
-	if _, hit := c.Lookup(7, 0); hit {
-		t.Fatal("invalidated key must miss")
-	}
-}
-
 func TestInsertRefreshInPlace(t *testing.T) {
 	c := MustNew(64, 2)
 	d1, _, _ := c.Insert(7, 1)

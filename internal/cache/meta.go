@@ -41,9 +41,8 @@ type Meta struct {
 	// unevictable — a new key enters with freq 1 and is always the next
 	// victim, thrashing against its own working set. Deliberately separate
 	// from the resettable `inserted` stat so ResetStats cannot perturb the
-	// aging cadence. agings counts completed halving passes (tests, Stats).
+	// aging cadence.
 	fillsSinceAge int64
-	agings        int64
 
 	// obs mirrors the counters into the job's observability layer so a
 	// live Snapshot can read them race-free while the owning trainer runs
@@ -169,6 +168,8 @@ func (m *Meta) Probe(key uint64, wantVersion uint64) bool {
 }
 
 // Contains reports presence at any version without touching statistics.
+// No production path needs it: it is the tests' observation hook into the
+// directory, where Probe would move the hit and frequency counters.
 func (m *Meta) Contains(key uint64) bool {
 	base := m.set(key) * Ways
 	for i := base; i < base+Ways; i++ {
@@ -283,12 +284,7 @@ func (m *Meta) age() {
 	for i := range m.slots {
 		m.slots[i].freq >>= 1
 	}
-	m.agings++
 }
-
-// Agings reports how many frequency-halving passes have run (tests and
-// diagnostics; see age).
-func (m *Meta) Agings() int64 { return m.agings }
 
 // Fill records key at version (the slab-less insert used by the
 // simulator). It returns the evicted key, if any. With every slot of the
@@ -376,18 +372,6 @@ func (m *Meta) Bump(key uint64, version uint64) bool {
 	for i := base; i < base+Ways; i++ {
 		if m.slots[i].key == key {
 			m.slots[i].version = version
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate drops key if present.
-func (m *Meta) Invalidate(key uint64) bool {
-	base := m.set(key) * Ways
-	for i := base; i < base+Ways; i++ {
-		if m.slots[i].key == key {
-			m.slots[i].key = emptyKey
 			return true
 		}
 	}

@@ -42,7 +42,7 @@ func TestMetaProbeFillRoundtrip(t *testing.T) {
 	}
 }
 
-func TestMetaBumpInvalidate(t *testing.T) {
+func TestMetaBump(t *testing.T) {
 	m := MustNewMeta(64)
 	m.Fill(7, 1)
 	if !m.Bump(7, 5) || m.Bump(8, 5) {
@@ -50,9 +50,6 @@ func TestMetaBumpInvalidate(t *testing.T) {
 	}
 	if !m.Probe(7, 5) {
 		t.Fatal("bumped entry should hit at new version")
-	}
-	if !m.Invalidate(7) || m.Invalidate(7) {
-		t.Fatal("Invalidate semantics wrong")
 	}
 }
 
@@ -152,8 +149,5 @@ func TestLFUAgingDistributionShift(t *testing.T) {
 	}
 	if got := float64(resident) / float64(capacity); got < 0.5 {
 		t.Fatalf("new-hot working set holds %.0f%% of the directory after the shift, want ≥ 50%% (stale-hot squatting — frequency aging broken)", got*100)
-	}
-	if m.Agings() == 0 {
-		t.Fatal("aging never ran during a full-capacity churn")
 	}
 }

@@ -1,9 +1,7 @@
-// Package comm implements the functional side of multi-GPU embedding
-// communication: shard ownership, key bucketing and deduplication, and the
-// exchange plans behind the all_to_all collectives of message-based
-// systems (Fig 2b: ➊ bucket keys, ➋ all_to_all keys, ➍ all_to_all
-// embeddings, ➎ reorder). The time cost of executing a plan on a given
-// machine comes from internal/hw; this package only decides *what* moves.
+// Package comm holds shard ownership: which GPU, or which shard node, owns
+// a key. The simulator's message-based engines, the sharded stores and the
+// shard cluster all place keys with Owner, so they agree on placement. The
+// time cost of moving a key between owners comes from internal/hw.
 package comm
 
 import "fmt"
@@ -21,99 +19,4 @@ func Owner(key uint64, numGPUs int) int {
 	h *= 0x7fb5d329728ea185
 	h ^= h >> 27
 	return int(h % uint64(numGPUs))
-}
-
-// Plan describes one all_to_all exchange from the perspective of a single
-// rank: which unique keys it must request from every peer (including the
-// local rank at index Rank).
-type Plan struct {
-	Rank int
-	// Need[r] lists the unique keys this rank needs from rank r's cache
-	// shard. Need[Rank] is the local-shard portion.
-	Need [][]uint64
-}
-
-// BuildPlan buckets one rank's batch keys by owner and deduplicates them —
-// step ➊ of Fig 2b. The same key occurring twice in a batch is requested
-// once.
-func BuildPlan(rank, numGPUs int, batchKeys []uint64) Plan {
-	p := Plan{Rank: rank, Need: make([][]uint64, numGPUs)}
-	seen := make(map[uint64]struct{}, len(batchKeys))
-	for _, k := range batchKeys {
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		o := Owner(k, numGPUs)
-		p.Need[o] = append(p.Need[o], k)
-	}
-	return p
-}
-
-// LocalKeys returns the keys served by the local shard.
-func (p Plan) LocalKeys() []uint64 { return p.Need[p.Rank] }
-
-// RemoteKeyCount returns how many unique keys must come from other ranks.
-func (p Plan) RemoteKeyCount() int {
-	n := 0
-	for r, keys := range p.Need {
-		if r != p.Rank {
-			n += len(keys)
-		}
-	}
-	return n
-}
-
-// UniqueKeyCount returns the total number of unique keys in the plan.
-func (p Plan) UniqueKeyCount() int {
-	n := 0
-	for _, keys := range p.Need {
-		n += len(keys)
-	}
-	return n
-}
-
-// KeyExchangeBytes returns the payload of the forward key all_to_all
-// (step ➋): 8 bytes per remote key, in each direction.
-func (p Plan) KeyExchangeBytes() int64 { return int64(p.RemoteKeyCount()) * 8 }
-
-// EmbExchangeBytes returns the payload of the embedding all_to_all
-// (step ➍ forward, and its mirror-image gradient exchange in backward):
-// one dim×4-byte row per remote key.
-func (p Plan) EmbExchangeBytes(dim int) int64 {
-	return int64(p.RemoteKeyCount()) * int64(dim) * 4
-}
-
-// Dedup returns the unique keys of a batch, preserving first-occurrence
-// order, plus the index mapping from original positions to unique
-// positions (the ➎ reorder table).
-func Dedup(keys []uint64) (unique []uint64, index []int) {
-	pos := make(map[uint64]int, len(keys))
-	index = make([]int, len(keys))
-	for i, k := range keys {
-		if j, ok := pos[k]; ok {
-			index[i] = j
-			continue
-		}
-		j := len(unique)
-		pos[k] = j
-		unique = append(unique, k)
-		index[i] = j
-	}
-	return unique, index
-}
-
-// ShardBatch splits a global batch across numGPUs ranks sample-wise
-// (data-parallel): rank r gets samples r, r+n, r+2n, … Each sample is a
-// fixed-width group of `keysPerSample` keys.
-func ShardBatch(batchKeys []uint64, keysPerSample, numGPUs, rank int) []uint64 {
-	if keysPerSample <= 0 {
-		panic(fmt.Sprintf("comm: keysPerSample must be positive, got %d", keysPerSample))
-	}
-	samples := len(batchKeys) / keysPerSample
-	var out []uint64
-	for s := rank; s < samples; s += numGPUs {
-		out = append(out, batchKeys[s*keysPerSample:(s+1)*keysPerSample]...)
-	}
-	return out
 }

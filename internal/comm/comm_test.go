@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestOwnerBalanced(t *testing.T) {
 	const n = 8
@@ -37,108 +34,4 @@ func TestOwnerPanicsOnBadN(t *testing.T) {
 		}
 	}()
 	Owner(1, 0)
-}
-
-func TestBuildPlanDedupsAndBuckets(t *testing.T) {
-	keys := []uint64{1, 2, 1, 3, 2, 4}
-	p := BuildPlan(0, 4, keys)
-	if got := p.UniqueKeyCount(); got != 4 {
-		t.Fatalf("unique = %d, want 4", got)
-	}
-	if p.RemoteKeyCount()+len(p.LocalKeys()) != 4 {
-		t.Fatal("remote+local must equal unique")
-	}
-	// Every key bucketed to its owner.
-	for r, bucket := range p.Need {
-		for _, k := range bucket {
-			if Owner(k, 4) != r {
-				t.Fatalf("key %d in bucket %d but owned by %d", k, r, Owner(k, 4))
-			}
-		}
-	}
-}
-
-func TestPlanByteAccounting(t *testing.T) {
-	keys := []uint64{10, 20, 30, 40, 50, 60, 70, 80}
-	p := BuildPlan(1, 4, keys)
-	remote := p.RemoteKeyCount()
-	if got := p.KeyExchangeBytes(); got != int64(remote)*8 {
-		t.Fatalf("KeyExchangeBytes = %d", got)
-	}
-	if got := p.EmbExchangeBytes(32); got != int64(remote)*128 {
-		t.Fatalf("EmbExchangeBytes = %d", got)
-	}
-}
-
-func TestDedup(t *testing.T) {
-	unique, index := Dedup([]uint64{5, 7, 5, 9, 7})
-	if len(unique) != 3 || unique[0] != 5 || unique[1] != 7 || unique[2] != 9 {
-		t.Fatalf("unique = %v", unique)
-	}
-	want := []int{0, 1, 0, 2, 1}
-	for i := range want {
-		if index[i] != want[i] {
-			t.Fatalf("index = %v, want %v", index, want)
-		}
-	}
-}
-
-func TestDedupProperty(t *testing.T) {
-	f := func(keys []uint64) bool {
-		unique, index := Dedup(keys)
-		if len(index) != len(keys) {
-			return false
-		}
-		// Reconstruction through the index must reproduce the input.
-		for i, k := range keys {
-			if unique[index[i]] != k {
-				return false
-			}
-		}
-		// No duplicates in unique.
-		seen := map[uint64]bool{}
-		for _, k := range unique {
-			if seen[k] {
-				return false
-			}
-			seen[k] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShardBatch(t *testing.T) {
-	// 6 samples × 2 keys, 3 GPUs → each rank gets 2 samples.
-	batch := []uint64{0, 1, 10, 11, 20, 21, 30, 31, 40, 41, 50, 51}
-	all := map[uint64]int{}
-	for r := 0; r < 3; r++ {
-		shard := ShardBatch(batch, 2, 3, r)
-		if len(shard) != 4 {
-			t.Fatalf("rank %d shard len = %d, want 4", r, len(shard))
-		}
-		for _, k := range shard {
-			all[k]++
-		}
-	}
-	// Every key assigned exactly once across ranks.
-	if len(all) != len(batch) {
-		t.Fatalf("sharding lost keys: %d of %d", len(all), len(batch))
-	}
-	for k, c := range all {
-		if c != 1 {
-			t.Fatalf("key %d assigned %d times", k, c)
-		}
-	}
-}
-
-func TestShardBatchPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ShardBatch([]uint64{1}, 0, 2, 0)
 }

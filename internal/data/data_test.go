@@ -297,14 +297,14 @@ func TestPayloadTrace(t *testing.T) {
 	if _, ok := tr.Next(); ok {
 		t.Fatal("exhausted trace should report done")
 	}
-	if tr.Outstanding() != 3 {
-		t.Fatalf("Outstanding = %d", tr.Outstanding())
+	if len(tr.payloads) != 3 {
+		t.Fatalf("outstanding = %d", len(tr.payloads))
 	}
 	if got := tr.Take(1); got != "b" {
 		t.Fatalf("Take(1) = %q", got)
 	}
-	if tr.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d", tr.Outstanding())
+	if len(tr.payloads) != 2 {
+		t.Fatalf("outstanding = %d", len(tr.payloads))
 	}
 	defer func() {
 		if recover() == nil {
@@ -334,10 +334,6 @@ func TestReadKeyTrace(t *testing.T) {
 	tr.Next()
 	if _, ok := tr.Next(); ok {
 		t.Fatal("exhausted trace should report done")
-	}
-	tr.Rewind()
-	if b, ok := tr.Next(); !ok || b[0] != 1 {
-		t.Fatal("Rewind failed")
 	}
 }
 

@@ -89,10 +89,3 @@ func (t *FileTrace) MaxKey() uint64 {
 	}
 	return max
 }
-
-// Rewind resets the replay cursor (for multi-epoch replays).
-func (t *FileTrace) Rewind() {
-	t.mu.Lock()
-	t.next = 0
-	t.mu.Unlock()
-}

@@ -317,10 +317,3 @@ func (p *PayloadTrace[T]) Take(step int64) T {
 	delete(p.payloads, step)
 	return payload
 }
-
-// Outstanding returns how many generated payloads have not been taken.
-func (p *PayloadTrace[T]) Outstanding() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.payloads)
-}

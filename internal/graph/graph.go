@@ -74,24 +74,6 @@ func (g *Graph) Nodes() int { return len(g.adj) }
 // Edges returns the undirected edge count.
 func (g *Graph) Edges() int64 { return g.edges }
 
-// Degree returns a node's degree.
-func (g *Graph) Degree(u uint64) int { return len(g.adj[u]) }
-
-// Neighbors returns a node's adjacency list (shared storage; do not
-// mutate).
-func (g *Graph) Neighbors(u uint64) []uint64 { return g.adj[u] }
-
-// MaxDegree returns the largest degree in the graph.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, ns := range g.adj {
-		if len(ns) > max {
-			max = len(ns)
-		}
-	}
-	return max
-}
-
 // Sampler draws training batches from a graph: positive edges with
 // sampled neighborhoods (GraphSAGE-style fixed fan-out) plus uniform
 // negative nodes.

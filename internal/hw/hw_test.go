@@ -15,21 +15,6 @@ func topo(t *testing.T, spec GPUSpec, n int) *Topology {
 	return tp
 }
 
-func TestSpecByName(t *testing.T) {
-	for _, want := range Specs() {
-		got, err := SpecByName(want.Name)
-		if err != nil {
-			t.Fatalf("SpecByName(%q): %v", want.Name, err)
-		}
-		if got != want {
-			t.Fatalf("SpecByName(%q) = %+v", want.Name, got)
-		}
-	}
-	if _, err := SpecByName("H100"); err == nil {
-		t.Fatal("expected error for unknown GPU")
-	}
-}
-
 func TestTable1CostPerformanceRatio(t *testing.T) {
 	// Table 1: RTX 4090 dollar-per-TFLOPS is ~18-19% of A100's, i.e. the
 	// cost-performance ratio of the 4090 is ~5.4x the A100's.
@@ -49,37 +34,6 @@ func TestNewTopologyValidation(t *testing.T) {
 	p.RootComplexGBps = 0
 	if _, err := NewTopology(A30, 4, p); err == nil {
 		t.Fatal("expected error for zero root-complex bandwidth")
-	}
-}
-
-func TestP2PRequiresCapability(t *testing.T) {
-	commodity := topo(t, RTX3090, 4)
-	if _, err := commodity.P2PCopy(1<<20, 1); err == nil {
-		t.Fatal("RTX 3090 must not support P2P")
-	}
-	dc := topo(t, A30, 4)
-	if _, err := dc.P2PCopy(1<<20, 1); err != nil {
-		t.Fatalf("A30 P2P: %v", err)
-	}
-}
-
-func TestBouncedSlowerThanP2P(t *testing.T) {
-	dc := topo(t, A30, 4)
-	p2p, err := dc.P2PCopy(64<<20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounced := dc.BouncedCopy(64<<20, 1)
-	if bounced <= p2p {
-		t.Fatalf("bounced copy (%.6f) should be slower than P2P (%.6f)", bounced, p2p)
-	}
-	// GPUCopy picks the right path per class.
-	if got := dc.GPUCopy(64<<20, 1); got != p2p {
-		t.Fatalf("datacenter GPUCopy = %v, want P2P time %v", got, p2p)
-	}
-	commodity := topo(t, RTX3090, 4)
-	if got := commodity.GPUCopy(64<<20, 1); got != commodity.BouncedCopy(64<<20, 1) {
-		t.Fatal("commodity GPUCopy must take the bounced path")
 	}
 }
 
@@ -193,21 +147,6 @@ func TestComputeScalesWithFlops(t *testing.T) {
 	}
 }
 
-func TestHostWriteThreadScaling(t *testing.T) {
-	tp := topo(t, RTX3090, 8)
-	one := tp.HostWrite(100000, 128, 1)
-	four := tp.HostWrite(100000, 128, 4)
-	if four >= one {
-		t.Fatalf("4 flusher threads (%v) should beat 1 (%v)", four, one)
-	}
-	// Eventually DRAM bandwidth binds and more threads stop helping.
-	t64 := tp.HostWrite(100000, 128, 64)
-	t128 := tp.HostWrite(100000, 128, 128)
-	if t128 < t64*0.999 {
-		t.Fatalf("DRAM-bound flushing should not keep scaling: 64=%v 128=%v", t64, t128)
-	}
-}
-
 func TestCostsArePositiveAndMonotonic(t *testing.T) {
 	tp := topo(t, RTX3090, 4)
 	f := func(kb uint16, rows uint16) bool {
@@ -215,12 +154,10 @@ func TestCostsArePositiveAndMonotonic(t *testing.T) {
 		r := int(rows) + 1
 		costs := []float64{
 			tp.DMA(bytes, 1),
-			tp.BouncedCopy(bytes, 1),
 			tp.AllToAll(bytes),
 			tp.CPUGather(r, 128, 1),
 			tp.CacheAccess(r, 128),
 			tp.UVMFetch(r, 128, 1),
-			tp.HostWrite(r, 128, 8),
 			tp.Compute(float64(r) * 1000),
 		}
 		for _, c := range costs {

@@ -99,13 +99,3 @@ var (
 
 // Specs returns the catalog in Table 1 / evaluation order.
 func Specs() []GPUSpec { return []GPUSpec{A100, RTX4090, A30, RTX3090} }
-
-// SpecByName looks a GPU up by its catalog name.
-func SpecByName(name string) (GPUSpec, error) {
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return GPUSpec{}, fmt.Errorf("hw: unknown GPU %q", name)
-}

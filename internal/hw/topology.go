@@ -58,9 +58,6 @@ type Params struct {
 	UVMPageBytes int64
 	// UVMFaultLatency is the cost of one UVM page fault, seconds.
 	UVMFaultLatency float64
-	// FlushCPUPerRow is the CPU software cost for one flusher thread to
-	// apply a single embedding update into host memory, seconds.
-	FlushCPUPerRow float64
 }
 
 // DefaultParams returns the calibrated model constants.
@@ -82,7 +79,6 @@ func DefaultParams() Params {
 		ComputeEfficiency:    0.30,
 		UVMPageBytes:         4096,
 		UVMFaultLatency:      20e-6,
-		FlushCPUPerRow:       260e-9,
 	}
 }
 
@@ -143,35 +139,6 @@ func (t *Topology) sharedLinkBW(flows int) float64 {
 // memory while `flows` such flows are concurrently active.
 func (t *Topology) DMA(bytes int64, flows int) float64 {
 	return t.P.DMALatency + float64(bytes)/t.sharedLinkBW(flows)
-}
-
-// P2PCopy returns the time to move n bytes directly between two GPUs.
-// Only legal on P2P-capable parts; commodity GPUs must use BouncedCopy.
-func (t *Topology) P2PCopy(bytes int64, flows int) (float64, error) {
-	if !t.GPU.PCIeP2P {
-		return 0, fmt.Errorf("hw: %s does not support PCIe P2P", t.GPU.Name)
-	}
-	return t.P.DMALatency + float64(bytes)/t.sharedLinkBW(flows), nil
-}
-
-// BouncedCopy returns the time to move n bytes from one GPU to another via
-// a host-memory bounce buffer — the only GPU→GPU path on commodity parts.
-// The data crosses the root complex twice (partially pipelined) and the CPU
-// performs a staging copy.
-func (t *Topology) BouncedCopy(bytes int64, flows int) float64 {
-	wire := float64(bytes) * t.P.BounceFactor / t.sharedLinkBW(2*flows)
-	staging := float64(bytes) / (t.P.HostCopyGBps * gb)
-	return 2*t.P.DMALatency + wire + staging
-}
-
-// GPUCopy returns the time to move n bytes GPU→GPU using the best path the
-// part supports: P2P when available, bounced otherwise.
-func (t *Topology) GPUCopy(bytes int64, flows int) float64 {
-	if t.GPU.PCIeP2P {
-		d, _ := t.P2PCopy(bytes, flows)
-		return d
-	}
-	return t.BouncedCopy(bytes, flows)
 }
 
 // AllToAll returns the time of one all_to_all collective in which each of
@@ -260,25 +227,4 @@ func (t *Topology) CacheAccess(rows int, rowBytes int64) float64 {
 // DNN work on one GPU.
 func (t *Topology) Compute(flops float64) float64 {
 	return t.P.KernelLatency + flops/(t.GPU.FP32TFLOPS*1e12*t.P.ComputeEfficiency)
-}
-
-// HostWrite returns the time for flusher threads on the CPU to apply
-// `rows` embedding updates of rowBytes each into host memory, with
-// `threads` flushing threads working in parallel. Throughput scales with
-// thread count until host DRAM bandwidth binds. Used by the virtual-time
-// flusher pool (§3.4, Exp #10).
-func (t *Topology) HostWrite(rows int, rowBytes int64, threads int) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	// Per-row software cost (dequeue bookkeeping aside — that is the
-	// priority queue's cost, accounted separately by the simulator).
-	cpu := float64(rows) * t.P.FlushCPUPerRow / float64(threads)
-	// Read-modify-write of the parameter row against host DRAM.
-	bytes := float64(rows) * float64(rowBytes) * 2
-	mem := bytes / (t.P.HostMemGBps * gb * 0.6) // random-access derating
-	if cpu > mem {
-		return cpu
-	}
-	return mem
 }

@@ -111,7 +111,7 @@ func (m *Map[V]) advance(c *chunk[V]) {
 }
 
 // Map is a concurrent hash map from uint64 keys to values of type V.
-// The zero value is not usable; construct with New or NewWithHint.
+// The zero value is not usable; construct with NewWithHint or NewReusable.
 type Map[V any] struct {
 	segments []atomic.Pointer[node[V]]
 	mask     uint64
@@ -121,12 +121,6 @@ type Map[V any] struct {
 	reusable bool
 	first    atomic.Pointer[chunk[V]] // head of the chunk chain (NewReusable)
 }
-
-// DefaultSegments is the directory size used by New.
-const DefaultSegments = 256
-
-// New returns an empty map with the default directory size.
-func New[V any]() *Map[V] { return NewWithHint[V](DefaultSegments * 4) }
 
 // NewWithHint returns an empty map sized for roughly `hint` resident
 // entries (directory of ~hint/4 segments, clamped to [16, 1<<18], rounded

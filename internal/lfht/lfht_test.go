@@ -9,7 +9,7 @@ import (
 )
 
 func TestInsertGet(t *testing.T) {
-	m := New[int]()
+	m := NewWithHint[int](1024)
 	m.Insert(1, 10)
 	m.Insert(2, 20)
 	if v, ok := m.Get(1); !ok || v != 10 {
@@ -27,7 +27,7 @@ func TestInsertGet(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	m := New[string]()
+	m := NewWithHint[string](1024)
 	m.Insert(7, "x")
 	if !m.Delete(7) {
 		t.Fatal("Delete(7) should succeed")
@@ -119,7 +119,7 @@ func TestConcurrentInsertPop(t *testing.T) {
 }
 
 func TestConcurrentDeleteExactlyOnce(t *testing.T) {
-	m := New[int]()
+	m := NewWithHint[int](1024)
 	const n = 500
 	for i := 0; i < n; i++ {
 		m.Insert(uint64(i), i)
@@ -147,7 +147,7 @@ func TestConcurrentDeleteExactlyOnce(t *testing.T) {
 // keys that were inserted and not deleted.
 func TestInsertDeleteProperty(t *testing.T) {
 	f := func(keys []uint64, deletes []uint64) bool {
-		m := New[uint64]()
+		m := NewWithHint[uint64](1024)
 		want := make(map[uint64]bool)
 		for _, k := range keys {
 			if !want[k] { // the table is used with unique live keys per P²F
@@ -199,7 +199,7 @@ func BenchmarkInsertParallel(b *testing.B) {
 }
 
 func TestGetOrInsert(t *testing.T) {
-	m := New[*int]()
+	m := NewWithHint[*int](1024)
 	mk := func() *int { v := 42; return &v }
 	v1, loaded := m.GetOrInsert(5, mk)
 	if loaded || *v1 != 42 {

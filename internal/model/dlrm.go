@@ -55,9 +55,6 @@ func (d *DLRM) Features() int { return d.features }
 // Dim returns the embedding dimension.
 func (d *DLRM) Dim() int { return d.dim }
 
-// MLP exposes the top net (examples inspect it; tests gradient-check it).
-func (d *DLRM) MLP() *MLP { return d.top }
-
 // Flops estimates forward+backward floating point work per sample.
 func (d *DLRM) Flops() float64 {
 	return d.top.Flops() + float64(d.features*d.dim)*4 // pooling fwd+bwd

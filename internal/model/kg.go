@@ -206,11 +206,6 @@ func (SimplE) ScoreGrad(h, r, t []float32, coef float32, gh, gr, gt []float32) f
 
 // ----------------------------------------------------------------------
 
-// KGModels returns the Exp #11 model sweep, in figure order.
-func KGModels(gamma float32) []TripleModel {
-	return []TripleModel{ComplEx{}, DistMult{}, SimplE{}, NewTransE(gamma)}
-}
-
 // KGModelByName resolves one of the four graph-embedding models.
 func KGModelByName(name string) (TripleModel, error) {
 	switch name {

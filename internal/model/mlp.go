@@ -50,15 +50,6 @@ func NewMLP(rng *rand.Rand, dims ...int) (*MLP, error) {
 	return m, nil
 }
 
-// Layers returns the number of weight layers.
-func (m *MLP) Layers() int { return len(m.w) }
-
-// InDim returns the input dimensionality.
-func (m *MLP) InDim() int { return m.dims[0] }
-
-// OutDim returns the output dimensionality.
-func (m *MLP) OutDim() int { return m.dims[len(m.dims)-1] }
-
 // Flops estimates the floating point operations of one forward+backward
 // pass for a single sample (≈6 ops per weight: 2 forward, 4 backward).
 func (m *MLP) Flops() float64 {

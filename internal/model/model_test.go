@@ -20,8 +20,8 @@ func TestNewMLPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Layers() != 4 || m.InDim() != 32 || m.OutDim() != 1 {
-		t.Fatalf("shape: layers=%d in=%d out=%d", m.Layers(), m.InDim(), m.OutDim())
+	if len(m.w) != 4 || m.dims[0] != 32 || m.dims[len(m.dims)-1] != 1 {
+		t.Fatalf("shape: layers=%d dims=%v", len(m.w), m.dims)
 	}
 	if m.Flops() <= 0 {
 		t.Fatal("Flops must be positive")
@@ -140,8 +140,8 @@ func TestNewDLRMValidation(t *testing.T) {
 	if d.Features() != 26 || d.Dim() != 32 {
 		t.Fatal("shape accessors wrong")
 	}
-	if d.MLP().Layers() != 4 {
-		t.Fatalf("default top net layers = %d, want 4 (512-512-256-1)", d.MLP().Layers())
+	if len(d.top.w) != 4 {
+		t.Fatalf("default top net layers = %d, want 4 (512-512-256-1)", len(d.top.w))
 	}
 }
 
@@ -240,9 +240,11 @@ func TestKGModelByName(t *testing.T) {
 	if _, err := KGModelByName("RotatE"); err == nil {
 		t.Fatal("unknown model should error")
 	}
-	if len(KGModels(12)) != 4 {
-		t.Fatal("KGModels should return the 4 Exp #11 models")
-	}
+}
+
+// kgModels is the Exp #11 model sweep, in figure order.
+func kgModels() []TripleModel {
+	return []TripleModel{ComplEx{}, DistMult{}, SimplE{}, NewTransE(4)}
 }
 
 // TestKGScoreGradCheck verifies every model's analytic gradients against
@@ -250,7 +252,7 @@ func TestKGModelByName(t *testing.T) {
 func TestKGScoreGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const dim = 8
-	for _, m := range KGModels(4) {
+	for _, m := range kgModels() {
 		t.Run(m.Name(), func(t *testing.T) {
 			h, r, tt := kgVecs(rng, dim)
 			gh := make([]float32, dim)
@@ -286,7 +288,7 @@ func TestKGScoreGradCheck(t *testing.T) {
 func TestKGScoreGradNilBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	h, r, tt := kgVecs(rng, 8)
-	for _, m := range KGModels(4) {
+	for _, m := range kgModels() {
 		// Must not panic with nil gradient buffers.
 		m.ScoreGrad(h, r, tt, 1, nil, nil, nil)
 	}
@@ -297,7 +299,7 @@ func TestTrainTripleSeparatesPosFromNegs(t *testing.T) {
 	// positive score above the negatives — for every model.
 	rng := rand.New(rand.NewSource(10))
 	const dim, negK = 8, 4
-	for _, m := range KGModels(4) {
+	for _, m := range kgModels() {
 		t.Run(m.Name(), func(t *testing.T) {
 			h, r, tt := kgVecs(rng, dim)
 			negs := make([][]float32, negK)

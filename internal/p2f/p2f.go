@@ -967,9 +967,6 @@ func (c *Controller) Stats() Stats {
 	}
 }
 
-// Entry returns the g-entry for key if one exists (tests, invariants).
-func (c *Controller) Entry(key uint64) (*pq.GEntry, bool) { return c.dir.Get(key) }
-
 // CheckInvariant verifies invariant (2) of §3.3 for step s over the given
 // keys: no key that step s is about to read may still have a pending
 // (unflushed) write. It returns an error naming the first violating key.

@@ -76,7 +76,7 @@ func TestFaultedRunMatchesFaultFree(t *testing.T) {
 		EngineFrugalSync: "delay:gpu=0@step=3,dur=2ms;hostfail@write=10,count=4",
 		EngineDirect:     "delay:gpu=0@step=3,dur=2ms;hostfail@write=10,count=4",
 	}
-	for _, engine := range Engines() {
+	for _, engine := range allEngines {
 		clean, cleanRes := faultMicroJob(t, engine, 1, nil, p2f.Recovery{})
 		if cleanRes.Recovery.FaultsInjected != 0 {
 			t.Fatalf("%s: fault-free run reports injected faults: %+v", engine, cleanRes.Recovery)

@@ -30,9 +30,6 @@ const (
 	EngineDirect     Engine = "direct"
 )
 
-// Engines lists the synchronous engines (the paper's systems).
-func Engines() []Engine { return []Engine{EngineFrugal, EngineFrugalSync, EngineDirect} }
-
 // Config shapes a training job.
 type Config struct {
 	// Engine selects the data path (default EngineFrugal).

@@ -193,6 +193,9 @@ type TierStats struct {
 }
 
 // TierStats snapshots the tier counters (zero value on untiered hosts).
+// Production reads the same counters through the obs layer; this is the
+// observation hook for tests in other packages (ckpt, serve) that must
+// see tier movement on a bare Host.
 func (h *Host) TierStats() TierStats {
 	t := h.tier
 	if t == nil {

@@ -285,6 +285,32 @@ func TestWriteErrorDeadlineMapsTo503(t *testing.T) {
 	}
 }
 
+// TestOptionsValidation pins the engine's non-admission option checks:
+// a malformed default level, the top-K cap, and the IVF knobs.
+func TestOptionsValidation(t *testing.T) {
+	h := admitHost(t, 8, 4)
+	bad := []Options{
+		{Default: Level{Kind: KindBounded, Bound: -1}},
+		{MaxTopK: -1},
+		{Index: IndexIVF, Centroids: -1},
+		{Index: IndexIVF, NProbe: -1},
+		{Centroids: 64},               // an IVF knob without IndexIVF
+		{Index: IndexFlat, NProbe: 4}, // likewise
+		{Index: IndexKind(99)},
+	}
+	for i, opt := range bad {
+		if opt.Validate() == nil {
+			t.Errorf("case %d passed Validate: %+v", i, opt)
+		}
+		if _, err := NewStatic(h, opt); err == nil {
+			t.Errorf("case %d accepted: %+v", i, opt)
+		}
+	}
+	if err := (Options{Index: IndexIVF, Centroids: 2, NProbe: 2, MaxInflight: 8}).Validate(); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+}
+
 func TestOptionsAdmissionValidation(t *testing.T) {
 	h := admitHost(t, 8, 4)
 	bad := []Options{
@@ -298,6 +324,9 @@ func TestOptionsAdmissionValidation(t *testing.T) {
 	for i, opt := range bad {
 		if _, err := NewStatic(h, opt); err == nil {
 			t.Errorf("case %d accepted: %+v", i, opt)
+		}
+		if opt.Validate() == nil {
+			t.Errorf("case %d passed Validate: %+v", i, opt)
 		}
 	}
 	// Defaults fill in when admission is on.

@@ -172,6 +172,11 @@ type Options struct {
 	NProbe int
 }
 
+// Validate reports whether New, NewStatic and NewFromStore would accept
+// the options, so a caller that must load or dial a store first can
+// reject bad options before that work.
+func (o Options) Validate() error { return o.normalize() }
+
 func (o *Options) normalize() error {
 	if err := o.Default.Validate(); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -84,7 +85,9 @@ type ClientStats struct {
 }
 
 // Op returns the traffic of the op named name ("gather", "versions",
-// "scatter", …); the zero value for unknown names.
+// "scatter", …); the zero value for unknown names. It is the per-op read
+// side of the client's wire accounting; no production path reads it yet,
+// and the wire tests use it to count frames per op.
 func (c ClientStats) Op(name string) OpStats {
 	for op, n := range opNames {
 		if n == name && n != "" {
@@ -128,6 +131,19 @@ func Dial(addr string) (*RemoteStore, error) {
 	}
 	s.put(cc)
 	return s, nil
+}
+
+// SplitAddrs parses a comma-separated shard address list (the -shards and
+// -connect flags), dropping blanks.
+func SplitAddrs(s string) []string {
+	parts := strings.Split(s, ",")
+	out := parts[:0]
+	for _, p := range parts {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // DialSharded dials every shard address, checks that the node at
@@ -438,7 +454,9 @@ func (s *RemoteStore) TopK(ctx context.Context, query []float32, k int) ([]store
 	return out, nil
 }
 
-// Ping round-trips an empty frame (health checks, tests).
+// Ping round-trips an empty frame. It is the client side of the wire
+// protocol's ping op, kept for health checks; no production path pings
+// yet, and the wire tests use it to prove a connection round-trips.
 func (s *RemoteStore) Ping() error {
 	return s.roundTrip(opPing, nil, nil)
 }

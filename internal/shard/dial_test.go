@@ -77,3 +77,31 @@ func waitConns(srv *Server, want int) int {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+func TestSplitAddrs(t *testing.T) {
+	got := SplitAddrs(" a:1, b:2 ,,c:3 ")
+	want := []string{"a:1", "b:2", "c:3"}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("SplitAddrs = %q, want %q", got, want)
+	}
+	if got := SplitAddrs(" , "); len(got) != 0 {
+		t.Fatalf("SplitAddrs of a blank list = %q, want none", got)
+	}
+}
+
+// TestNewNodeRejectsBadShape pins the node-mode shape checks: a node
+// needs a table height, a dimension and an index inside its topology.
+func TestNewNodeRejectsBadShape(t *testing.T) {
+	bad := map[string]NodeOptions{
+		"missing rows":       {Rows: 0, Dim: 4, Of: 3, Trainers: 1},
+		"missing dim":        {Rows: 100, Dim: 0, Of: 3, Trainers: 1},
+		"shard out of range": {Rows: 100, Dim: 4, Shard: 3, Of: 3, Trainers: 1},
+		"negative shard":     {Rows: 100, Dim: 4, Shard: -1, Of: 3, Trainers: 1},
+	}
+	for name, opt := range bad {
+		if n, err := NewNode(opt); err == nil {
+			n.Close()
+			t.Errorf("%s: NewNode accepted %+v", name, opt)
+		}
+	}
+}

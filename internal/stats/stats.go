@@ -228,52 +228,3 @@ func AUC(scores []float64, labels []float64) float64 {
 	u := rankSumPos - nPos*(nPos+1)/2
 	return u / (nPos * nNeg)
 }
-
-// Percentile returns the p-th percentile (0-100) of xs by nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64{}, xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(p/100*float64(len(s))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
-}
-
-// CSV renders the table as comma-separated values (one header row of
-// x-ticks, one row per series), for plotting pipelines.
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	sb.WriteString(esc(t.Title))
-	for _, x := range t.XTicks {
-		sb.WriteByte(',')
-		sb.WriteString(esc(x))
-	}
-	sb.WriteByte('\n')
-	for _, s := range t.Series {
-		sb.WriteString(esc(s.Label))
-		for _, p := range s.Points {
-			fmt.Fprintf(&sb, ",%g", p)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}

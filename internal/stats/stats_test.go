@@ -98,22 +98,6 @@ func TestRatioAndMinMax(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 50); p != 5 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 10 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatalf("empty percentile = %v", p)
-	}
-}
-
 func TestAUC(t *testing.T) {
 	// Perfect separation.
 	if got := AUC([]float64{0.1, 0.2, 0.8, 0.9}, []float64{0, 0, 1, 1}); got != 1 {
@@ -138,15 +122,5 @@ func TestAUC(t *testing.T) {
 	// pairs won = (0.8>0.6)+(0.8>0.2)+(0.4>0.2) = 3 of 4 → 0.75.
 	if got := AUC([]float64{0.8, 0.6, 0.4, 0.2}, []float64{1, 0, 1, 0}); got != 0.75 {
 		t.Fatalf("partial AUC = %v, want 0.75", got)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Title: "t,1", XTicks: []string{"a", "b"}}
-	tb.AddSeries(`s"x`, []float64{1.5, 2})
-	csv := tb.CSV()
-	want := "\"t,1\",a,b\n\"s\"\"x\",1.5,2\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
 	}
 }

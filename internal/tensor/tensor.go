@@ -14,9 +14,6 @@ import (
 	"math/rand"
 )
 
-// Vec is a dense float32 vector.
-type Vec = []float32
-
 // Axpy computes dst += alpha * x elementwise. dst and x must have equal
 // length; it panics otherwise because a silent size mismatch corrupts
 // embedding rows. The 8-wide unrolled body keeps per-element order, so
@@ -92,44 +89,12 @@ func Dot(a, b []float32) float32 {
 	return ((s0 + s1) + (s2 + s3)) + t
 }
 
-// Add computes dst = a + b elementwise.
-func Add(a, b, dst []float32) {
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// Sub computes dst = a - b elementwise.
-func Sub(a, b, dst []float32) {
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // Copy copies src into dst and panics on length mismatch.
 func Copy(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: copy length mismatch %d != %d", len(dst), len(src)))
 	}
 	copy(dst, src)
-}
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float32) float32 {
-	var s float64
-	for _, v := range x {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
-}
-
-// L1Norm returns the sum of absolute values of x.
-func L1Norm(x []float32) float32 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(float64(v))
-	}
-	return float32(s)
 }
 
 // Zero clears x. The range-assign form compiles to a runtime memclr, which
@@ -163,18 +128,6 @@ func AccumClear(src, dst []float32) {
 	for i := range src {
 		src[i] = 0
 	}
-}
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float32) float32 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return float32(s / float64(len(x)))
 }
 
 // Matrix is a dense row-major float32 matrix.
@@ -418,13 +371,6 @@ func ReLUBackward(grad, mask []float32) {
 	}
 }
 
-// Sigmoid computes the logistic function elementwise in place.
-func Sigmoid(x []float32) {
-	for i, v := range x {
-		x[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-}
-
 // SigmoidScalar computes the logistic function of a single value.
 func SigmoidScalar(x float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(x))))
@@ -447,20 +393,4 @@ func UniformInit(rng *rand.Rand, x []float32, bound float32) {
 	for i := range x {
 		x[i] = (rng.Float32()*2 - 1) * bound
 	}
-}
-
-// SGDStep applies params -= lr * grad.
-func SGDStep(lr float32, grad, params []float32) {
-	Axpy(-lr, grad, params)
-}
-
-// ClipNorm rescales x in place so that its L2 norm does not exceed maxNorm,
-// and reports whether clipping occurred.
-func ClipNorm(x []float32, maxNorm float32) bool {
-	n := L2Norm(x)
-	if n <= maxNorm || n == 0 {
-		return false
-	}
-	Scale(maxNorm/n, x)
-	return true
 }

@@ -118,6 +118,18 @@ type ServeOptions struct {
 	HotFraction float64
 }
 
+// validate rejects bad options before a server constructor loads a
+// checkpoint, reads a log or dials a shard.
+func (o ServeOptions) validate() error {
+	if o.HotFraction != 0 && !o.ColdTier {
+		return fmt.Errorf("frugal: HotFraction requires ColdTier")
+	}
+	if o.HotFraction < 0 || o.HotFraction > 1 {
+		return fmt.Errorf("frugal: HotFraction must be in (0, 1], got %g", o.HotFraction)
+	}
+	return o.internal().Validate()
+}
+
 func (o ServeOptions) internal() serve.Options {
 	return serve.Options{
 		Default: o.Level, RejectStale: o.RejectStale, MaxTopK: o.MaxTopK,
@@ -160,8 +172,8 @@ func (j *TrainingJob) Serve(opt ServeOptions) (*Server, error) {
 // convert on the way in — trading a quantization error on cold rows for
 // a fraction of the resident memory.
 func NewServerFromCheckpoint(r io.Reader, opt ServeOptions) (*Server, error) {
-	if opt.HotFraction != 0 && !opt.ColdTier {
-		return nil, fmt.Errorf("frugal: HotFraction requires ColdTier")
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	var host *runtime.Host
 	var err error
@@ -193,6 +205,9 @@ func NewServerFromCheckpoint(r io.Reader, opt ServeOptions) (*Server, error) {
 // servers (each shard scans its own rows instead); request it and
 // construction fails.
 func NewServerFromShards(addrs []string, opt ServeOptions) (*Server, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	st, err := shard.DialSharded(addrs)
 	if err != nil {
 		return nil, err
@@ -245,6 +260,9 @@ type FollowerServer struct {
 // log at dir. The IVF index is not available on followers (its repair
 // feed is the primary's flush stream).
 func NewServerFromLog(dir string, opt ServeOptions, fo FollowOptions) (*FollowerServer, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	fl, err := serve.NewFollower(dir, serve.FollowerOptions{
 		Poll:         fo.Poll,
 		WaitForLog:   fo.WaitForLog,
