@@ -25,11 +25,13 @@ race-core:
 # scan's self-healing below a raised lower bound (Top and ProcessBatch),
 # the flush-before-dequeue protocol, concurrent queue and hash-table
 # stress (single-winner and build-once GetOrInsert), the in-flight
-# floor, and the priority ring's slot recycling (wraps, and inserts,
-# drainers and deletes racing a retire).
+# floor, the priority ring's slot recycling (wraps, and inserts,
+# drainers and deletes racing a retire), and the ∞ slot's reset in place
+# (inserts, deletes and drains racing a reset; a never-draining ∞ stays
+# bounded).
 invariants:
 	$(GO) test -race -cpu 1,2,4 -count=3 \
-		-run 'TestGatePropertyQuick|TestInvariantHoldsUnderRandomTraces|TestTopSelfHeals|TestProcessBatch|TestQueueConcurrentStress|TestConcurrent|TestGetOrInsertConcurrent|TestInFlight|TestRing' \
+		-run 'TestGatePropertyQuick|TestInvariantHoldsUnderRandomTraces|TestTopSelfHeals|TestProcessBatch|TestQueueConcurrentStress|TestConcurrent|TestGetOrInsertConcurrent|TestInFlight|TestRing|TestInfSlot' \
 		./internal/pq ./internal/lfht ./internal/p2f
 
 # The lookahead-prefetch suite under the race detector at several

@@ -297,14 +297,14 @@ func TestPayloadTrace(t *testing.T) {
 	if _, ok := tr.Next(); ok {
 		t.Fatal("exhausted trace should report done")
 	}
-	if len(tr.payloads) != 3 {
-		t.Fatalf("outstanding = %d", len(tr.payloads))
+	if tr.held != 3 {
+		t.Fatalf("outstanding = %d", tr.held)
 	}
 	if got := tr.Take(1); got != "b" {
 		t.Fatalf("Take(1) = %q", got)
 	}
-	if len(tr.payloads) != 2 {
-		t.Fatalf("outstanding = %d", len(tr.payloads))
+	if tr.held != 2 {
+		t.Fatalf("outstanding = %d", tr.held)
 	}
 	defer func() {
 		if recover() == nil {

@@ -278,17 +278,33 @@ func (s *KGStream) Spec() Spec { return s.spec }
 // PayloadTrace adapts a typed batch stream to the p2f TraceSource
 // contract while retaining each step's typed payload until the runtime
 // consumes it with Take. The controller's prefetch depth bounds the number
-// of outstanding payloads to L, so memory stays constant.
+// of outstanding payloads to L, so memory stays constant: they are kept in
+// a ring that grows only when the span from the oldest untaken step to the
+// newest outgrows it, so a run in steady state stores and takes payloads
+// without allocating.
 type PayloadTrace[T any] struct {
-	gen      func() (payload T, keys []uint64, ok bool)
-	mu       sync.Mutex
-	payloads map[int64]T
-	next     int64
+	gen func() (payload T, keys []uint64, ok bool)
+	mu  sync.Mutex
+	// ring holds the payloads of steps [first, next) at index step mod
+	// len(ring), a power of two; a taken step's slot stays empty until
+	// first passes it. held counts the payloads not yet taken.
+	ring        []heldPayload[T]
+	first, next int64
+	held        int
+}
+
+type heldPayload[T any] struct {
+	v  T
+	ok bool
 }
 
 // NewPayloadTrace wraps a generator that yields (payload, keys) pairs.
 func NewPayloadTrace[T any](gen func() (T, []uint64, bool)) *PayloadTrace[T] {
-	return &PayloadTrace[T]{gen: gen, payloads: make(map[int64]T)}
+	return &PayloadTrace[T]{gen: gen, ring: make([]heldPayload[T], 16)}
+}
+
+func (p *PayloadTrace[T]) at(step int64) *heldPayload[T] {
+	return &p.ring[step&int64(len(p.ring)-1)]
 }
 
 // Next implements the TraceSource contract for the controller's prefetch
@@ -300,8 +316,16 @@ func (p *PayloadTrace[T]) Next() ([]uint64, bool) {
 	if !ok {
 		return nil, false
 	}
-	p.payloads[p.next] = payload
+	if p.next-p.first == int64(len(p.ring)) {
+		old := p.ring
+		p.ring = make([]heldPayload[T], 2*len(old))
+		for s := p.first; s < p.next; s++ {
+			*p.at(s) = old[s&int64(len(old)-1)]
+		}
+	}
+	*p.at(p.next) = heldPayload[T]{payload, true}
 	p.next++
+	p.held++
 	return keys, true
 }
 
@@ -310,10 +334,15 @@ func (p *PayloadTrace[T]) Next() ([]uint64, bool) {
 func (p *PayloadTrace[T]) Take(step int64) T {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	payload, ok := p.payloads[step]
-	if !ok {
+	if step < p.first || step >= p.next || !p.at(step).ok {
 		panic(fmt.Sprintf("data: payload for step %d missing (double Take or never generated)", step))
 	}
-	delete(p.payloads, step)
+	h := p.at(step)
+	payload := h.v
+	*h = heldPayload[T]{}
+	p.held--
+	for p.first < p.next && !p.at(p.first).ok {
+		p.first++
+	}
 	return payload
 }

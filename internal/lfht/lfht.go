@@ -23,9 +23,10 @@
 // lock-free resize would put a migration protocol under the consistency
 // gate for no gain. The g-entry directory (internal/p2f) is sized from the
 // key space it serves (≈ keys/4 segments, so a lookup walks one or two
-// nodes); a finite priority slot of the two-level queue holds at most one
-// step's keys and gets a small table, recycled step after step; only the
-// ∞ slot, which holds all deferred work, gets a large one (internal/pq).
+// nodes). Every slot table of the two-level queue (internal/pq) is
+// reusable: a finite slot holds at most one step's keys and gets a small
+// table, recycled step after step; the ∞ slot, which holds all deferred
+// work, gets a large one, reset in place each time it drains.
 package lfht
 
 import (
@@ -59,9 +60,10 @@ const chunkNodes = 256
 // reader, so reusing it would reintroduce the ABA/lost-entry hazards that
 // safe memory reclamation exists to solve (out of scope per DESIGN.md
 // §5d). A map built by NewReusable links each chunk to the next and holds
-// the first, so the chain stays alive for Reset to hand back. Any other
-// map holds only its current chunk, and the GC collects an older one once
-// no segment links a node in it.
+// the first, so the chain stays alive for Reset to hand back; the chain
+// stops growing at the map's keep limit. Chunks claimed past it, and every
+// chunk of any other map, are held only while they are the current chunk,
+// and the GC collects one once no segment links a node in it.
 type chunk[V any] struct {
 	next  atomic.Uint32
 	succ  atomic.Pointer[chunk[V]] // the chunk claimed after this one (NewReusable)
@@ -69,10 +71,11 @@ type chunk[V any] struct {
 }
 
 // newNode claims a zeroed node from the current arena chunk. When the
-// chunk is exhausted, a reusable map moves to the chunk's successor and
-// any other map publishes a fresh chunk. Lock-free: a claim is one
-// fetch-add; losing the publish CAS still yields a valid node (slot 0 of
-// the loser's private chunk — slightly wasteful, never wrong).
+// chunk is exhausted, a reusable map moves to the chunk's successor while
+// its chain is within the keep limit; past it, and in any other map, a
+// fresh unlinked chunk is published. Lock-free: a claim is one fetch-add;
+// losing the publish CAS still yields a valid node (slot 0 of the loser's
+// private chunk — slightly wasteful, never wrong).
 func (m *Map[V]) newNode() *node[V] {
 	for {
 		c := m.arena.Load()
@@ -81,8 +84,7 @@ func (m *Map[V]) newNode() *node[V] {
 				return &c.nodes[i-1]
 			}
 		}
-		if m.reusable {
-			m.advance(c)
+		if m.keep > 0 && m.advance(c) {
 			continue
 		}
 		fresh := &chunk[V]{}
@@ -95,19 +97,29 @@ func (m *Map[V]) newNode() *node[V] {
 // advance moves a reusable map's arena past the exhausted chunk c (nil
 // before the first claim) to the next chunk of the chain — one kept by
 // Reset, or a fresh one appended with one CAS that every racing claimer
-// then follows.
-func (m *Map[V]) advance(c *chunk[V]) {
+// then follows. It reports false, moving nothing, when c ends a chain
+// that already holds keep chunks (or is an unlinked chunk claimed past
+// it): the caller then claims from an unlinked chunk.
+func (m *Map[V]) advance(c *chunk[V]) bool {
 	if c == nil {
-		m.first.CompareAndSwap(nil, &chunk[V]{})
+		if m.first.CompareAndSwap(nil, &chunk[V]{}) {
+			m.kept.Store(1)
+		}
 		m.arena.CompareAndSwap(nil, m.first.Load())
-		return
+		return true
 	}
 	nxt := c.succ.Load()
 	if nxt == nil {
-		c.succ.CompareAndSwap(nil, &chunk[V]{})
+		if m.kept.Load() >= m.keep {
+			return false
+		}
+		if c.succ.CompareAndSwap(nil, &chunk[V]{}) {
+			m.kept.Add(1)
+		}
 		nxt = c.succ.Load()
 	}
 	m.arena.CompareAndSwap(c, nxt)
+	return true
 }
 
 // Map is a concurrent hash map from uint64 keys to values of type V.
@@ -118,8 +130,11 @@ type Map[V any] struct {
 	count    atomic.Int64
 	cursor   atomic.Uint64            // rotating start segment, so drains spread out
 	arena    atomic.Pointer[chunk[V]] // the chunk nodes are claimed from
-	reusable bool
-	first    atomic.Pointer[chunk[V]] // head of the chunk chain (NewReusable)
+	// A map built by NewReusable keeps a chain of up to keep chunks (0 for
+	// any other map); first is its head and kept its length.
+	keep  int32
+	kept  atomic.Int32
+	first atomic.Pointer[chunk[V]]
 }
 
 // NewWithHint returns an empty map sized for roughly `hint` resident
@@ -141,13 +156,15 @@ func NewWithHint[V any](hint int) *Map[V] {
 }
 
 // NewReusable is NewWithHint for a table that is filled, drained and
-// Reset over and over: it keeps every arena chunk it claims, so Reset can
-// hand them back and a refill allocates nothing. A map that is never
-// reset should come from NewWithHint, or it keeps every chunk it ever
-// claimed.
+// Reset over and over: it keeps the arena chunks it claims, so Reset can
+// hand them back and a refill allocates nothing. It keeps at most
+// max(16, 4·hint/chunkNodes) chunks — four times the hinted population,
+// in nodes. A fill past that claims unlinked chunks, as a NewWithHint
+// map does, so a map that is seldom or never reset holds at most that
+// many chunks more than a NewWithHint map would.
 func NewReusable[V any](hint int) *Map[V] {
 	m := NewWithHint[V](hint)
-	m.reusable = true
+	m.keep = int32(max(16, min(4*hint, 1<<24)/chunkNodes))
 	return m
 }
 
@@ -293,15 +310,17 @@ func (m *Map[V]) Len() int { return int(m.count.Load()) }
 func (m *Map[V]) Empty() bool { return m.count.Load() == 0 }
 
 // Reset empties the map for reuse: the directory is cleared and, for a
-// map built by NewReusable, every arena chunk is zeroed and handed back
-// to newNode, so a table that is filled and drained over and over
-// allocates nothing after its first fill. The caller must guarantee that
-// no other goroutine operates on the map, and that none can still hold a
-// node of it, while Reset runs.
+// map built by NewReusable, every chunk of its chain is zeroed and handed
+// back to newNode, so a table that is filled and drained over and over
+// allocates nothing after its first fill. A map that has claimed no node
+// since it was built or last reset is left as it is. The caller must
+// guarantee that no other goroutine operates on the map, and that none
+// can still hold a node of it, while Reset runs.
 func (m *Map[V]) Reset() {
-	for i := range m.segments {
-		m.segments[i].Store(nil)
+	if a := m.arena.Load(); a == nil || a == m.first.Load() && a.next.Load() == 0 {
+		return
 	}
+	clear(m.segments)
 	for c := m.first.Load(); c != nil; c = c.succ.Load() {
 		clear(c.nodes[:min(c.next.Load(), chunkNodes)])
 		c.next.Store(0)

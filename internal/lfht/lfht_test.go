@@ -326,3 +326,47 @@ func TestResetReusesChunks(t *testing.T) {
 		t.Fatalf("fill/drain/Reset allocates %v times, want 0", got)
 	}
 }
+
+// TestReusableChainBounded fills a reusable map far past its chunk limit
+// without a Reset, as a table that never drains is: the chain it keeps
+// for Reset stops at the limit, the nodes claimed past it stay correct,
+// and after a Reset a fill that fits the kept chain allocates nothing.
+func TestReusableChainBounded(t *testing.T) {
+	m := NewReusable[int](64)
+	chain := func() int {
+		n := 0
+		for c := m.first.Load(); c != nil; c = c.succ.Load() {
+			n++
+		}
+		return n
+	}
+	m.Insert(1<<40, -1) // never deleted
+	const n = 100 * chunkNodes
+	for i := 0; i < n; i++ {
+		m.Insert(uint64(i), i)
+		if i%2 == 0 {
+			m.Delete(uint64(i))
+		}
+	}
+	if got := chain(); got != int(m.keep) {
+		t.Fatalf("chain holds %d chunks after %d inserts, want the limit %d", got, n, m.keep)
+	}
+	if v, ok := m.Get(n - 1); !ok || v != n-1 {
+		t.Fatalf("Get(%d) = %v,%v past the chunk limit", n-1, v, ok)
+	}
+	if m.Len() != n/2+1 {
+		t.Fatalf("Len = %d, want %d", m.Len(), n/2+1)
+	}
+	fill := func() {
+		for i := 0; i < int(m.keep)*chunkNodes; i++ {
+			m.Insert(uint64(i), i)
+		}
+		m.DrainN(int(m.keep)*chunkNodes, func(uint64, int) {})
+		m.Reset()
+	}
+	m.DrainN(n, func(uint64, int) {})
+	m.Reset()
+	if got := testing.AllocsPerRun(5, fill); got != 0 {
+		t.Fatalf("a fill of the kept chain allocates %v times after Reset, want 0", got)
+	}
+}

@@ -271,7 +271,7 @@ func TestSlotTableSizing(t *testing.T) {
 			t.Fatalf("finite slot %d has %d segments, want ≤ 64", p, n)
 		}
 	}
-	if n := q.inf.Segments(); n < 1024 {
+	if n := q.inf.t.Load().Segments(); n < 1024 {
 		t.Fatalf("∞ slot has %d segments, want ≥ 1024", n)
 	}
 }

@@ -125,7 +125,7 @@ func TestRingLateInsertSurvivesRetire(t *testing.T) {
 	n := 0
 	drainStep(q, 5, countClaim(&n))
 	s := q.slot(5)
-	tb := s.acquire(5) // the late insert has pinned the slot…
+	tb := s.acquire(5, 0) // the late insert has pinned the slot…
 	q.RaiseLowerBound(6)
 	if st := s.state.Load(); st != 2*5 {
 		t.Fatalf("slot state %d after a retire under a pin, want %d", st, 2*5)
@@ -136,7 +136,7 @@ func TestRingLateInsertSurvivesRetire(t *testing.T) {
 	q.finite.Add(1)
 	q.count.Add(1)
 	g.Mu.Unlock()
-	s.release()
+	s.release(0)
 	if top := q.Top(); top != 5 {
 		t.Fatalf("Top = %d, want 5: the late insert must stay visible", top)
 	}
@@ -200,7 +200,7 @@ func TestRingDrainerPinnedAcrossRetire(t *testing.T) {
 	}()
 	// Wait until the drainer holds the slot's pin (it then blocks on
 	// x.Mu inside its claim).
-	for q.slot(5).pins.Load() == 0 {
+	for !q.slot(5).pins.Load().pinned() {
 		time.Sleep(10 * time.Microsecond)
 	}
 	q.RaiseLowerBound(6)

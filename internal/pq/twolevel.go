@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 
@@ -33,20 +34,24 @@ import (
 // all, and a slot whose priority has fallen below the lower bound is
 // recycled for priority p+R instead of kept for the life of the queue.
 // Recycling resets the slot's table (lfht.Map.Reset), which keeps its
-// directory and arena chunks, so a queue in steady state allocates
-// nothing per step however long it runs.
+// directory and arena chunks. The ∞ slot is never recycled for another
+// priority, but RaiseLowerBound resets its table in place whenever it has
+// drained, so a queue in steady state allocates nothing per step however
+// long it runs.
 //
-// Recycling a table that other goroutines may still reach needs a
+// Resetting a table that other goroutines may still reach needs a
 // protocol, because lfht never reclaims single nodes. Every operation on
-// a finite slot pins the slot, checks that it still serves the operation's
-// priority and is not being retired, and unpins when done (acquire). A
-// retirer (tryRetire) marks the slot retiring, then resets the table only
-// if no pin is held and the table is empty; otherwise it clears the mark
-// and leaves the slot as it was, where scan still sees it — a late insert
-// stays in place and is drained like any other entry, and the retire is
-// tried again later. The retirer never waits: a pinned drainer can be
-// blocked on a g-entry lock that an inserter holds, so a waiting retirer
-// could deadlock with an inserter waiting for it.
+// a finite slot or on ∞ pins the slot, checks that it still serves the
+// operation's priority and is not being reset, and unpins when done
+// (acquire). A retirer (tryReset) marks the slot, then resets the table
+// only if no pin is held and the table is empty; otherwise it clears the
+// mark and leaves the slot as it was, where scan still sees it — a late
+// insert stays in place and is drained like any other entry, and the
+// reset is tried again later. The retirer never waits: a pinned drainer
+// can be blocked on a g-entry lock that an inserter holds, so a waiting
+// retirer could deadlock with an inserter waiting for it. Pins are
+// counted on cache-line-padded stripes picked by key, so operations on
+// one slot do not all write one shared word; the retirer sums them.
 //
 // An entry whose slot still holds an older priority that cannot be
 // recycled (the window was exceeded, or a hidden entry is still there) is
@@ -67,7 +72,7 @@ import (
 type TwoLevelPQ struct {
 	ring  []ringSlot
 	mask  int64
-	inf   *lfht.Map[*GEntry] // the ∞ slot, never recycled
+	inf   ringSlot           // the ∞ slot: serves infOpen, reset in place
 	strag *lfht.Map[*GEntry] // entries filed at straggler
 
 	count atomic.Int64
@@ -95,53 +100,119 @@ type TwoLevelPQ struct {
 // first and holds the gate shut until it has.
 const straggler int64 = -1
 
-// ringSlot is one finite slot of the ring.
+// ringSlot is one slot of the priority index: a finite slot of the ring,
+// or ∞.
 type ringSlot struct {
 	// state is slotFree, 2p while the table serves priority p, or 2p+1
-	// while a retirer decides whether to recycle it.
+	// while a retirer decides whether to reset it.
 	state atomic.Int64
-	pins  atomic.Int64 // operations in progress on the table
-	t     atomic.Pointer[lfht.Map[*GEntry]]
+	// t and pins are set once, t first, before the slot first serves.
+	t    atomic.Pointer[lfht.Map[*GEntry]]
+	pins atomic.Pointer[pinSet]
 }
 
-const slotFree int64 = -1
+// pinSet counts the operations in progress on a slot's table on
+// pinStripes cache-line-padded stripes.
+type pinSet [pinStripes]struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+const (
+	pinStripeBits = 3
+	pinStripes    = 1 << pinStripeBits
+)
+
+// stripe returns the pin counter for pin, a key or any other value the
+// caller passes to both acquire and release.
+func (ps *pinSet) stripe(pin uint64) *atomic.Int64 {
+	return &ps[(pin*0x9e3779b97f4a7c15)>>(64-pinStripeBits)].n
+}
+
+// pinned reports whether an operation holds a pin. The sum is exact for
+// a retirer that has marked the slot: a pin taken before the mark is
+// counted on its stripe until it is released, and one taken after it
+// is released again by acquire.
+func (ps *pinSet) pinned() bool {
+	var n int64
+	for i := range ps {
+		n += ps[i].n.Load()
+	}
+	return n != 0
+}
+
+// open gives a slot that has never served its table and pin counters.
+func (s *ringSlot) open(hint int) {
+	if s.pins.Load() == nil {
+		s.t.CompareAndSwap(nil, lfht.NewReusable[*GEntry](hint))
+		s.pins.CompareAndSwap(nil, new(pinSet))
+	}
+}
+
+const (
+	slotFree int64 = -1
+	// infOpen is the priority label the ∞ slot always serves: its state
+	// is 2·infOpen while open and 2·infOpen+1 while being reset.
+	infOpen int64 = 0
+)
 
 // acquire pins the slot and returns its table if it serves priority p and
-// is not being retired; otherwise it returns nil holding no pin. The
-// caller must release a returned table.
-func (s *ringSlot) acquire(p int64) *lfht.Map[*GEntry] {
-	s.pins.Add(1)
+// is not being reset; otherwise it returns nil holding no pin. The
+// caller must release a returned table with the same pin.
+func (s *ringSlot) acquire(p int64, pin uint64) *lfht.Map[*GEntry] {
+	ps := s.pins.Load()
+	if ps == nil {
+		return nil // never served
+	}
+	c := ps.stripe(pin)
+	c.Add(1)
 	if s.state.Load() == 2*p {
 		return s.t.Load()
 	}
-	s.pins.Add(-1)
+	c.Add(-1)
 	return nil
 }
 
-func (s *ringSlot) release() { s.pins.Add(-1) }
+func (s *ringSlot) release(pin uint64) { s.pins.Load().stripe(pin).Add(-1) }
 
 // occupied reports whether the slot's table serves p and holds entries. A
-// retiring table counts: it is reset only once it is found empty.
+// table being reset counts: it is reset only once it is found empty.
 func (s *ringSlot) occupied(p int64) bool {
 	return s.state.Load()>>1 == p && !s.t.Load().Empty()
 }
 
-// tryRetire recycles the slot if its table serves p, is empty and is
-// pinned by no one, and reports whether it did. It never waits.
-func (s *ringSlot) tryRetire(p int64) bool {
+// tryReset resets the slot's table if it serves p, is empty and is
+// pinned by no one, leaves the slot in state next, and reports whether it
+// did. It never waits.
+func (s *ringSlot) tryReset(p, next int64) bool {
 	if !s.state.CompareAndSwap(2*p, 2*p+1) {
 		return false
 	}
 	// From here on no new operation gets past acquire, so with no pin
 	// held nothing can reach the table while it is reset.
 	t := s.t.Load()
-	if s.pins.Load() != 0 || !t.Empty() {
+	if s.pins.Load().pinned() || !t.Empty() {
 		s.state.Store(2 * p)
 		return false
 	}
 	t.Reset()
-	s.state.Store(slotFree)
+	s.state.Store(next)
 	return true
+}
+
+// tryRetire recycles a finite slot that served p for another priority.
+func (s *ringSlot) tryRetire(p int64) bool { return s.tryReset(p, slotFree) }
+
+// pinInf pins the ∞ slot and returns its table, waiting out a reset in
+// progress (which never waits itself). The caller releases it with
+// q.inf.release(pin).
+func (q *TwoLevelPQ) pinInf(pin uint64) *lfht.Map[*GEntry] {
+	for {
+		if t := q.inf.acquire(infOpen, pin); t != nil {
+			return t
+		}
+		runtime.Gosched()
+	}
 }
 
 // TwoLevelOptions configures a TwoLevelPQ.
@@ -174,13 +245,14 @@ func NewTwoLevelPQ(opt TwoLevelOptions) (*TwoLevelPQ, error) {
 	q := &TwoLevelPQ{
 		ring:     make([]ringSlot, r),
 		mask:     r - 1,
-		inf:      lfht.NewWithHint[*GEntry](infSlotHint),
 		strag:    lfht.NewWithHint[*GEntry](0),
 		compress: !opt.DisableScanCompression,
 	}
 	for i := range q.ring {
 		q.ring[i].state.Store(slotFree)
 	}
+	q.inf.open(infSlotHint)
+	q.inf.state.Store(2 * infOpen)
 	q.upper.Store(-1)
 	return q, nil
 }
@@ -212,17 +284,15 @@ func (q *TwoLevelPQ) file(g *GEntry, p int64) int64 {
 	}
 	s := q.slot(p)
 	for {
-		if t := s.acquire(p); t != nil {
+		if t := s.acquire(p, g.Key); t != nil {
 			t.Insert(g.Key, g)
-			s.release()
+			s.release(g.Key)
 			return p
 		}
 		st := s.state.Load()
 		switch old := st >> 1; {
 		case st == slotFree:
-			if s.t.Load() == nil {
-				s.t.CompareAndSwap(nil, lfht.NewReusable[*GEntry](finiteSlotHint))
-			}
+			s.open(finiteSlotHint)
 			s.state.CompareAndSwap(slotFree, 2*p)
 		case st&1 == 1:
 			runtime.Gosched() // a retirer is deciding; it never waits
@@ -231,9 +301,9 @@ func (q *TwoLevelPQ) file(g *GEntry, p int64) int64 {
 			return straggler
 		case old < q.lower.Load() && s.tryRetire(old):
 		default:
-			if t := s.acquire(old); t != nil {
+			if t := s.acquire(old, g.Key); t != nil {
 				t.Insert(g.Key, g)
-				s.release()
+				s.release(g.Key)
 				return old
 			}
 		}
@@ -245,7 +315,8 @@ func (q *TwoLevelPQ) file(g *GEntry, p int64) int64 {
 func (q *TwoLevelPQ) unfile(key uint64, p int64) {
 	switch p {
 	case Inf:
-		q.inf.Delete(key)
+		q.pinInf(key).Delete(key)
+		q.inf.release(key)
 		return
 	case straggler:
 		q.strag.Delete(key)
@@ -253,9 +324,9 @@ func (q *TwoLevelPQ) unfile(key uint64, p int64) {
 	}
 	s := q.slot(p)
 	for {
-		if t := s.acquire(p); t != nil {
+		if t := s.acquire(p, key); t != nil {
 			t.Delete(key)
-			s.release()
+			s.release(key)
 			return
 		}
 		st := s.state.Load()
@@ -305,7 +376,8 @@ func (q *TwoLevelPQ) Enqueue(g *GEntry, p int64) {
 		q.track(p)
 		q.finite.Add(1)
 	} else {
-		q.inf.Insert(g.Key, g)
+		q.pinInf(g.Key).Insert(g.Key, g)
+		q.inf.release(g.Key)
 	}
 	g.Priority = p
 	g.InQueue = true
@@ -338,7 +410,8 @@ func (q *TwoLevelPQ) AdjustPriority(g *GEntry, old, new int64) {
 			q.finite.Add(1)
 		}
 	} else {
-		q.inf.Insert(g.Key, g)
+		q.pinInf(g.Key).Insert(g.Key, g)
+		q.inf.release(g.Key)
 	}
 	g.Priority = new
 	q.unfile(g.Key, old)
@@ -436,26 +509,31 @@ func (q *TwoLevelPQ) scan(visit func(p int64) bool) {
 			}
 		}
 	}
-	if !q.inf.Empty() {
+	if q.inf.occupied(infOpen) {
 		visit(Inf)
 	}
 }
 
 // table pins and returns the table of priority p (nil when a finite
-// slot no longer serves p, or is being retired); release undoes the pin.
-func (q *TwoLevelPQ) table(p int64) *lfht.Map[*GEntry] {
+// slot no longer serves p, or a slot is being reset); release undoes the
+// pin.
+func (q *TwoLevelPQ) table(p int64, pin uint64) *lfht.Map[*GEntry] {
 	switch p {
 	case Inf:
-		return q.inf
+		return q.inf.acquire(infOpen, pin)
 	case straggler:
 		return q.strag
 	}
-	return q.slot(p).acquire(p)
+	return q.slot(p).acquire(p, pin)
 }
 
-func (q *TwoLevelPQ) release(p int64) {
-	if p != Inf && p != straggler {
-		q.slot(p).release()
+func (q *TwoLevelPQ) release(p int64, pin uint64) {
+	switch p {
+	case Inf:
+		q.inf.release(pin)
+	case straggler:
+	default:
+		q.slot(p).release(pin)
 	}
 }
 
@@ -466,15 +544,16 @@ func (q *TwoLevelPQ) release(p int64) {
 // reached host memory). Finite priorities drain before ∞, so deferred
 // updates flush only when nothing urgent is pending. Claimed entries (fn
 // returned true) leave the logical count; stale residues are culled for
-// free. A slot being retired is skipped: it is empty, or its retirer
+// free. A slot being reset is skipped: it is empty, or its retirer
 // leaves it in place for a later call.
 func (q *TwoLevelPQ) ProcessBatch(max int, fn func(g *GEntry, slotPriority int64) bool) int {
 	if max <= 0 || q.count.Load() == 0 {
 		return 0
 	}
 	processed := 0
+	pin := rand.Uint64() // a drain has no key; any stripe will do
 	q.scan(func(p int64) bool {
-		t := q.table(p)
+		t := q.table(p, pin)
 		if t == nil {
 			return true
 		}
@@ -497,7 +576,7 @@ func (q *TwoLevelPQ) ProcessBatch(max int, fn func(g *GEntry, slotPriority int64
 				q.o.StalePop(g.Key)
 			}
 		})
-		q.release(p)
+		q.release(p, pin)
 		return processed < max
 	})
 	return processed
@@ -533,11 +612,16 @@ func (q *TwoLevelPQ) Top() int64 {
 // Enqueue/AdjustPriority self-heals if the contract is broken.
 //
 // A slot that cannot be recycled yet (an entry or a pin is still in it)
-// is left to the next Enqueue that needs it.
+// is left to the next Enqueue that needs it. The ∞ table is reset in
+// place when it has drained and nothing holds a pin on it; otherwise the
+// reset waits for a later call.
 func (q *TwoLevelPQ) RaiseLowerBound(p int64) {
 	old := casMax(&q.lower, p)
 	for x := max(old, p-q.mask-1, 0); x < p; x++ {
 		q.slot(x).tryRetire(x)
+	}
+	if q.inf.t.Load().Empty() {
+		q.inf.tryReset(infOpen, 2*infOpen)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -244,12 +245,102 @@ const (
 // returning the shard loss.
 type shardWork struct {
 	keys    []uint64
-	compute func(rows [][]float32, grads [][]float32) float32
+	compute computeFunc
 }
 
-// stepPayload carries all workers' shards for one global step.
+type computeFunc func(rows [][]float32, grads [][]float32) float32
+
+// stepPayload carries all workers' shards for one global step. release
+// hands the buffers behind it back to their generator; the step's last
+// worker calls it once it has finished (finishStep).
 type stepPayload struct {
-	work []shardWork
+	work    []shardWork
+	release func()
+}
+
+// stepBuf is one step's payload and the buffers behind it. A generator
+// takes one from its stepBufs, fills it in place and hands out its
+// payload; the payload's release puts it back, so a run in steady state
+// reuses a fixed set of buffers — about one per step in flight — instead
+// of allocating per step.
+type stepBuf struct {
+	payload stepPayload
+	shards  []shardBuf
+	keys    []uint64 // every worker's keys, back to back
+}
+
+// shardBuf is one worker's part of a stepBuf, which the worker's compute
+// callback reads.
+type shardBuf struct {
+	keys   []uint64  // a window of stepBuf.keys
+	count  int       // the items (samples, triples, edges) the worker got
+	labels []float32 // REC: the labels of the worker's samples
+	preds  []float32 // REC: prediction scratch
+}
+
+// stepBufs is a generator's pool of step buffers for n workers. mk binds
+// worker w's compute callback to its shardBuf once per buffer.
+type stepBufs struct {
+	n    int
+	mk   func(w int, sh *shardBuf) computeFunc
+	mu   sync.Mutex
+	free []*stepBuf // room for every buffer made, so release never grows it
+	made int
+}
+
+func newStepBufs(n int, mk func(w int, sh *shardBuf) computeFunc) *stepBufs {
+	return &stepBufs{n: n, mk: mk}
+}
+
+// get returns a buffer for a step of items items dealt round-robin to
+// the workers (item i to worker i mod n), each item carrying per keys and
+// every worker extra more. Each worker's key window is empty with room
+// for exactly its keys, so the generator fills it by appending, in order,
+// without growing it.
+func (p *stepBufs) get(items, per, extra int) *stepBuf {
+	p.mu.Lock()
+	var b *stepBuf
+	if k := len(p.free); k > 0 {
+		b = p.free[k-1]
+		p.free = p.free[:k-1]
+	} else {
+		p.made++
+		p.free = slices.Grow(p.free, p.made)
+	}
+	p.mu.Unlock()
+	if b == nil {
+		b = &stepBuf{
+			payload: stepPayload{work: make([]shardWork, p.n)},
+			shards:  make([]shardBuf, p.n),
+		}
+		for w := range b.shards {
+			b.payload.work[w].compute = p.mk(w, &b.shards[w])
+		}
+		b.payload.release = func() {
+			p.mu.Lock()
+			p.free = append(p.free, b)
+			p.mu.Unlock()
+		}
+	}
+	b.keys = slices.Grow(b.keys[:0], items*per+p.n*extra)
+	off := 0
+	for w := range b.shards {
+		count := (items - w + p.n - 1) / p.n
+		end := off + count*per + extra
+		b.shards[w].keys = b.keys[off:off:end]
+		b.shards[w].count = count
+		off = end
+	}
+	return b
+}
+
+// ready points each worker's shard at its filled key window and returns
+// the payload.
+func (b *stepBuf) ready() stepPayload {
+	for w := range b.shards {
+		b.payload.work[w].keys = b.shards[w].keys
+	}
+	return b.payload
 }
 
 // Result aggregates a finished job.
@@ -632,10 +723,11 @@ func (j *Job) addLoss(step int64, loss float32) {
 }
 
 // finishStep records one trainer completing its shard of a step; the last
-// trainer to arrive marks the step globally complete, feeds the step
-// observability counters, and fires Config.OnStep. Runs after commit, off
-// the gate's critical path.
-func (j *Job) finishStep(gpu int, step int64, stall, wall time.Duration) {
+// trainer to arrive marks the step globally complete, hands the step's
+// payload buffers back (release), feeds the step observability counters,
+// and fires Config.OnStep. Runs after commit, off the gate's critical
+// path.
+func (j *Job) finishStep(gpu int, step int64, stall, wall time.Duration, release func()) {
 	j.stepObs.WorkerStep(gpu, step, wall)
 	j.mu.Lock()
 	agg := j.pending[step]
@@ -650,6 +742,7 @@ func (j *Job) finishStep(gpu int, step int64, stall, wall time.Duration) {
 	j.completed++
 	loss := j.losses[step]
 	j.mu.Unlock()
+	release()
 	j.stepObs.Completed()
 	if j.cfg.OnStep != nil {
 		backlog := 0

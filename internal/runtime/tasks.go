@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"frugal/internal/data"
 	"frugal/internal/graph"
@@ -42,35 +43,34 @@ func NewREC(cfg Config, stream *data.RECStream, hidden []int, steps int64) (*Job
 	features := spec.Features
 	lr := cfg.LR
 	jobRef := &jobHandle{}
+	bufs := newStepBufs(n, func(w int, sh *shardBuf) computeFunc {
+		m := models[w]
+		return func(rows [][]float32, grads [][]float32) float32 {
+			sh.preds = slices.Grow(sh.preds[:0], len(sh.labels))[:len(sh.labels)]
+			loss, err := m.TrainBatch(rows, sh.labels, grads, sh.preds, lr)
+			if err != nil {
+				panic(err) // shapes are constructed above; a mismatch is a bug
+			}
+			jobRef.recordPreds(sh.preds, sh.labels)
+			return loss * float32(len(sh.labels))
+		}
+	})
 	gen := func() (stepPayload, []uint64, bool) {
 		b, ok := stream.NextBatch()
 		if !ok {
 			return stepPayload{}, nil, false
 		}
 		samples := len(b.Labels)
-		payload := stepPayload{work: make([]shardWork, n)}
-		for w := 0; w < n; w++ {
-			var keys []uint64
-			var labels []float32
+		sb := bufs.get(samples, features, 0)
+		for w := range sb.shards {
+			sh := &sb.shards[w]
+			sh.labels = sh.labels[:0]
 			for s := w; s < samples; s += n {
-				keys = append(keys, b.Keys[s*features:(s+1)*features]...)
-				labels = append(labels, b.Labels[s])
-			}
-			m := models[w]
-			payload.work[w] = shardWork{
-				keys: keys,
-				compute: func(rows [][]float32, grads [][]float32) float32 {
-					preds := make([]float32, len(labels))
-					loss, err := m.TrainBatch(rows, labels, grads, preds, lr)
-					if err != nil {
-						panic(err) // shapes are constructed above; a mismatch is a bug
-					}
-					jobRef.recordPreds(preds, labels)
-					return loss * float32(len(labels))
-				},
+				sh.keys = append(sh.keys, b.Keys[s*features:(s+1)*features]...)
+				sh.labels = append(sh.labels, b.Labels[s])
 			}
 		}
-		return payload, b.Keys, true
+		return sb.ready(), b.Keys, true
 	}
 	job, err := newJob(cfg, clampSteps(steps, stream.Steps()), stream.Batch(), gen)
 	if err != nil {
@@ -110,41 +110,35 @@ func NewKG(cfg Config, stream *data.KGStream, tm model.TripleModel, steps int64)
 	}
 
 	n := cfg.NumGPUs
+	bufs := newStepBufs(n, func(_ int, sh *shardBuf) computeFunc {
+		return func(rows [][]float32, grads [][]float32) float32 {
+			count := sh.count
+			negRows := rows[count*3:]
+			negGrads := grads[count*3:]
+			var loss float32
+			for t := 0; t < count; t++ {
+				loss += model.TrainTriple(tm,
+					rows[t*3], rows[t*3+1], rows[t*3+2], negRows,
+					grads[t*3], grads[t*3+1], grads[t*3+2], negGrads)
+			}
+			return loss
+		}
+	})
 	gen := func() (stepPayload, []uint64, bool) {
 		b, ok := stream.NextBatch()
 		if !ok {
 			return stepPayload{}, nil, false
 		}
 		triples := len(b.Heads)
-		negs := len(b.Negs)
-		payload := stepPayload{work: make([]shardWork, n)}
-		for w := 0; w < n; w++ {
-			var mine []int
+		sb := bufs.get(triples, 3, len(b.Negs))
+		for w := range sb.shards {
+			sh := &sb.shards[w]
 			for t := w; t < triples; t += n {
-				mine = append(mine, t)
+				sh.keys = append(sh.keys, b.Heads[t], b.Rels[t], b.Tails[t])
 			}
-			keys := make([]uint64, 0, len(mine)*3+negs)
-			for _, t := range mine {
-				keys = append(keys, b.Heads[t], b.Rels[t], b.Tails[t])
-			}
-			keys = append(keys, b.Negs...)
-			count := len(mine)
-			payload.work[w] = shardWork{
-				keys: keys,
-				compute: func(rows [][]float32, grads [][]float32) float32 {
-					negRows := rows[count*3:]
-					negGrads := grads[count*3:]
-					var loss float32
-					for t := 0; t < count; t++ {
-						loss += model.TrainTriple(tm,
-							rows[t*3], rows[t*3+1], rows[t*3+2], negRows,
-							grads[t*3], grads[t*3+1], grads[t*3+2], negGrads)
-					}
-					return loss
-				},
-			}
+			sh.keys = append(sh.keys, b.Negs...)
 		}
-		return payload, b.AllKeys(nil), true
+		return sb.ready(), b.AllKeys(nil), true
 	}
 	return newJob(cfg, clampSteps(steps, stream.Steps()), stream.Batch(), gen)
 }
@@ -176,38 +170,36 @@ func NewMicro(cfg Config, trace KeyTrace, steps int64) (*Job, error) {
 		return nil, err
 	}
 	n := cfg.NumGPUs
+	bufs := newStepBufs(n, func(_ int, sh *shardBuf) computeFunc {
+		return func(rows [][]float32, grads [][]float32) float32 {
+			var loss float32
+			for i, row := range rows {
+				// Pull row[0] towards ±1 by key parity: grad =
+				// row[0] − target (quadratic loss).
+				target := float32(1)
+				if sh.keys[i]%2 == 1 {
+					target = -1
+				}
+				diff := row[0] - target
+				grads[i][0] = diff
+				loss += diff * diff / 2
+			}
+			return loss
+		}
+	})
 	gen := func() (stepPayload, []uint64, bool) {
 		keys, ok := trace.Next()
 		if !ok {
 			return stepPayload{}, nil, false
 		}
-		payload := stepPayload{work: make([]shardWork, n)}
-		for w := 0; w < n; w++ {
-			var mine []uint64
+		sb := bufs.get(len(keys), 1, 0)
+		for w := range sb.shards {
+			sh := &sb.shards[w]
 			for i := w; i < len(keys); i += n {
-				mine = append(mine, keys[i])
-			}
-			shardKeys := mine
-			payload.work[w] = shardWork{
-				keys: shardKeys,
-				compute: func(rows [][]float32, grads [][]float32) float32 {
-					var loss float32
-					for i, row := range rows {
-						// Pull row[0] towards ±1 by key parity: grad =
-						// row[0] − target (quadratic loss).
-						target := float32(1)
-						if shardKeys[i]%2 == 1 {
-							target = -1
-						}
-						diff := row[0] - target
-						grads[i][0] = diff
-						loss += diff * diff / 2
-					}
-					return loss
-				},
+				sh.keys = append(sh.keys, keys[i])
 			}
 		}
-		return payload, keys, true
+		return sb.ready(), keys, true
 	}
 	return newJob(cfg, clampSteps(steps, trace.Steps()), trace.Batch(), gen)
 }
@@ -250,43 +242,39 @@ func NewGNN(cfg Config, g *graph.Graph, sampler *graph.Sampler, edges int, steps
 	fan := sampler.Fanout()
 	// Per-positive key block: u, v, neg, then the three neighbor groups.
 	block := 3 + 3*fan
+	bufs := newStepBufs(n, func(w int, sh *shardBuf) computeFunc {
+		sc := scorers[w]
+		return func(rows [][]float32, grads [][]float32) float32 {
+			var loss float32
+			for i := 0; i < sh.count; i++ {
+				o := i * block
+				u, v, neg := rows[o], rows[o+1], rows[o+2]
+				uN := rows[o+3 : o+3+fan]
+				vN := rows[o+3+fan : o+3+2*fan]
+				negN := rows[o+3+2*fan : o+3+3*fan]
+				gu, gv, gneg := grads[o], grads[o+1], grads[o+2]
+				guN := grads[o+3 : o+3+fan]
+				gvN := grads[o+3+fan : o+3+2*fan]
+				gnegN := grads[o+3+2*fan : o+3+3*fan]
+				loss += sc.TrainPair(1, u, uN, v, vN, gu, guN, gv, gvN)
+				loss += sc.TrainPair(0, u, uN, neg, negN, gu, guN, gneg, gnegN)
+			}
+			return loss
+		}
+	})
 	gen := func() (stepPayload, []uint64, bool) {
 		b := sampler.SampleBatch(edges)
-		payload := stepPayload{work: make([]shardWork, n)}
-		for w := 0; w < n; w++ {
-			var keys []uint64
-			var mine []int
+		sb := bufs.get(edges, block, 0)
+		for w := range sb.shards {
+			sh := &sb.shards[w]
 			for e := w; e < edges; e += n {
-				mine = append(mine, e)
-				keys = append(keys, b.U[e], b.V[e], b.Neg[e])
-				keys = append(keys, b.UNbrs[e*fan:(e+1)*fan]...)
-				keys = append(keys, b.VNbrs[e*fan:(e+1)*fan]...)
-				keys = append(keys, b.NegNbrs[e*fan:(e+1)*fan]...)
-			}
-			sc := scorers[w]
-			count := len(mine)
-			payload.work[w] = shardWork{
-				keys: keys,
-				compute: func(rows [][]float32, grads [][]float32) float32 {
-					var loss float32
-					for i := 0; i < count; i++ {
-						o := i * block
-						u, v, neg := rows[o], rows[o+1], rows[o+2]
-						uN := rows[o+3 : o+3+fan]
-						vN := rows[o+3+fan : o+3+2*fan]
-						negN := rows[o+3+2*fan : o+3+3*fan]
-						gu, gv, gneg := grads[o], grads[o+1], grads[o+2]
-						guN := grads[o+3 : o+3+fan]
-						gvN := grads[o+3+fan : o+3+2*fan]
-						gnegN := grads[o+3+2*fan : o+3+3*fan]
-						loss += sc.TrainPair(1, u, uN, v, vN, gu, guN, gv, gvN)
-						loss += sc.TrainPair(0, u, uN, neg, negN, gu, guN, gneg, gnegN)
-					}
-					return loss
-				},
+				sh.keys = append(sh.keys, b.U[e], b.V[e], b.Neg[e])
+				sh.keys = append(sh.keys, b.UNbrs[e*fan:(e+1)*fan]...)
+				sh.keys = append(sh.keys, b.VNbrs[e*fan:(e+1)*fan]...)
+				sh.keys = append(sh.keys, b.NegNbrs[e*fan:(e+1)*fan]...)
 			}
 		}
-		return payload, b.AllKeys(nil), true
+		return sb.ready(), b.AllKeys(nil), true
 	}
 	return newJob(cfg, steps, edges, gen)
 }

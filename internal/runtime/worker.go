@@ -224,7 +224,7 @@ func (j *Job) step(ws *workerState, msg stepMsg) {
 	if timed {
 		wall = time.Since(stepStart)
 	}
-	j.finishStep(ws.id, msg.step, stalled, wall)
+	j.finishStep(ws.id, msg.step, stalled, wall, msg.payload.release)
 }
 
 // gather fills ws.rows[i] for every shard key occurrence. Each distinct

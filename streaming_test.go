@@ -273,3 +273,42 @@ func TestStreamJobHeapFlat(t *testing.T) {
 			grew, mid, end, float64(grew)/(end-mid))
 	}
 }
+
+// TestStreamJobAllocSlope is TestStreamJobHeapFlat's companion for what
+// a step allocates rather than keeps: on the same unpaced 2,000-key
+// stream, the bytes allocated per step from step 4,000 to 8,000. With no
+// GC cycle in a short run, every such byte adds to the peak RSS. A step
+// allocated about 2.4 KB while the ∞ slot claimed a fresh node per
+// deferred enqueue and each step's payload grew its key slices from nil;
+// it now allocates about 520 B, almost all of it the 64-key batch (512 B)
+// the event source hands the P²F lookahead loop. The bound leaves 128 B
+// of margin above that batch.
+func TestStreamJobAllocSlope(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8,000 training steps")
+	}
+	const mid, end = 4000, 8000
+	total := map[int64]uint64{}
+	cfg := Config{NumGPUs: 2, Seed: 1, OnStep: func(s StepStats) {
+		if s.Step == mid || s.Step == end {
+			var ms goruntime.MemStats
+			goruntime.ReadMemStats(&ms)
+			total[s.Step] = ms.TotalAlloc
+		}
+	}}
+	sj, err := NewStreamJob(cfg, StreamOptions{Batch: 64, KeySpace: 2000, Dim: 8, Horizon: end + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sj.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	a, b := total[mid], total[end]
+	if a == 0 || b == 0 {
+		t.Fatalf("allocation not sampled at steps %d and %d: %v", mid, end, total)
+	}
+	const limit = 64*8 + 128
+	if perStep := float64(b-a) / (end - mid); perStep > limit {
+		t.Fatalf("a step allocates %.0f B between steps %d and %d, want ≤ %d", perStep, mid, end, limit)
+	}
+}
