@@ -132,12 +132,11 @@ func Exp9(quick bool) string {
 	for _, panel := range []struct {
 		name string
 		w    sim.Workload
-		kg   bool
 	}{
-		{"KG / FB15k", sim.KGWorkload(data.FB15k, 0, 0), true},
-		{"KG / Freebase", sim.KGWorkload(data.Freebase, 0, 0), true},
-		{"REC / Avazu", sim.RECWorkload(data.Avazu, 0, 0), false},
-		{"REC / Criteo", sim.RECWorkload(data.Criteo, 0, 0), false},
+		{"KG / FB15k", sim.KGWorkload(data.FB15k, 0, 0)},
+		{"KG / Freebase", sim.KGWorkload(data.Freebase, 0, 0)},
+		{"REC / Avazu", sim.RECWorkload(data.Avazu, 0, 0)},
+		{"REC / Criteo", sim.RECWorkload(data.Criteo, 0, 0)},
 	} {
 		tb := &stats.Table{
 			Title:  fmt.Sprintf("Fig 16 — cost efficiency, %s", panel.name),

@@ -25,7 +25,7 @@ func TestEpochZeroNeverRejects(t *testing.T) {
 			t.Fatal("unreachable")
 		}
 	}
-	if got := m.PinRejects(); got != 0 {
+	if got := m.Stats().PinRejects; got != 0 {
 		t.Fatalf("PinRejects = %d without BeginEpoch, want 0", got)
 	}
 }
@@ -46,7 +46,7 @@ func TestInsertRejectsWhenSetFullyPinned(t *testing.T) {
 	if dst, _, _ := c.Insert(keys[Ways], 1); dst != nil {
 		t.Fatal("Insert succeeded with every way pinned by the current epoch")
 	}
-	if got := c.PinRejects(); got != 1 {
+	if got := c.Stats().PinRejects; got != 1 {
 		t.Fatalf("PinRejects = %d, want 1", got)
 	}
 

@@ -294,17 +294,6 @@ func (m *Meta) Fill(key uint64, version uint64) (evicted uint64, wasEviction boo
 	return ev, was
 }
 
-// PinRejects reports how many fills were dropped because every eligible
-// slot of the set was pinned by the current epoch (cache-bypass events;
-// tests and diagnostics). Fills blocked by window pins are counted
-// separately — see WindowPinRejects.
-func (m *Meta) PinRejects() int64 { return m.pinRejects }
-
-// WindowPinRejects reports how many fills were dropped with at least one
-// slot of the set blocked purely by a window pin (a lookahead-window
-// reservation rather than this step's own gathers).
-func (m *Meta) WindowPinRejects() int64 { return m.winPinRejects }
-
 // ----------------------------------------------------------------------
 // Lookahead-prefetch surface (window pinning). All methods are
 // single-threaded like the rest of Meta; the runtime serialises the

@@ -69,10 +69,10 @@ func TestEpochAndWindowPinsCoverFullSet(t *testing.T) {
 	if dst, _, _ := c.Insert(keys[Ways], 1); dst != nil {
 		t.Fatal("Insert succeeded with every way epoch- or window-pinned")
 	}
-	if got := c.WindowPinRejects(); got != 1 {
+	if got := c.Stats().WindowPinRejects; got != 1 {
 		t.Fatalf("WindowPinRejects = %d, want 1 (a window pin completed the blockade)", got)
 	}
-	if got := c.PinRejects(); got != 0 {
+	if got := c.Stats().PinRejects; got != 0 {
 		t.Fatalf("PinRejects = %d, want 0", got)
 	}
 	for i, r := range rows {
@@ -102,11 +102,11 @@ func TestEpochAndWindowPinsCoverFullSet(t *testing.T) {
 		c.Insert(k, 2)
 	}
 	c.WindowUnpin(pi)
-	before := c.PinRejects()
+	before := c.Stats().PinRejects
 	if dst, _, _ := c.Insert(keys[Ways+1], 1); dst != nil {
 		t.Fatal("Insert succeeded with every way epoch-pinned")
 	}
-	if got := c.PinRejects(); got != before+1 {
+	if got := c.Stats().PinRejects; got != before+1 {
 		t.Fatalf("PinRejects = %d, want %d", got, before+1)
 	}
 }

@@ -179,9 +179,6 @@ func (w *Writer) OnFlush(key uint64) {
 	}
 }
 
-// Dir returns the log directory.
-func (w *Writer) Dir() string { return w.opt.Dir }
-
 // Stats snapshots the log accounting.
 func (w *Writer) Stats() WriterStats {
 	w.mu.Lock()

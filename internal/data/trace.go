@@ -287,10 +287,9 @@ type PayloadTrace[T any] struct {
 	mu  sync.Mutex
 	// ring holds the payloads of steps [first, next) at index step mod
 	// len(ring), a power of two; a taken step's slot stays empty until
-	// first passes it. held counts the payloads not yet taken.
+	// first passes it.
 	ring        []heldPayload[T]
 	first, next int64
-	held        int
 }
 
 type heldPayload[T any] struct {
@@ -325,7 +324,6 @@ func (p *PayloadTrace[T]) Next() ([]uint64, bool) {
 	}
 	*p.at(p.next) = heldPayload[T]{payload, true}
 	p.next++
-	p.held++
 	return keys, true
 }
 
@@ -340,7 +338,6 @@ func (p *PayloadTrace[T]) Take(step int64) T {
 	h := p.at(step)
 	payload := h.v
 	*h = heldPayload[T]{}
-	p.held--
 	for p.first < p.next && !p.at(p.first).ok {
 		p.first++
 	}

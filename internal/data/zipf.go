@@ -11,11 +11,9 @@ import (
 	"sync"
 )
 
-// KeyGen produces embedding keys from some distribution over [0, N).
+// KeyGen produces embedding keys from some distribution over [0, n).
 type KeyGen interface {
 	Next() uint64
-	// N returns the key-space size.
-	N() uint64
 }
 
 // Uniform draws keys uniformly from [0, n).
@@ -34,9 +32,6 @@ func NewUniform(seed int64, n uint64) *Uniform {
 
 // Next returns the next key.
 func (u *Uniform) Next() uint64 { return uint64(u.rng.Int63n(int64(u.n))) }
-
-// N returns the key-space size.
-func (u *Uniform) N() uint64 { return u.n }
 
 // Zipf draws keys from a Zipfian distribution with exponent theta ∈ (0, 1)
 // over [0, n) — the skew regime of the paper's microbenchmarks (0.9 and
@@ -137,9 +132,6 @@ func (z *Zipf) Next() uint64 {
 	h ^= h >> 27
 	return h % z.n
 }
-
-// N returns the key-space size.
-func (z *Zipf) N() uint64 { return z.n }
 
 // Distribution names a key distribution of the microbenchmark (Fig 8).
 type Distribution string

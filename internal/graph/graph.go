@@ -13,8 +13,7 @@ import (
 
 // Graph is an undirected graph over nodes 0..N-1 with adjacency lists.
 type Graph struct {
-	adj   [][]uint64
-	edges int64
+	adj [][]uint64
 }
 
 // Generate builds a synthetic power-law graph by preferential attachment
@@ -65,14 +64,10 @@ func Generate(seed int64, nodes int, attach int) (*Graph, error) {
 func (g *Graph) addEdge(u, v uint64) {
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
-	g.edges++
 }
 
 // Nodes returns the node count.
 func (g *Graph) Nodes() int { return len(g.adj) }
-
-// Edges returns the undirected edge count.
-func (g *Graph) Edges() int64 { return g.edges }
 
 // Sampler draws training batches from a graph: positive edges with
 // sampled neighborhoods (GraphSAGE-style fixed fan-out) plus uniform
@@ -128,13 +123,12 @@ func (s *Sampler) SampleNeighbors(u uint64, dst []uint64) []uint64 {
 type Batch struct {
 	U, V, Neg             []uint64
 	UNbrs, VNbrs, NegNbrs []uint64 // len = Edges × fanout each
-	Fanout                int
 }
 
 // SampleBatch draws a batch of `edges` positives with negatives and
 // neighborhoods.
 func (s *Sampler) SampleBatch(edges int) Batch {
-	b := Batch{Fanout: s.fanout}
+	var b Batch
 	for i := 0; i < edges; i++ {
 		u, v := s.SampleEdge()
 		neg := uint64(s.rng.Intn(s.g.Nodes()))

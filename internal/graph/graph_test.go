@@ -26,10 +26,7 @@ func TestGenerateShape(t *testing.T) {
 		t.Fatalf("Nodes = %d", g.Nodes())
 	}
 	// Edges: clique(4)=6 + 3 per remaining node.
-	want := int64(6 + 3*(2000-4))
-	if g.Edges() != want {
-		t.Fatalf("Edges = %d, want %d", g.Edges(), want)
-	}
+	want := 6 + 3*(2000-4)
 	// Every node connected.
 	for u := uint64(0); u < 2000; u++ {
 		if len(g.adj[u]) == 0 {
@@ -37,12 +34,8 @@ func TestGenerateShape(t *testing.T) {
 		}
 	}
 	// Handshake lemma.
-	sum := 0
-	for u := uint64(0); u < 2000; u++ {
-		sum += len(g.adj[u])
-	}
-	if int64(sum) != 2*g.Edges() {
-		t.Fatalf("degree sum %d != 2×edges %d", sum, 2*g.Edges())
+	if sum := degreeSum(g); sum != 2*want {
+		t.Fatalf("degree sum %d != 2×edges %d", sum, 2*want)
 	}
 }
 
@@ -52,7 +45,7 @@ func TestGeneratePowerLaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Preferential attachment: the max degree must dwarf the mean.
-	mean := float64(2*g.Edges()) / float64(g.Nodes())
+	mean := float64(degreeSum(g)) / float64(g.Nodes())
 	maxDeg := 0
 	for _, ns := range g.adj {
 		maxDeg = max(maxDeg, len(ns))
@@ -142,9 +135,18 @@ func TestGenerateProperty(t *testing.T) {
 			}
 			sum += len(g.adj[uint64(u)])
 		}
-		return int64(sum) == 2*g.Edges()
+		// Handshake lemma: clique(attach+1) plus attach per later node.
+		return sum == attach*(attach+1)+2*attach*(nodes-attach-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func degreeSum(g *Graph) int {
+	sum := 0
+	for _, ns := range g.adj {
+		sum += len(ns)
+	}
+	return sum
 }

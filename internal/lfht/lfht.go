@@ -299,7 +299,9 @@ func (m *Map[V]) DrainN(max int, fn func(key uint64, val V)) int {
 	return done
 }
 
-// Segments returns the size of the directory.
+// Segments returns the size of the directory. No production path needs
+// it: it is the tests' observation hook into table sizing (the p2f
+// directory's key-space hint, the priority queue's slot tables).
 func (m *Map[V]) Segments() int { return len(m.segments) }
 
 // Len returns the number of live entries (exact in quiescence, approximate

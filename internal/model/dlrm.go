@@ -49,16 +49,8 @@ func NewDLRM(rng *rand.Rand, features, dim int, hidden []int) (*DLRM, error) {
 	}, nil
 }
 
-// Features returns the categorical feature count.
-func (d *DLRM) Features() int { return d.features }
-
 // Dim returns the embedding dimension.
 func (d *DLRM) Dim() int { return d.dim }
-
-// Flops estimates forward+backward floating point work per sample.
-func (d *DLRM) Flops() float64 {
-	return d.top.Flops() + float64(d.features*d.dim)*4 // pooling fwd+bwd
-}
 
 // ForwardSample scores one sample from its gathered embedding rows
 // (len = features), returning the click logit.

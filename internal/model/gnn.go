@@ -17,25 +17,20 @@ import (
 //	loss     = BCE(σ(score), label)
 type GNNScorer struct {
 	dim    int
-	fanout int
 	ru, rv []float32
 }
 
-// NewGNNScorer builds a scorer for embeddings of the given dimension and
-// neighbor fan-out.
-func NewGNNScorer(dim, fanout int) (*GNNScorer, error) {
-	if dim <= 0 || fanout <= 0 {
-		return nil, fmt.Errorf("model: invalid GNN shape dim=%d fanout=%d", dim, fanout)
+// NewGNNScorer builds a scorer for embeddings of the given dimension; it
+// takes any number of sampled neighbors per node.
+func NewGNNScorer(dim int) (*GNNScorer, error) {
+	if dim <= 0 {
+		return nil, fmt.Errorf("model: invalid GNN dim %d", dim)
 	}
-	return &GNNScorer{dim: dim, fanout: fanout,
-		ru: make([]float32, dim), rv: make([]float32, dim)}, nil
+	return &GNNScorer{dim: dim, ru: make([]float32, dim), rv: make([]float32, dim)}, nil
 }
 
 // Dim returns the embedding dimension.
 func (g *GNNScorer) Dim() int { return g.dim }
-
-// Fanout returns the expected neighbor count per node.
-func (g *GNNScorer) Fanout() int { return g.fanout }
 
 // repr computes dst = ½ self + ½ mean(nbrs).
 func (g *GNNScorer) repr(self []float32, nbrs [][]float32, dst []float32) {
@@ -49,7 +44,7 @@ func (g *GNNScorer) repr(self []float32, nbrs [][]float32, dst []float32) {
 }
 
 // Score computes the link logit of (u, v) given their embeddings and
-// sampled neighbor embeddings (each of length fanout).
+// sampled neighbor embeddings.
 func (g *GNNScorer) Score(u []float32, uNbrs [][]float32, v []float32, vNbrs [][]float32) float32 {
 	g.repr(u, uNbrs, g.ru)
 	g.repr(v, vNbrs, g.rv)

@@ -13,7 +13,6 @@ import (
 // vectors share one dimension d (complex/role-split models interpret the
 // halves internally).
 type TripleModel interface {
-	Name() string
 	// Score returns the plausibility of the triple (higher = more
 	// plausible).
 	Score(h, r, t []float32) float32
@@ -36,9 +35,6 @@ func NewTransE(gamma float32) *TransE {
 	}
 	return &TransE{Gamma: gamma}
 }
-
-// Name returns "TransE".
-func (m *TransE) Name() string { return "TransE" }
 
 // Score implements TripleModel.
 func (m *TransE) Score(h, r, t []float32) float32 {
@@ -83,9 +79,6 @@ func (m *TransE) ScoreGrad(h, r, t []float32, coef float32, gh, gr, gt []float32
 // DistMult scores with a trilinear product: Σᵢ hᵢ rᵢ tᵢ (Yang et al.).
 type DistMult struct{}
 
-// Name returns "DistMult".
-func (DistMult) Name() string { return "DistMult" }
-
 // Score implements TripleModel.
 func (DistMult) Score(h, r, t []float32) float32 {
 	var s float32
@@ -118,9 +111,6 @@ func (DistMult) ScoreGrad(h, r, t []float32, coef float32, gh, gr, gt []float32)
 // ComplEx embeds in ℂ^{d/2} (first half real parts, second half imaginary)
 // and scores with Re(Σ h r t̄) (Trouillon et al.). Dimensions must be even.
 type ComplEx struct{}
-
-// Name returns "ComplEx".
-func (ComplEx) Name() string { return "ComplEx" }
 
 // Score implements TripleModel.
 func (ComplEx) Score(h, r, t []float32) float32 {
@@ -167,9 +157,6 @@ func (ComplEx) ScoreGrad(h, r, t []float32, coef float32, gh, gr, gt []float32) 
 // ½(⟨h_head, r_fwd, t_tail⟩ + ⟨t_head, r_inv, h_tail⟩) (Kazemi & Poole).
 // Dimensions must be even.
 type SimplE struct{}
-
-// Name returns "SimplE".
-func (SimplE) Name() string { return "SimplE" }
 
 // Score implements TripleModel.
 func (SimplE) Score(h, r, t []float32) float32 {

@@ -50,16 +50,6 @@ func NewMLP(rng *rand.Rand, dims ...int) (*MLP, error) {
 	return m, nil
 }
 
-// Flops estimates the floating point operations of one forward+backward
-// pass for a single sample (≈6 ops per weight: 2 forward, 4 backward).
-func (m *MLP) Flops() float64 {
-	var f float64
-	for _, w := range m.w {
-		f += float64(w.Rows*w.Cols) * 6
-	}
-	return f
-}
-
 // Scratch holds per-sample forward state reused across Backward.
 type Scratch struct {
 	acts  [][]float32 // activations per layer (acts[0] = input copy)
@@ -97,9 +87,6 @@ func (m *MLP) Forward(x []float32, s *Scratch) float32 {
 	}
 	return s.acts[len(s.acts)-1][0]
 }
-
-// Output returns the final-layer activation vector from the last Forward.
-func (s *Scratch) Output() []float32 { return s.acts[len(s.acts)-1] }
 
 // Backward back-propagates dLogit (∂loss/∂logit from the last Forward on
 // this scratch), accumulates weight/bias gradients, and returns

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"frugal/internal/tensor"
@@ -22,9 +23,6 @@ func TestNewMLPValidation(t *testing.T) {
 	}
 	if len(m.w) != 4 || m.dims[0] != 32 || m.dims[len(m.dims)-1] != 1 {
 		t.Fatalf("shape: layers=%d dims=%v", len(m.w), m.dims)
-	}
-	if m.Flops() <= 0 {
-		t.Fatal("Flops must be positive")
 	}
 }
 
@@ -137,7 +135,7 @@ func TestNewDLRMValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Features() != 26 || d.Dim() != 32 {
+	if d.features != 26 || d.Dim() != 32 {
 		t.Fatal("shape accessors wrong")
 	}
 	if len(d.top.w) != 4 {
@@ -233,13 +231,22 @@ func kgVecs(rng *rand.Rand, dim int) (h, r, tt []float32) {
 func TestKGModelByName(t *testing.T) {
 	for _, name := range []string{"TransE", "DistMult", "ComplEx", "SimplE"} {
 		m, err := KGModelByName(name)
-		if err != nil || m.Name() != name {
+		if err != nil || kgName(m) != name {
 			t.Fatalf("KGModelByName(%s): %v", name, err)
 		}
 	}
 	if _, err := KGModelByName("RotatE"); err == nil {
 		t.Fatal("unknown model should error")
 	}
+}
+
+// kgName names a model by its type ("TransE", "DistMult", …).
+func kgName(m TripleModel) string {
+	t := reflect.TypeOf(m)
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	return t.Name()
 }
 
 // kgModels is the Exp #11 model sweep, in figure order.
@@ -253,7 +260,7 @@ func TestKGScoreGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const dim = 8
 	for _, m := range kgModels() {
-		t.Run(m.Name(), func(t *testing.T) {
+		t.Run(kgName(m), func(t *testing.T) {
 			h, r, tt := kgVecs(rng, dim)
 			gh := make([]float32, dim)
 			gr := make([]float32, dim)
@@ -300,7 +307,7 @@ func TestTrainTripleSeparatesPosFromNegs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const dim, negK = 8, 4
 	for _, m := range kgModels() {
-		t.Run(m.Name(), func(t *testing.T) {
+		t.Run(kgName(m), func(t *testing.T) {
 			h, r, tt := kgVecs(rng, dim)
 			negs := make([][]float32, negK)
 			gnegs := make([][]float32, negK)
@@ -366,14 +373,11 @@ func TestSoftplus(t *testing.T) {
 // --- GNN scorer ---------------------------------------------------------
 
 func TestGNNScorerValidation(t *testing.T) {
-	if _, err := NewGNNScorer(0, 2); err == nil {
+	if _, err := NewGNNScorer(0); err == nil {
 		t.Fatal("dim=0 must error")
 	}
-	if _, err := NewGNNScorer(8, 0); err == nil {
-		t.Fatal("fanout=0 must error")
-	}
-	g, err := NewGNNScorer(8, 3)
-	if err != nil || g.Dim() != 8 || g.Fanout() != 3 {
+	g, err := NewGNNScorer(8)
+	if err != nil || g.Dim() != 8 {
 		t.Fatalf("accessors wrong: %v", err)
 	}
 }
@@ -383,7 +387,7 @@ func TestGNNScorerValidation(t *testing.T) {
 func TestGNNGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const dim, fan = 6, 2
-	sc, _ := NewGNNScorer(dim, fan)
+	sc, _ := NewGNNScorer(dim)
 	mk := func() []float32 {
 		v := make([]float32, dim)
 		tensor.UniformInit(rng, v, 0.5)
@@ -428,7 +432,7 @@ func TestGNNLearnsLinkStructure(t *testing.T) {
 	// intra-community scores above cross-community ones.
 	rng := rand.New(rand.NewSource(45))
 	const dim, fan, nodes = 8, 2, 40
-	sc, _ := NewGNNScorer(dim, fan)
+	sc, _ := NewGNNScorer(dim)
 	emb := make([][]float32, nodes)
 	for i := range emb {
 		emb[i] = make([]float32, dim)

@@ -87,6 +87,12 @@ func TestInFlightFloorHoldsGate(t *testing.T) {
 	if err := c.CheckInvariant(1, []uint64{key}); err == nil {
 		t.Fatal("CheckInvariant passed with the key's write set in flight")
 	}
+	// Take step 1's batch before its gate, as a trainer does: the lookahead
+	// loop registers a batch's reads before it publishes the batch, so the
+	// gate sees step 1 read key.
+	if b, ok := c.NextBatch(); !ok || b.Step != 1 {
+		t.Fatalf("second batch = %+v, %v", b, ok)
+	}
 	gate := make(chan struct{})
 	go func() {
 		c.WaitForStep(1)

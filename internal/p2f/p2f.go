@@ -156,8 +156,6 @@ func (o *Options) normalize() error {
 type Stats struct {
 	// StallTime is the total time trainers spent blocked in WaitForStep.
 	StallTime time.Duration
-	// Stalls counts WaitForStep calls that actually blocked.
-	Stalls int64
 	// FlushedUpdates counts individual ⟨step, Δ⟩ updates flushed.
 	FlushedUpdates int64
 	// DeferredFlushes counts g-entries that were flushed from the ∞
@@ -166,13 +164,11 @@ type Stats struct {
 	DeferredFlushes int64
 	// UrgentFlushes counts g-entries flushed with a finite priority.
 	UrgentFlushes int64
-	// PrefetchedSteps is the number of batches registered in read sets.
-	PrefetchedSteps int64
-	// CommittedSteps is the number of fully committed steps.
-	CommittedSteps int64
 	// CoalescedFlushes counts FlushKey callers that piggybacked on
 	// another caller's in-flight flush instead of running their own —
-	// refresh-storm pressure the singleflight layer absorbed.
+	// refresh-storm pressure the singleflight layer absorbed. No
+	// production path reads it: it is the serve and p2f tests'
+	// observation hook into the singleflight layer.
 	CoalescedFlushes int64
 }
 
@@ -209,11 +205,9 @@ type Controller struct {
 	started  bool
 
 	stallNanos      atomic.Int64
-	stalls          atomic.Int64
 	flushedUpdates  atomic.Int64
 	deferredFlushes atomic.Int64
 	urgentFlushes   atomic.Int64
-	prefetchedSteps atomic.Int64
 
 	// Singleflight state for FlushKey: at most one serving-triggered
 	// flush per key is in flight; concurrent requesters wait on it.
@@ -240,7 +234,6 @@ type Controller struct {
 
 	// Observability sinks (nil = no-op, the default).
 	fl       *obs.FlushObs
-	tracer   *obs.Tracer
 	faultObs *obs.FaultObs
 }
 
@@ -281,7 +274,6 @@ func NewController(opt Options) (*Controller, error) {
 		committedStep: -1,
 		stop:          make(chan struct{}),
 		fl:            opt.Obs.FlushSink(),
-		tracer:        opt.Obs.TraceSink(),
 		faultObs:      opt.Obs.FaultSink(),
 	}
 	c.stages.Store(new([]*stage))
@@ -366,7 +358,6 @@ func (c *Controller) prefetchLoop() {
 			// the keys, their future reads are already visible to the gate.
 			c.opt.OnPrefetch(step, keys)
 		}
-		c.prefetchedSteps.Add(1)
 		select {
 		case c.sample <- Batch{Step: step, Keys: keys}:
 			c.fl.SampleDepth(len(c.sample))
@@ -453,7 +444,6 @@ func (c *Controller) WaitForStep(s int64) time.Duration {
 	c.mu.Unlock()
 	if stalled > 0 {
 		c.stallNanos.Add(int64(stalled))
-		c.stalls.Add(1)
 	}
 	// Scan-range compression: once the gate for s passes, no g-entry can
 	// carry a finite priority below s+1 anymore (§3.4).
@@ -952,17 +942,11 @@ func (c *Controller) DrainAll() {
 
 // Stats returns a snapshot of the controller's counters.
 func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	committed := c.committedStep + 1
-	c.mu.Unlock()
 	return Stats{
 		StallTime:        time.Duration(c.stallNanos.Load()),
-		Stalls:           c.stalls.Load(),
 		FlushedUpdates:   c.flushedUpdates.Load(),
 		DeferredFlushes:  c.deferredFlushes.Load(),
 		UrgentFlushes:    c.urgentFlushes.Load(),
-		PrefetchedSteps:  c.prefetchedSteps.Load(),
-		CommittedSteps:   committed,
 		CoalescedFlushes: c.coalesced.Load(),
 	}
 }

@@ -202,8 +202,8 @@ func TestFig6Example(t *testing.T) {
 	if st.FlushedUpdates != 5 {
 		t.Fatalf("FlushedUpdates = %d, want 5", st.FlushedUpdates)
 	}
-	if st.CommittedSteps != 3 {
-		t.Fatalf("CommittedSteps = %d, want 3", st.CommittedSteps)
+	if wm := c.Watermark(); wm != 2 {
+		t.Fatalf("watermark = %d, want 2 (three steps committed)", wm)
 	}
 	if st.DeferredFlushes == 0 {
 		t.Fatal("expected at least one deferred (∞ priority) flush — the k₃ case")
@@ -232,7 +232,7 @@ func TestGateBlocksUntilFlushed(t *testing.T) {
 		t.Fatalf("trained %d steps, want %d", got, steps)
 	}
 	st := c.Stats()
-	if st.Stalls == 0 || st.StallTime == 0 {
+	if st.StallTime == 0 {
 		t.Fatalf("a read-after-write chain with a slow sink must stall: %+v", st)
 	}
 	if st.FlushedUpdates != steps {
@@ -341,8 +341,8 @@ func TestMultiTrainerCommits(t *testing.T) {
 	wg.Wait()
 	c.DrainAll()
 	st := c.Stats()
-	if st.CommittedSteps != steps {
-		t.Fatalf("CommittedSteps = %d, want %d", st.CommittedSteps, steps)
+	if wm := c.Watermark(); wm != steps-1 {
+		t.Fatalf("watermark = %d, want %d (every step committed)", wm, steps-1)
 	}
 	if st.FlushedUpdates != steps*2 {
 		t.Fatalf("FlushedUpdates = %d, want %d", st.FlushedUpdates, steps*2)
@@ -423,11 +423,13 @@ func TestStatsSnapshot(t *testing.T) {
 	sink := newRecordSink()
 	src := &sliceSource{batches: [][]uint64{{1, 2}, {2, 3}}}
 	c := newTestController(t, Options{MaxStep: 2, FlushThreads: 2, Sink: sink, Source: src})
-	runTrace(t, c, 1)
-	st := c.Stats()
-	if st.PrefetchedSteps != 2 || st.CommittedSteps != 2 {
-		t.Fatalf("stats = %+v", st)
+	if got := runTrace(t, c, 1); got != 2 {
+		t.Fatalf("trained %d steps, want both prefetched batches", got)
 	}
+	if wm := c.Watermark(); wm != 1 {
+		t.Fatalf("watermark = %d, want 1 (both steps committed)", wm)
+	}
+	st := c.Stats()
 	if st.FlushedUpdates != 4 {
 		t.Fatalf("FlushedUpdates = %d, want 4", st.FlushedUpdates)
 	}

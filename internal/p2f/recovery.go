@@ -250,10 +250,6 @@ func (c *Controller) RecoveryStats() RecoveryStats {
 	}
 }
 
-// Degraded reports whether the watchdog has switched the run to
-// write-through.
-func (c *Controller) Degraded() bool { return c.degraded.Load() }
-
 // sleepFault sleeps for an injected stall/delay duration, returning early
 // if the controller stops.
 func (c *Controller) sleepFault(d time.Duration) {

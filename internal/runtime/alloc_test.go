@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	goruntime "runtime"
+	"sync/atomic"
 	"testing"
 
 	"frugal/internal/data"
@@ -150,15 +151,16 @@ func mallocs(n int, f func()) uint64 {
 // batchTrace replays prepared batches; Next allocates nothing.
 type batchTrace struct {
 	batches [][]uint64
-	next    int
+	next    atomic.Int64 // batches handed out, read while the controller runs
 }
 
 func (b *batchTrace) Next() ([]uint64, bool) {
-	if b.next == len(b.batches) {
+	i := b.next.Load()
+	if i == int64(len(b.batches)) {
 		return nil, false
 	}
-	b.next++
-	return b.batches[b.next-1], true
+	b.next.Store(i + 1)
+	return b.batches[i], true
 }
 
 func (b *batchTrace) Steps() int64 { return int64(len(b.batches)) }
@@ -228,10 +230,14 @@ func TestStepPathBoundedAllocFrugal(t *testing.T) {
 				if !ok {
 					t.Fatal("controller stopped early")
 				}
-				// Let the lookahead loop run as far ahead as it can, so every
-				// step sees the same reads registered and each read set
-				// reaches its largest size on the schedule warm-up repeats.
-				for j.ctrl.Stats().PrefetchedSteps < min(b.Step+lookahead+2, steps) {
+				// Let the lookahead loop run as far ahead as it can: it has
+				// queued step b.Step+lookahead and drawn the next batch from
+				// the trace, whose reads it registers before parking on the
+				// full sample queue. So every step sees the same reads
+				// registered, up to that one batch, and each read set reaches
+				// its largest size on the schedule warm-up repeats.
+				for int64(j.ctrl.SampleDepth()) < min(lookahead, steps-1-b.Step) ||
+					trace.next.Load() < min(b.Step+lookahead+2, steps) {
 					goruntime.Gosched()
 				}
 				j.step(ws, stepMsg{step: b.Step, payload: j.trace.Take(b.Step)})

@@ -40,7 +40,6 @@ type Host struct {
 	state    []float32 // per-row optimizer state (Adagrad accumulator); nil for SGD
 	versions []atomic.Uint64
 	locks    []sync.Mutex // striped by key
-	applied  atomic.Int64 // updates applied (all paths)
 
 	// writeFault, when set, is consulted once per host-write attempt and
 	// reports whether that attempt fails transiently (fault injection).
@@ -249,7 +248,6 @@ func (h *Host) ApplyDelta(key uint64, delta []float32, stateDelta float32) {
 	}
 	h.versions[key].Add(1)
 	l.Unlock()
-	h.applied.Add(1)
 	// Write-through engines have no flush boundary of their own: the
 	// commit IS the flush, so tier maintenance rides it here.
 	h.TierMaintain(key, false)
@@ -282,11 +280,7 @@ func (h *Host) ApplyUpdates(key uint64, updates []pq.Update) {
 	}
 	h.versions[key].Add(uint64(len(updates)))
 	l.Unlock()
-	h.applied.Add(int64(len(updates)))
 }
-
-// Applied returns the total number of updates applied to the slab.
-func (h *Host) Applied() int64 { return h.applied.Load() }
 
 // Snapshot copies row `key` (test helper).
 func (h *Host) Snapshot(key uint64) []float32 {

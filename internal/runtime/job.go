@@ -606,12 +606,8 @@ func (s *frugalSink) FlushBatch(sets []pq.WriteSet) {
 
 // Host exposes the job-owned parameter slab (tests, examples,
 // checkpoints). It is nil when Config.Slab overrode the slab with an
-// external store — use Slab then.
+// external store.
 func (j *Job) Host() *Host { return j.host }
-
-// Slab exposes the parameter store the step loop trains against: the
-// job's own host slab, or the Config.Slab override.
-func (j *Job) Slab() RowStore { return j.slab }
 
 // Controller exposes the P²F controller, or nil for non-Frugal engines.
 func (j *Job) Controller() *p2f.Controller { return j.ctrl }

@@ -37,12 +37,11 @@ import (
 // check at gather (counted PrefetchLate) and is refilled from the
 // gate-protected host row; a stale prefetch is never served.
 
-// pfBatch is one future batch buffered in the prefetcher's ring: the step
-// it belongs to, a private copy of its key set, and the slots it
-// window-pinned. All three slices recycle their capacity across laps, so
-// the steady-state prefetch path allocates nothing.
+// pfBatch is one future batch buffered in the prefetcher's ring: a private
+// copy of its key set and the slots it window-pinned. Both slices recycle
+// their capacity across laps, so the steady-state prefetch path allocates
+// nothing.
 type pfBatch struct {
-	step int64
 	keys []uint64 // guarded by fmu (written at feed, read by the fill pass)
 	// pinned lists the slot indices this batch window-pinned, to unpin at
 	// retire. Guarded by mu (the cache guard), like the pins themselves.
@@ -131,7 +130,7 @@ func (p *prefetcher) stop() {
 // sequentially, so batch k is step k). The keys slice is copied; the
 // caller may reuse it. Blocks for ring space, which backpressures the
 // controller's prefetch goroutine exactly like a full sample queue.
-func (p *prefetcher) feed(step int64, keys []uint64) {
+func (p *prefetcher) feed(keys []uint64) {
 	p.fmu.Lock()
 	for !p.stopped && p.fed-p.retired >= int64(len(p.ring)) {
 		p.cond.Wait()
@@ -141,7 +140,6 @@ func (p *prefetcher) feed(step int64, keys []uint64) {
 		return
 	}
 	b := &p.ring[p.fed%int64(len(p.ring))]
-	b.step = step
 	b.keys = append(b.keys[:0], keys...)
 	p.fed++
 	p.cond.Broadcast()
@@ -297,7 +295,7 @@ func (p *prefetcher) pin(b *pfBatch, i int) {
 // calls it from its read-ahead loop.
 func (j *Job) feedPrefetch(step int64, keys []uint64) {
 	for _, p := range j.prefetchers {
-		p.feed(step, keys)
+		p.feed(keys)
 	}
 }
 

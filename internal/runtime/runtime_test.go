@@ -61,8 +61,8 @@ func TestHostValidationAndRoundtrip(t *testing.T) {
 		t.Fatalf("row 3 after delta = %v", buf)
 	}
 	h.ApplyUpdates(3, []pq.Update{{Delta: []float32{1, 0, 0, 0}}, {Delta: []float32{1, 0, 0, 0}}})
-	if h.Version(3) != 3 || h.Applied() != 3 {
-		t.Fatalf("version=%d applied=%d", h.Version(3), h.Applied())
+	if h.Version(3) != 3 {
+		t.Fatalf("version = %d, want 3 after two more updates", h.Version(3))
 	}
 	if got := h.Snapshot(3); got[0] != 6 {
 		t.Fatalf("snapshot = %v", got)
@@ -265,10 +265,10 @@ func TestKGAllModelsRun(t *testing.T) {
 			LR: 0.05, Seed: 41, CheckConsistency: true,
 		}, stream, tm, 0)
 		if err != nil {
-			t.Fatalf("%s: %v", tm.Name(), err)
+			t.Fatalf("%T: %v", tm, err)
 		}
 		if _, err := job.Run(); err != nil {
-			t.Fatalf("%s: %v", tm.Name(), err)
+			t.Fatalf("%T: %v", tm, err)
 		}
 	}
 }

@@ -231,7 +231,7 @@ func NewGNN(cfg Config, g *graph.Graph, sampler *graph.Sampler, edges int, steps
 	}
 	scorers := make([]*model.GNNScorer, cfg.NumGPUs)
 	for w := range scorers {
-		sc, err := model.NewGNNScorer(cfg.Dim, sampler.Fanout())
+		sc, err := model.NewGNNScorer(cfg.Dim)
 		if err != nil {
 			return nil, err
 		}

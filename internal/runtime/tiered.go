@@ -80,10 +80,8 @@ type coldTier struct {
 
 	// scratch is a lazily-allocated per-stripe dequantization row for
 	// read-modify-write on cold rows; index and contents are guarded by
-	// that stripe's lock. mscratch is the maintain path's row, guarded
-	// by mu.
-	scratch  [lockStripes][]float32
-	mscratch []float32
+	// that stripe's lock.
+	scratch [lockStripes][]float32
 
 	promotions, demotions, declined atomic.Int64
 	coldWrites, dequantReads        atomic.Int64
@@ -131,7 +129,6 @@ func newTieredHost(rows int64, dim int, hotCap int) (*Host, error) {
 		owner:     make([]uint64, hotCap),
 		freq:      make([]atomic.Uint32, rows),
 		agePeriod: rows,
-		mscratch:  make([]float32, dim),
 	}
 	// The head of the ID space starts hot, slot i ← row i.
 	for i := 0; i < hotCap; i++ {
@@ -149,15 +146,6 @@ func newTieredHost(rows int64, dim int, hotCap int) (*Host, error) {
 
 // Tiered reports whether the cold tier is enabled.
 func (h *Host) Tiered() bool { return h.tier != nil }
-
-// HotFraction returns the hot slot pool's share of the row space (0 on
-// an untiered host).
-func (h *Host) HotFraction() float64 {
-	if h.tier == nil {
-		return 0
-	}
-	return float64(h.tier.hotCap) / float64(h.rows)
-}
 
 // SetTierMoveHook installs a callback invoked with the key of every row
 // whose tier (and therefore authoritative byte representation) changes.

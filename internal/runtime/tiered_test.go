@@ -37,8 +37,8 @@ func TestTieredHostReadWrite(t *testing.T) {
 	if !h.Tiered() {
 		t.Fatal("host should report tiered")
 	}
-	if got := h.HotFraction(); got != 0.1 {
-		t.Fatalf("hot fraction %v, want 0.1", got)
+	if got := h.tier.hotCap; got != rows/10 {
+		t.Fatalf("hot capacity %d, want %d", got, rows/10)
 	}
 	want := make([]float32, dim)
 	got := make([]float32, dim)
@@ -361,8 +361,8 @@ func TestTieredHostValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.HotFraction() != 1 {
-		t.Fatalf("hot fraction %v, want 1", h.HotFraction())
+	if h.tier.hotCap != 10 {
+		t.Fatalf("hot capacity %d, want all 10 rows", h.tier.hotCap)
 	}
 }
 

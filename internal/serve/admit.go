@@ -151,10 +151,3 @@ func (a *admission) removeLocked(w *admitWaiter) {
 		}
 	}
 }
-
-// Inflight reports the units currently admitted (tests and /debug/vars).
-func (a *admission) Inflight() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.used
-}

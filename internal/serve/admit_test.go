@@ -28,6 +28,25 @@ func (a *admission) queued() int {
 	return len(a.waiters)
 }
 
+// inflight reports the units currently admitted.
+func (a *admission) inflight() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.used
+}
+
+// inflight reports the admitted work units currently in the engine, in
+// lookup units (0 when admission control is disabled).
+func (e *Engine) inflight() int64 {
+	if e.adm == nil {
+		return 0
+	}
+	return e.adm.inflight()
+}
+
+// EngineInflight gives the package's external tests Engine.inflight.
+var EngineInflight = (*Engine).inflight
+
 func TestAdmissionFastPathAndShed(t *testing.T) {
 	a := newAdmission(4, 5*time.Millisecond, 2)
 	ctx := context.Background()
@@ -36,7 +55,7 @@ func TestAdmissionFastPathAndShed(t *testing.T) {
 			t.Fatalf("uncontended acquire %d: %v", i, err)
 		}
 	}
-	if got := a.Inflight(); got != 4 {
+	if got := a.inflight(); got != 4 {
 		t.Fatalf("inflight = %d, want 4", got)
 	}
 	// Pool full: a bounded wait, then a shed.
@@ -157,7 +176,7 @@ func TestAdmissionContextCanceled(t *testing.T) {
 		t.Fatalf("queued after cancel = %d, want 0", got)
 	}
 	a.Release(1)
-	if got := a.Inflight(); got != 0 {
+	if got := a.inflight(); got != 0 {
 		t.Fatalf("inflight = %d, want 0", got)
 	}
 }
@@ -177,7 +196,7 @@ func TestEngineShedsUnderHeldCapacity(t *testing.T) {
 	if err := eng.adm.Acquire(context.Background(), 8, classTopK); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Inflight(); got != 8 {
+	if got := eng.inflight(); got != 8 {
 		t.Fatalf("Inflight = %d, want 8", got)
 	}
 
@@ -214,7 +233,7 @@ func TestEngineShedsUnderHeldCapacity(t *testing.T) {
 	if _, err := eng.Query(context.Background(), Request{Key: 3, Dst: dst, Level: Stale()}); err != nil {
 		t.Fatalf("lookup after release: %v", err)
 	}
-	if got := eng.Inflight(); got != 0 {
+	if got := eng.inflight(); got != 0 {
 		t.Fatalf("Inflight after drain = %d, want 0", got)
 	}
 }
@@ -237,7 +256,7 @@ func TestEngineCanceledContext(t *testing.T) {
 	if m := eng.Metrics(); m.Canceled < 2 {
 		t.Fatalf("canceled counter = %d, want ≥ 2", m.Canceled)
 	}
-	if got := eng.Inflight(); got != 0 {
+	if got := eng.inflight(); got != 0 {
 		t.Fatalf("Inflight after canceled requests = %d, want 0 (slot leaked)", got)
 	}
 }
@@ -342,7 +361,7 @@ func TestOptionsAdmissionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.adm != nil || plain.Inflight() != 0 {
+	if plain.adm != nil || plain.inflight() != 0 {
 		t.Fatal("admission enabled without MaxInflight")
 	}
 }

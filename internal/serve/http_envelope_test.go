@@ -325,9 +325,9 @@ func TestHTTPShardUnavailableEnvelope(t *testing.T) {
 func waitInflight(t *testing.T, eng *serve.Engine, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for eng.Inflight() != n {
+	for serve.EngineInflight(eng) != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("inflight never reached %d (now %d)", n, eng.Inflight())
+			t.Fatalf("inflight never reached %d (now %d)", n, serve.EngineInflight(eng))
 		}
 		time.Sleep(time.Millisecond)
 	}

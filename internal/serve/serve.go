@@ -478,15 +478,6 @@ func (e *Engine) exit(need int64) {
 	}
 }
 
-// Inflight reports the admitted work units currently in the engine, in
-// lookup units (0 when admission control is disabled).
-func (e *Engine) Inflight() int64 {
-	if e.adm == nil {
-		return 0
-	}
-	return e.adm.Inflight()
-}
-
 // Request describes one query for Engine.Query — the single entrypoint
 // both request shapes go through. A nil Vector makes it a point lookup
 // of Key; a non-nil Vector makes it a top-K similarity query.

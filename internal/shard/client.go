@@ -51,60 +51,6 @@ type RemoteStore struct {
 
 	pool   chan *clientConn
 	closed atomic.Bool
-
-	// traffic counts request frames and wire bytes per op code.
-	traffic [numOps]opCounter
-}
-
-// numOps bounds the op codes the client counts (op codes are < numOps).
-const numOps = 16
-
-// opNames names the counted ops for Stats.
-var opNames = [numOps]string{
-	opInfo: "info", opGather: "gather", opScatter: "scatter",
-	opWatermark: "watermark", opStaleness: "staleness",
-	opFlushKey: "flush_key", opTopK: "topk", opPing: "ping", opVersions: "versions",
-}
-
-// opCounter is one op's traffic, padded to its own cache line so
-// concurrent callers of different ops do not share one.
-type opCounter struct {
-	frames, sent, recv atomic.Int64
-	_                  [40]byte
-}
-
-// OpStats is one op's client-side traffic: request frames sent, and wire
-// bytes sent and received (frame headers included).
-type OpStats struct {
-	Frames, BytesSent, BytesRecv int64
-}
-
-// ClientStats is a snapshot of a RemoteStore's traffic per op.
-type ClientStats struct {
-	ops [numOps]OpStats
-}
-
-// Op returns the traffic of the op named name ("gather", "versions",
-// "scatter", …); the zero value for unknown names. It is the per-op read
-// side of the client's wire accounting; no production path reads it yet,
-// and the wire tests use it to count frames per op.
-func (c ClientStats) Op(name string) OpStats {
-	for op, n := range opNames {
-		if n == name && n != "" {
-			return c.ops[op]
-		}
-	}
-	return OpStats{}
-}
-
-// Stats snapshots the store's traffic counters.
-func (s *RemoteStore) Stats() ClientStats {
-	var c ClientStats
-	for op := range s.traffic {
-		t := &s.traffic[op]
-		c.ops[op] = OpStats{Frames: t.frames.Load(), BytesSent: t.sent.Load(), BytesRecv: t.recv.Load()}
-	}
-	return c
 }
 
 // Dial connects to a shard node, fetches its Info (global rows, dim,
@@ -181,9 +127,6 @@ func DialSharded(addrs []string) (*store.ShardedStore, error) {
 	return st, nil
 }
 
-// Addr returns the node's address.
-func (s *RemoteStore) Addr() string { return s.addr }
-
 // Shard returns the node's (shard, of) topology position.
 func (s *RemoteStore) Shard() (shard, of int) { return s.shard, s.of }
 
@@ -233,9 +176,6 @@ func (s *RemoteStore) put(cc *clientConn) {
 // Transport errors close the connection and come back wrapped; the caller
 // must not reuse cc then.
 func (s *RemoteStore) exchange(cc *clientConn, op byte, payload []byte) ([]byte, error) {
-	t := &s.traffic[op%numOps]
-	t.frames.Add(1)
-	t.sent.Add(int64(5 + len(payload)))
 	if err := writeFrame(cc.bw, op, payload); err != nil {
 		cc.Close()
 		return nil, &store.ShardUnavailableError{Addr: s.addr, Err: err}
@@ -252,7 +192,6 @@ func (s *RemoteStore) exchange(cc *clientConn, op byte, payload []byte) ([]byte,
 		cc.Close()
 		return nil, &store.ShardUnavailableError{Addr: s.addr, Err: err}
 	}
-	t.recv.Add(int64(5 + len(resp)))
 	if status == statusErr {
 		return nil, fmt.Errorf("shard %s: %s", s.addr, string(resp))
 	}

@@ -237,7 +237,8 @@ func TestServerDownIsShardUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := shard.Dial(srv.Addr())
+	addr := srv.Addr()
+	rs, err := shard.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,8 @@ func TestServerDownIsShardUnavailable(t *testing.T) {
 	if !errors.As(err, &down) {
 		t.Fatalf("read against a closed server = %v, want *store.ShardUnavailableError", err)
 	}
-	if down.Addr != rs.Addr() {
-		t.Fatalf("error names %q, want %q", down.Addr, rs.Addr())
+	if down.Addr != addr {
+		t.Fatalf("error names %q, want %q", down.Addr, addr)
 	}
 	// The watermark surface cannot error: it degrades to -1.
 	if wm := rs.Watermark(); wm != -1 {

@@ -62,17 +62,12 @@ func writeFrame(w io.Writer, op byte, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame and returns its op/status byte and payload.
-func readFrame(r io.Reader) (op byte, payload []byte, err error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto is readFrame with a reusable payload buffer: the frame is
-// decoded into buf when its capacity suffices, else into a fresh
-// allocation. Callers retain the returned payload's backing array as the
-// next call's buf — on a connection that exchanges similarly-sized frames
-// the allocation happens once, not per frame (gather responses are the
-// protocol's largest and hottest payloads).
+// readFrameInto reads one frame and returns its op/status byte and
+// payload. The payload is decoded into buf when its capacity suffices,
+// else into a fresh allocation. Callers retain the returned payload's
+// backing array as the next call's buf — on a connection that exchanges
+// similarly-sized frames the allocation happens once, not per frame
+// (gather responses are the protocol's largest and hottest payloads).
 func readFrameInto(r io.Reader, buf []byte) (op byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {

@@ -26,7 +26,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	op, got, err := readFrame(bufio.NewReader(&buf))
+	op, got, err := readFrameInto(bufio.NewReader(&buf), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,9 @@ func TestFrameEmptyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw.Flush()
-	op, payload, err := readFrame(bufio.NewReader(&buf))
+	op, payload, err := readFrameInto(bufio.NewReader(&buf), nil)
 	if err != nil || op != opPing || len(payload) != 0 {
-		t.Fatalf("readFrame = (0x%02x, %v, %v)", op, payload, err)
+		t.Fatalf("readFrameInto = (0x%02x, %v, %v)", op, payload, err)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // u32 length ≫ maxFrame
 	buf.WriteByte(opPing)
-	if _, _, err := readFrame(bufio.NewReader(&buf)); err == nil {
+	if _, _, err := readFrameInto(bufio.NewReader(&buf), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 
@@ -136,7 +136,7 @@ func TestRetiredOpsAnswerUnknown(t *testing.T) {
 		if err := writeFrame(conn, op, appendU64(nil, 3)); err != nil {
 			t.Fatal(err)
 		}
-		status, payload, err := readFrame(br)
+		status, payload, err := readFrameInto(br, nil)
 		if err != nil {
 			t.Fatalf("op 0x%02x: %v", op, err)
 		}
@@ -148,7 +148,7 @@ func TestRetiredOpsAnswerUnknown(t *testing.T) {
 	if err := writeFrame(conn, opPing, nil); err != nil {
 		t.Fatal(err)
 	}
-	if status, payload, err := readFrame(br); err != nil || status != statusOK || len(payload) != 0 {
+	if status, payload, err := readFrameInto(br, nil); err != nil || status != statusOK || len(payload) != 0 {
 		t.Fatalf("ping after retired ops: status %d, %d-byte payload, err %v", status, len(payload), err)
 	}
 }

@@ -185,8 +185,6 @@ type StepCost struct {
 
 // Summary aggregates a measured run.
 type Summary struct {
-	System     SystemKind
-	Workload   string
 	Iter       StepCost // mean per measured iteration
 	Throughput float64  // samples per second
 	HitRatio   float64
@@ -216,7 +214,6 @@ type Simulator struct {
 
 // batchInfo precomputes the sharding of one global batch.
 type batchInfo struct {
-	keys      []uint64
 	keySet    map[uint64]struct{}
 	shard0    []uint64 // GPU 0's sample keys + shared keys
 	shard0Set map[uint64]struct{}
@@ -270,7 +267,6 @@ func NewSimulator(sys System, w Workload) (*Simulator, error) {
 func (s *Simulator) pushBatch() {
 	keys := s.tr.next()
 	b := batchInfo{
-		keys:      keys,
 		keySet:    make(map[uint64]struct{}, len(keys)),
 		shard0Set: make(map[uint64]struct{}),
 	}
@@ -680,9 +676,7 @@ func (s *Simulator) Run(warmup, measure int) Summary {
 	}
 	inv := 1 / float64(measure)
 	out := Summary{
-		System:   s.sys.Kind,
-		Workload: s.w.Name,
-		Iter:     StepCost{Breakdown: sum.Breakdown.Scale(inv), Stall: sum.Stall * inv},
+		Iter: StepCost{Breakdown: sum.Breakdown.Scale(inv), Stall: sum.Stall * inv},
 	}
 	out.Throughput = stats.Throughput(s.w.Batch, out.Iter.Total())
 	if s.cache0 != nil {

@@ -49,12 +49,6 @@ func (p *pendingSet) adjust(key uint64, prio int64) {
 	}
 }
 
-// pending reports whether key has an unflushed update.
-func (p *pendingSet) pending(key uint64) bool {
-	_, ok := p.prioOf[key]
-	return ok
-}
-
 // len returns the total pending population.
 func (p *pendingSet) len() int { return len(p.prioOf) }
 

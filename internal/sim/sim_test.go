@@ -200,7 +200,7 @@ func TestPendingSet(t *testing.T) {
 	p.add(1, 5)
 	p.add(2, 7)
 	p.add(3, pq.Inf)
-	if p.len() != 3 || !p.pending(1) || p.pending(9) {
+	if p.len() != 3 || !isPending(p, 1) || isPending(p, 9) {
 		t.Fatal("population wrong")
 	}
 	if got := p.countUpTo(6); got != 1 {
@@ -221,7 +221,7 @@ func TestPendingSet(t *testing.T) {
 	if got := p.drain(1); got != 1 {
 		t.Fatalf("drain(1) = %d", got)
 	}
-	if p.pending(2) { // key 2 had priority 4, the minimum
+	if isPending(p, 2) { // key 2 had priority 4, the minimum
 		t.Fatal("drain should remove the lowest-priority entry")
 	}
 	if got := p.drainUpTo(5); got != 1 {
@@ -245,4 +245,10 @@ func TestDeterminism(t *testing.T) {
 	if a.Throughput != b.Throughput || a.Iter.Stall != b.Iter.Stall {
 		t.Fatalf("nondeterministic simulation: %+v vs %+v", a, b)
 	}
+}
+
+// isPending reports whether key has an unflushed update.
+func isPending(p *pendingSet, key uint64) bool {
+	_, ok := p.prioOf[key]
+	return ok
 }

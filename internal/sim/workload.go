@@ -17,8 +17,6 @@ import (
 
 // Workload describes the embedding traffic of one training job.
 type Workload struct {
-	// Name labels result tables.
-	Name string
 	// Batch is the global batch size in samples.
 	Batch int
 	// KeysPerSample is the number of embedding lookups per sample
@@ -63,7 +61,6 @@ func (w *Workload) KeysPerBatch() int { return w.Batch*w.KeysPerSample + w.Share
 // DNN, DLRM-like 26 lookups per sample.
 func MicroWorkload(dist data.Distribution, batch int) Workload {
 	return Workload{
-		Name:          fmt.Sprintf("micro-%s", dist),
 		Batch:         batch,
 		KeysPerSample: 26,
 		Dim:           32,
@@ -86,7 +83,6 @@ func RECWorkload(spec data.Spec, batch, layers int) Workload {
 	flops := float64(spec.EmbDim)*512*6 + 512*256*6 + 256*6
 	flops += float64(layers-3) * 512 * 512 * 6
 	return Workload{
-		Name:              spec.Name,
 		Batch:             batch,
 		KeysPerSample:     spec.Features,
 		Dim:               spec.EmbDim,
@@ -112,7 +108,6 @@ func KGWorkload(spec data.Spec, batch int, scoreFlopsPerDim float64) Workload {
 	// Each positive scores against 200 shared negatives.
 	flops := scoreFlopsPerDim * float64(spec.EmbDim) * float64(1+negSample)
 	return Workload{
-		Name:              spec.Name,
 		Batch:             batch,
 		KeysPerSample:     3,
 		SharedKeys:        negSample,

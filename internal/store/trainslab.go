@@ -56,9 +56,6 @@ func NewTrainSlab(st Store) (*TrainSlab, error) {
 	return &TrainSlab{st: st}, nil
 }
 
-// Store returns the wrapped store.
-func (t *TrainSlab) Store() Store { return t.st }
-
 // Rows returns the global table height.
 func (t *TrainSlab) Rows() int64 { return t.st.Rows() }
 

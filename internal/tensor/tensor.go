@@ -149,12 +149,6 @@ func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // MulVec computes dst = m * x where x has length Cols and dst length Rows.
 // Rows are processed four at a time so each load of x[j] feeds four
 // dot-products; within a row the accumulation order matches the scalar

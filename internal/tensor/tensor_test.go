@@ -196,13 +196,13 @@ func TestMatrixRowAliasProperty(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		row := m.Row(i)
 		for j := 0; j < 3; j++ {
-			if row[j] != m.At(i, j) {
+			if row[j] != m.Data[i*m.Cols+j] {
 				t.Fatalf("row alias mismatch at (%d,%d)", i, j)
 			}
 		}
 	}
-	m.Set(2, 1, 99)
+	m.Data[2*m.Cols+1] = 99
 	if m.Row(2)[1] != 99 {
-		t.Fatal("Set not visible through Row")
+		t.Fatal("element write not visible through Row")
 	}
 }

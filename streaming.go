@@ -110,21 +110,7 @@ func NewStreamJob(cfg Config, opt StreamOptions) (*StreamJob, error) {
 		return nil, fmt.Errorf("frugal: streaming requires the job's own host slab (Config.Slab is set)")
 	}
 	opt.normalize()
-	src, err := stream.New(stream.Options{
-		Rate:         opt.Rate,
-		Batch:        opt.Batch,
-		Keys:         opt.KeySpace,
-		Distribution: data.Distribution(opt.Distribution),
-		Seed:         cfg.Seed + 1,
-		Horizon:      opt.Horizon,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rc := cfg.runtimeConfig()
-	rc.Rows = int64(opt.KeySpace)
-	rc.Dim = opt.Dim
-	job, err := runtime.NewMicro(rc, src, opt.Horizon)
+	src, job, err := buildStream(cfg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +131,30 @@ func NewStreamJob(cfg Config, opt StreamOptions) (*StreamJob, error) {
 		s.w = w
 	}
 	return s, nil
+}
+
+// buildStream builds the event source opt describes and the job it drives;
+// opt must be normalized.
+func buildStream(cfg Config, opt StreamOptions) (*stream.Source, *runtime.Job, error) {
+	src, err := stream.New(stream.Options{
+		Rate:         opt.Rate,
+		Batch:        opt.Batch,
+		Keys:         opt.KeySpace,
+		Distribution: data.Distribution(opt.Distribution),
+		Seed:         cfg.Seed + 1,
+		Horizon:      opt.Horizon,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	rc := cfg.runtimeConfig()
+	rc.Rows = int64(opt.KeySpace)
+	rc.Dim = opt.Dim
+	job, err := runtime.NewMicro(rc, src, opt.Horizon)
+	if err != nil {
+		return nil, nil, err
+	}
+	return src, job, nil
 }
 
 // Run trains until ctx is done or the horizon runs out. Cancellation is

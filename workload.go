@@ -9,7 +9,6 @@ import (
 	"frugal/internal/graph"
 	"frugal/internal/model"
 	"frugal/internal/runtime"
-	"frugal/internal/stream"
 )
 
 // Workload is a training workload New can build: one of the built-in
@@ -280,21 +279,8 @@ func (w Streaming) build(cfg Config) (*runtime.Job, error) {
 	}
 	opt := w.Options
 	opt.normalize()
-	src, err := stream.New(stream.Options{
-		Rate:         opt.Rate,
-		Batch:        opt.Batch,
-		Keys:         opt.KeySpace,
-		Distribution: data.Distribution(opt.Distribution),
-		Seed:         cfg.Seed + 1,
-		Horizon:      opt.Horizon,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rc := cfg.runtimeConfig()
-	rc.Rows = int64(opt.KeySpace)
-	rc.Dim = opt.Dim
-	return runtime.NewMicro(rc, src, opt.Horizon)
+	_, job, err := buildStream(cfg, opt)
+	return job, err
 }
 
 // Replay is the trace-replay workload: a microbenchmark-style job driven
