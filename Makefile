@@ -16,9 +16,11 @@ race:
 
 # The concurrency-heavy packages only — the CI race job. The serve tree
 # is spelled out so the load generator stays covered even if the packages
-# are ever reorganised.
+# are ever reorganised. obs (counters, histograms and the tracer written
+# by many goroutines) and data (PayloadTrace's Take racing Next) are
+# shared by the trainers and the controller's goroutines.
 race-core:
-	$(GO) test -race ./internal/runtime/... ./internal/cache ./internal/p2f/... ./internal/fault/... ./internal/pq/... ./internal/lfht/... ./internal/serve ./internal/serve/loadgen ./internal/store ./internal/shard ./internal/stream ./internal/ckpt
+	$(GO) test -race ./internal/runtime/... ./internal/cache ./internal/p2f/... ./internal/fault/... ./internal/pq/... ./internal/lfht/... ./internal/serve ./internal/serve/loadgen ./internal/store ./internal/shard ./internal/stream ./internal/ckpt ./internal/obs ./internal/data
 
 # The P²F soundness suite under the race detector at several GOMAXPROCS
 # values: the gate property and the random-trace invariant, the queue
@@ -37,11 +39,12 @@ invariants:
 # The lookahead-prefetch suite under the race detector at several
 # GOMAXPROCS values: window-pin blockades with 4 trainers, 4 prefetchers
 # and the flusher pool running concurrently, prefetch on/off determinism,
-# the fill tag against a racing flush, and the pin bookkeeping in the
-# cache package.
+# the fill tag against a racing flush, the pin bookkeeping in the cache
+# package, and a live Snapshot polled while a prefetching cold-tier job
+# trains (the caches', tier's and controller's counters read mid-run).
 prefetch-stress:
 	$(GO) test -race -cpu 1,2,4 -count=3 -v \
-		-run 'TestPrefetch|TestWindowPin|TestEpochAndWindowPins' \
+		-run 'TestPrefetch|TestWindowPin|TestEpochAndWindowPins|TestSnapshotWhileRunning' \
 		./internal/runtime ./internal/cache
 
 # The tiered-slab suite under the race detector: a cold-tier training

@@ -37,7 +37,6 @@ var keptExports = map[string]string{
 	"frugal/internal/cache.Meta.Contains":        "(1) presence without moving the hit and frequency counters",
 	"frugal/internal/lfht.Map.Segments":          "(1) p2f and pq tests see how their hash tables are sized",
 	"frugal/internal/p2f.Stats.CoalescedFlushes": "(1) serve tests see a refresh storm coalesce onto shared flushes",
-	"frugal/internal/runtime.Host.TierStats":     "(1) ckpt and serve tests see tier movement on a bare Host",
 	"frugal/internal/shard.RemoteStore.Ping":     "(3) the client side of the ping op, for health checks",
 }
 

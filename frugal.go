@@ -169,8 +169,9 @@ type ObsOptions struct {
 type StepStats = runtime.StepStats
 
 // Snapshot is a live copy of a job's observability metrics — cache
-// traffic, gate stalls, flush accounting, priority-queue operations and
-// step timings. See TrainingJob.Snapshot.
+// traffic, gate stalls, flush accounting, priority-queue operations,
+// tier moves, faults and step timings. Its cache, flush, fault and step
+// counts are the ones Result reports. See TrainingJob.Snapshot.
 type Snapshot = obs.Snapshot
 
 // ErrCanceled is the typed error RunContext returns when its context is

@@ -12,8 +12,9 @@
 //
 // The package has two layers: Meta (the directory — all placement,
 // eviction, versioning and statistics logic, no storage) and Cache (Meta
-// plus the float32 row slab). Neither is safe for concurrent use; device
-// caches in the paper are private per training process too.
+// plus the float32 row slab). Neither is safe for concurrent use, Stats
+// excepted; device caches in the paper are private per training process
+// too.
 package cache
 
 import "fmt"

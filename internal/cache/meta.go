@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"frugal/internal/obs"
 )
@@ -11,14 +12,19 @@ import (
 // no row storage. The performance simulator uses it to track hit rates
 // over key spaces far too large to materialise (CriteoTB's 882 M rows);
 // Cache composes it with a row slab for the real runtime.
+//
+// The statistics counters are the only count of cache traffic; they are
+// atomics so that Stats may run while the owning trainer probes (a live
+// job Snapshot). Writers are already serialised — one trainer, or the
+// prefetcher's lock — so the adds never contend.
 type Meta struct {
 	sets     int
 	slots    []slot
-	hits     int64
-	misses   int64
-	stale    int64
-	inserted int64
-	evicted  int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	stale    atomic.Int64
+	inserted atomic.Int64
+	evicted  atomic.Int64
 	// epoch implements slot pinning (see BeginEpoch). 0 means pinning is
 	// disabled — the simulator's Meta-only users never call BeginEpoch and
 	// keep the historical always-evictable behaviour.
@@ -28,12 +34,12 @@ type Meta struct {
 	// where at least one slot was blocked purely by a window pin (the
 	// lookahead prefetcher's reservation). The split tells capacity pressure
 	// from this step's gathers apart from pressure from future batches.
-	pinRejects    int64
-	winPinRejects int64
+	pinRejects    atomic.Int64
+	winPinRejects atomic.Int64
 	// Prefetch accounting: fills issued by the lookahead prefetcher, and
 	// their fate — hit (served at least one demand lookup), late (went stale
 	// before any use), wasted (evicted before any use).
-	prefFills, prefHits, prefLate, prefWasted int64
+	prefFills, prefHits, prefLate, prefWasted atomic.Int64
 	// fillsSinceAge schedules frequency aging: every time it reaches the
 	// directory capacity (one full turnover's worth of fills), every slot's
 	// freq is halved. Without decay, frequencies only ever rise, so after a
@@ -44,11 +50,9 @@ type Meta struct {
 	// aging cadence.
 	fillsSinceAge int64
 
-	// obs mirrors the counters into the job's observability layer so a
-	// live Snapshot can read them race-free while the owning trainer runs
-	// (the plain int64 fields above are single-owner). gpu identifies the
-	// owning trainer's counter shard. nil obs (the default) is a no-op.
-	obs *obs.CacheObs
+	// tr receives the hit, miss and eviction trace events, tagged with
+	// the owning trainer's gpu. nil (the default) is a no-op.
+	tr  *obs.Tracer
 	gpu int
 }
 
@@ -77,10 +81,10 @@ func MustNewMeta(rows int) *Meta {
 // Rows returns the directory capacity in entries.
 func (m *Meta) Rows() int { return m.sets * Ways }
 
-// SetObserver attaches an observability sink (nil detaches) and the GPU
-// id used as its counter shard. Call before the cache sees traffic.
-func (m *Meta) SetObserver(o *obs.CacheObs, gpu int) {
-	m.obs = o
+// SetTracer attaches a step-event tracer (nil detaches) and the GPU id
+// its events carry. Call before the cache sees traffic.
+func (m *Meta) SetTracer(t *obs.Tracer, gpu int) {
+	m.tr = t
 	m.gpu = gpu
 }
 
@@ -136,28 +140,26 @@ func (m *Meta) probe(key uint64, wantVersion uint64) int {
 			if s.pf && !s.pfUsed {
 				// A prefetched row invalidated before any demand use: the
 				// fill lost the race with a flush — late, not wasted.
-				m.prefLate++
-				m.obs.PrefetchLate(m.gpu)
+				m.prefLate.Add(1)
 			}
 			s.pf = false
-			m.stale++
-			m.misses++
-			m.obs.Miss(m.gpu, key, true)
+			m.stale.Add(1)
+			m.misses.Add(1)
+			m.tr.Emit(obs.EvCacheMiss, m.gpu, -1, key, 0)
 			return -1
 		}
 		bumpFreq(s)
 		s.epoch = m.epoch
 		if s.pf {
 			s.pfUsed = true
-			m.prefHits++
-			m.obs.PrefetchHit(m.gpu)
+			m.prefHits.Add(1)
 		}
-		m.hits++
-		m.obs.Hit(m.gpu, key)
+		m.hits.Add(1)
+		m.tr.Emit(obs.EvCacheHit, m.gpu, -1, key, 0)
 		return i
 	}
-	m.misses++
-	m.obs.Miss(m.gpu, key, false)
+	m.misses.Add(1)
+	m.tr.Emit(obs.EvCacheMiss, m.gpu, -1, key, 0)
 	return -1
 }
 
@@ -228,9 +230,9 @@ func (m *Meta) fill(key uint64, version uint64, prefetch bool) (slotIdx int, evi
 	}
 	if victim == -1 {
 		if winBlocked {
-			m.winPinRejects++
+			m.winPinRejects.Add(1)
 		} else {
-			m.pinRejects++
+			m.pinRejects.Add(1)
 		}
 		return -1, 0, false
 	}
@@ -239,8 +241,7 @@ func (m *Meta) fill(key uint64, version uint64, prefetch bool) (slotIdx int, evi
 	evicted = s.key
 	if wasEviction && s.pf && !s.pfUsed {
 		// A prefetched row evicted before any demand use: a wasted fill.
-		m.prefWasted++
-		m.obs.PrefetchWasted(m.gpu)
+		m.prefWasted.Add(1)
 	}
 	s.key = key
 	s.version = version
@@ -254,11 +255,11 @@ func (m *Meta) fill(key uint64, version uint64, prefetch bool) (slotIdx int, evi
 	// path sets pf via MarkPrefetched once the bytes have been copied.
 	s.pf = false
 	s.pfUsed = false
-	m.inserted++
+	m.inserted.Add(1)
 	if wasEviction {
-		m.evicted++
+		m.evicted.Add(1)
+		m.tr.Emit(obs.EvCacheEvict, m.gpu, -1, evicted, 0)
 	}
-	m.obs.Insert(m.gpu, key, evicted, wasEviction)
 	if m.fillsSinceAge++; m.fillsSinceAge >= int64(len(m.slots)) {
 		m.fillsSinceAge = 0
 		m.age()
@@ -345,14 +346,12 @@ func (m *Meta) WindowUnpin(i int) {
 func (m *Meta) MarkPrefetched(i int, version uint64) {
 	s := &m.slots[i]
 	if s.pf && !s.pfUsed {
-		m.prefLate++
-		m.obs.PrefetchLate(m.gpu)
+		m.prefLate.Add(1)
 	}
 	s.version = version
 	s.pf = true
 	s.pfUsed = false
-	m.prefFills++
-	m.obs.PrefetchFill(m.gpu)
+	m.prefFills.Add(1)
 }
 
 // Bump updates the stored version of a cached key; reports presence.
@@ -367,18 +366,22 @@ func (m *Meta) Bump(key uint64, version uint64) bool {
 	return false
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. Safe to call while the
+// owner probes; each counter is read once, so a live snapshot may pair a
+// hit count with a miss count a few probes apart.
 func (m *Meta) Stats() Stats {
-	return Stats{Hits: m.hits, Misses: m.misses, StaleHits: m.stale,
-		Inserted: m.inserted, Evicted: m.evicted,
-		PrefetchFills: m.prefFills, PrefetchHits: m.prefHits,
-		PrefetchLate: m.prefLate, PrefetchWasted: m.prefWasted,
-		PinRejects: m.pinRejects, WindowPinRejects: m.winPinRejects}
+	return Stats{Hits: m.hits.Load(), Misses: m.misses.Load(), StaleHits: m.stale.Load(),
+		Inserted: m.inserted.Load(), Evicted: m.evicted.Load(),
+		PrefetchFills: m.prefFills.Load(), PrefetchHits: m.prefHits.Load(),
+		PrefetchLate: m.prefLate.Load(), PrefetchWasted: m.prefWasted.Load(),
+		PinRejects: m.pinRejects.Load(), WindowPinRejects: m.winPinRejects.Load()}
 }
 
 // ResetStats clears the counters.
 func (m *Meta) ResetStats() {
-	m.hits, m.misses, m.stale, m.inserted, m.evicted = 0, 0, 0, 0, 0
-	m.prefFills, m.prefHits, m.prefLate, m.prefWasted = 0, 0, 0, 0
-	m.pinRejects, m.winPinRejects = 0, 0
+	for _, c := range []*atomic.Int64{&m.hits, &m.misses, &m.stale, &m.inserted, &m.evicted,
+		&m.prefFills, &m.prefHits, &m.prefLate, &m.prefWasted,
+		&m.pinRejects, &m.winPinRejects} {
+		c.Store(0)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestUniformRange(t *testing.T) {
@@ -307,6 +308,43 @@ func TestPayloadTrace(t *testing.T) {
 		}
 	}()
 	tr.Take(1)
+}
+
+// TestPayloadTraceTakeWhileGenerating takes an already generated step
+// while the generator is blocked producing the next one: Take must not
+// wait for the generator.
+func TestPayloadTraceTakeWhileGenerating(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	calls := 0
+	tr := NewPayloadTrace(func() (int, []uint64, bool) {
+		calls++
+		if calls == 2 {
+			close(entered)
+			<-release
+		}
+		return calls, nil, true
+	})
+	tr.Next() // step 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tr.Next() // step 1: blocks in the generator until release
+	}()
+	defer func() {
+		close(release)
+		<-done
+	}()
+	<-entered
+	took := make(chan int, 1)
+	go func() { took <- tr.Take(0) }()
+	select {
+	case got := <-took:
+		if got != 1 {
+			t.Fatalf("Take(0) = %d, want 1", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Take(0) blocked behind the generator of step 1")
+	}
 }
 
 func TestReadKeyTrace(t *testing.T) {

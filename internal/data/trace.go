@@ -307,14 +307,15 @@ func (p *PayloadTrace[T]) at(step int64) *heldPayload[T] {
 }
 
 // Next implements the TraceSource contract for the controller's prefetch
-// goroutine.
+// goroutine, its only caller. The generator runs outside the lock, so a
+// slow batch does not hold up Take of the steps already generated.
 func (p *PayloadTrace[T]) Next() ([]uint64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	payload, keys, ok := p.gen()
 	if !ok {
 		return nil, false
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.next-p.first == int64(len(p.ring)) {
 		old := p.ring
 		p.ring = make([]heldPayload[T], 2*len(old))

@@ -1,8 +1,8 @@
 // Package obs is Frugal's runtime observability layer: an
-// allocation-conscious metrics registry (sharded counters, gauges, fixed-
-// bucket histograms) plus a typed step-event tracer (ring buffer with a
-// JSONL dump) that together expose where an iteration's time goes — the
-// Fig 3c / Fig 12 breakdown of the paper — while a job is running.
+// allocation-conscious metrics registry (sharded counters and log-linear
+// histograms) plus a typed step-event tracer (ring buffer with a JSONL
+// dump) that together expose where an iteration's time goes — the Fig 3c
+// / Fig 12 breakdown of the paper — while a job is running.
 //
 // Everything is nil-safe: every instrumentation hook is a method on a
 // pointer that may be nil, and a nil receiver is a no-op costing one
@@ -10,14 +10,20 @@
 // operations, gate waits) are instrumented unconditionally in their
 // packages and pay nothing when observability is disabled — the default.
 //
+// obs counts only what no other package counts: gate passes and blocks,
+// enqueued updates and priority-queue operations. Cache, tier, flush,
+// fault and step totals are kept once, by the component they happen in,
+// and the runtime reads them into the same Snapshot.
+//
 // Counters are sharded so that concurrent trainers (one per simulated
 // GPU) and flusher threads never contend on a cache line; Snapshot sums
-// the shards. Histograms use fixed bucket layouts shared by the gate-
-// stall, flush-latency and step-wall-time metrics so snapshots are
+// the shards. Every histogram (gate stall, flush latency, step wall time,
+// serving latency) uses one fixed bucket layout, so snapshots are
 // directly comparable.
 package obs
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -68,57 +74,62 @@ func (c *Counter) Total() int64 {
 	return t
 }
 
-// Gauge is a last-value metric (queue depths, watermarks).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // ----------------------------------------------------------------------
 // Histograms
 
-// DurationBuckets is the shared bucket layout for the time histograms
-// (gate stall, flush latency, per-step wall time): a 1-2-5 ladder from
-// 1µs to 10s. Values are inclusive upper bounds in nanoseconds.
-var DurationBuckets = []int64{
-	1_000, 2_000, 5_000,
-	10_000, 20_000, 50_000,
-	100_000, 200_000, 500_000,
-	1_000_000, 2_000_000, 5_000_000,
-	10_000_000, 20_000_000, 50_000_000,
-	100_000_000, 200_000_000, 500_000_000,
-	1_000_000_000, 2_000_000_000, 5_000_000_000,
-	10_000_000_000,
+// Every histogram shares one fixed log-linear layout. Values below
+// subBuckets get one bucket each; above that, each power of two is split
+// into subBuckets equal sub-buckets, so a bucket is at most 1/subBuckets
+// as wide as its lower edge. Bucket upper edges therefore over-read a
+// value by less than 1/16 (6.25%) at any scale. Values from 0 to
+// 2^maxExp−1 ns (about 68.7 s) have a finite bucket; larger ones land in
+// the overflow bucket.
+const (
+	subBits     = 4
+	subBuckets  = 1 << subBits
+	maxExp      = 36
+	histBuckets = (maxExp - subBits + 1) * subBuckets // finite buckets
+)
+
+// bucketOf maps a value to its bucket index in O(1): the exponent picks
+// the power-of-two group, the next subBits bits below the leading one
+// pick the sub-bucket. Index histBuckets is the overflow bucket.
+func bucketOf(v int64) int {
+	if v < subBuckets {
+		return int(max(v, 0))
+	}
+	e := bits.Len64(uint64(v)) - 1
+	if e >= maxExp {
+		return histBuckets
+	}
+	return (e-subBits+1)<<subBits | int(v>>(e-subBits))&(subBuckets-1)
 }
 
-// Histogram counts observations into fixed buckets. Buckets and sums are
-// atomics, so concurrent Observe and Snapshot are safe.
+// bucketLe returns the inclusive upper bound of finite bucket i.
+func bucketLe(i int) int64 {
+	g, sub := i>>subBits, int64(i&(subBuckets-1))
+	if g == 0 {
+		return sub
+	}
+	shift := g - 1 // the group's width, as a power of two
+	return (subBuckets+sub+1)<<shift - 1
+}
+
+// Histogram counts observations into the shared log-linear layout.
+// Buckets and sums are atomics, so concurrent Observe and Snapshot are
+// safe; the zero Histogram is ready to use.
 type Histogram struct {
-	bounds  []int64        // inclusive upper bounds, ascending
-	buckets []atomic.Int64 // len(bounds)+1; the last is the overflow bucket
+	buckets [histBuckets + 1]atomic.Int64 // the last is the overflow bucket
 	count   atomic.Int64
 	sum     atomic.Int64
 }
 
-func newHistogram(bounds []int64) Histogram {
-	return Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
-}
-
-// Observe records one value (nanoseconds for the duration layouts).
+// Observe records one value (nanoseconds for the duration histograms).
 func (h *Histogram) Observe(v int64) {
-	if h == nil || len(h.buckets) == 0 {
+	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }
@@ -146,8 +157,8 @@ func (s HistSnapshot) Mean() time.Duration {
 }
 
 // Quantile returns the upper bound of the bucket containing the q-th
-// quantile (0 < q ≤ 1), a conservative (over-)estimate with the usual
-// fixed-bucket resolution. Returns 0 before any observation. An
+// quantile (0 < q ≤ 1): an over-estimate by less than 6.25% of the true
+// value (see the layout above). Returns 0 before any observation. An
 // observation in the overflow bucket reports the largest finite bound
 // doubled — the layout has no upper edge to name.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
@@ -186,8 +197,8 @@ func (h *Histogram) snapshot() HistSnapshot {
 			continue
 		}
 		le := time.Duration(int64(^uint64(0) >> 1)) // overflow bucket
-		if i < len(h.bounds) {
-			le = time.Duration(h.bounds[i])
+		if i < histBuckets {
+			le = time.Duration(bucketLe(i))
 		}
 		s.Buckets = append(s.Buckets, HistBucket{Le: le, Count: n})
 	}
@@ -197,139 +208,11 @@ func (h *Histogram) snapshot() HistSnapshot {
 // ----------------------------------------------------------------------
 // Sub-observers (the instrumentation surfaces handed to each package)
 
-// TierObs instruments the tiered slab: promotion/demotion traffic and
-// the cold tier's quantized read/write paths. Callers shard by key (the
-// events come from flusher threads and serve readers, not a fixed GPU).
-type TierObs struct {
-	promotions, demotions, declined Counter
-	coldWrites, dequantReads        Counter
-}
-
-// TierPromotion records a cold→hot move.
-func (t *TierObs) TierPromotion(key uint64) {
-	if t == nil {
-		return
-	}
-	t.promotions.Add(int(key), 1)
-}
-
-// TierDemotion records a hot→cold move (the row was requantized).
-func (t *TierObs) TierDemotion(key uint64) {
-	if t == nil {
-		return
-	}
-	t.demotions.Add(int(key), 1)
-}
-
-// TierDeclined records a promotion dropped because no strictly colder
-// victim was found in the sweep window.
-func (t *TierObs) TierDeclined(key uint64) {
-	if t == nil {
-		return
-	}
-	t.declined.Add(int(key), 1)
-}
-
-// ColdWrite records a cold-row read-modify-requantize apply.
-func (t *TierObs) ColdWrite(key uint64) {
-	if t == nil {
-		return
-	}
-	t.coldWrites.Add(int(key), 1)
-}
-
-// DequantRead records a row read served by dequantization.
-func (t *TierObs) DequantRead(key uint64) {
-	if t == nil {
-		return
-	}
-	t.dequantReads.Add(int(key), 1)
-}
-
-// CacheObs counts per-GPU embedding-cache traffic. Hit/Miss/Insert are
-// called on the cache probe path, so they must stay branch-cheap.
-type CacheObs struct {
-	lookups, hits, misses, stale, inserts, evictions Counter
-	// Lookahead-prefetch fate counters (see cache.Stats for semantics).
-	prefFills, prefHits, prefLate, prefWasted Counter
-	tr                                        *Tracer
-}
-
-// Hit records a fresh cache hit.
-func (c *CacheObs) Hit(gpu int, key uint64) {
-	if c == nil {
-		return
-	}
-	c.lookups.Add(gpu, 1)
-	c.hits.Add(gpu, 1)
-	c.tr.Emit(EvCacheHit, gpu, -1, key, 0)
-}
-
-// Miss records a cache miss; stale marks a present-but-outdated row that
-// was invalidated (stale misses are a subset of misses).
-func (c *CacheObs) Miss(gpu int, key uint64, stale bool) {
-	if c == nil {
-		return
-	}
-	c.lookups.Add(gpu, 1)
-	c.misses.Add(gpu, 1)
-	if stale {
-		c.stale.Add(gpu, 1)
-	}
-	c.tr.Emit(EvCacheMiss, gpu, -1, key, 0)
-}
-
-// Insert records a cache fill and the eviction it may have caused.
-func (c *CacheObs) Insert(gpu int, key, evicted uint64, wasEviction bool) {
-	if c == nil {
-		return
-	}
-	c.inserts.Add(gpu, 1)
-	if wasEviction {
-		c.evictions.Add(gpu, 1)
-		c.tr.Emit(EvCacheEvict, gpu, -1, evicted, 0)
-	}
-}
-
-// PrefetchFill records one row filled (or refilled) by the lookahead
-// prefetcher.
-func (c *CacheObs) PrefetchFill(gpu int) {
-	if c == nil {
-		return
-	}
-	c.prefFills.Add(gpu, 1)
-}
-
-// PrefetchHit records a demand lookup served from a prefetched row.
-func (c *CacheObs) PrefetchHit(gpu int) {
-	if c == nil {
-		return
-	}
-	c.prefHits.Add(gpu, 1)
-}
-
-// PrefetchLate records a prefetched row invalidated or refilled before any
-// demand use (the fill lost a race with a flush).
-func (c *CacheObs) PrefetchLate(gpu int) {
-	if c == nil {
-		return
-	}
-	c.prefLate.Add(gpu, 1)
-}
-
-// PrefetchWasted records a prefetched row evicted before any demand use.
-func (c *CacheObs) PrefetchWasted(gpu int) {
-	if c == nil {
-		return
-	}
-	c.prefWasted.Add(gpu, 1)
-}
-
 // GateObs observes the synchronous-consistency gate from the trainer side.
 type GateObs struct {
-	passes, blocks, stallNanos Counter
-	stall                      Histogram
-	tr                         *Tracer
+	passes, blocks Counter
+	stall          Histogram
+	tr             *Tracer
 }
 
 // Wait records one completed gate wait: stalled is the time the trainer
@@ -341,7 +224,6 @@ func (g *GateObs) Wait(gpu int, step int64, stalled time.Duration) {
 	g.passes.Add(gpu, 1)
 	if stalled > 0 {
 		g.blocks.Add(gpu, 1)
-		g.stallNanos.Add(gpu, int64(stalled))
 		g.stall.Observe(int64(stalled))
 		g.tr.Emit(EvGateBlock, gpu, step, 0, int64(stalled))
 	}
@@ -349,17 +231,12 @@ func (g *GateObs) Wait(gpu int, step int64, stalled time.Duration) {
 }
 
 // FlushObs observes the P²F write path: updates staged by trainers
-// (enqueue side, sharded per GPU) and g-entries drained by the flusher
-// pool (apply side, sharded per flusher thread).
+// (enqueue side, sharded per GPU) and the latency of each g-entry's
+// landing in host memory.
 type FlushObs struct {
-	enqueued        Counter // individual updates committed by trainers
-	applied         Counter // individual updates applied through the sink
-	entries         Counter // g-entries flushed
-	deferredEntries Counter // flushed from the ∞ slot (off the critical path)
-	urgentEntries   Counter // flushed with a finite priority
-	latency         Histogram
-	sampleDepth     Gauge
-	tr              *Tracer
+	enqueued Counter // individual updates committed by trainers
+	latency  Histogram
+	tr       *Tracer
 }
 
 // Enqueued records one trainer's CommitStep of n updates.
@@ -379,29 +256,14 @@ func (f *FlushObs) Dequeued(flusher int, key uint64, n int) {
 	f.tr.Emit(EvFlushDequeue, flusher, -1, key, int64(n))
 }
 
-// Applied records a completed flush of one g-entry: n updates written to
-// host memory in `took`, from the deferred (∞) or urgent (finite) slot.
-func (f *FlushObs) Applied(flusher int, key uint64, n int, deferred bool, took time.Duration) {
+// Applied records one g-entry's write set landing in host memory in
+// `took` (flusher is -1 for a landing outside the flusher pool).
+func (f *FlushObs) Applied(flusher int, key uint64, took time.Duration) {
 	if f == nil {
 		return
-	}
-	f.applied.Add(flusher, int64(n))
-	f.entries.Add(flusher, 1)
-	if deferred {
-		f.deferredEntries.Add(flusher, 1)
-	} else {
-		f.urgentEntries.Add(flusher, 1)
 	}
 	f.latency.Observe(int64(took))
 	f.tr.Emit(EvFlushApply, flusher, -1, key, int64(took))
-}
-
-// SampleDepth records the sample (lookahead) queue depth after a prefetch.
-func (f *FlushObs) SampleDepth(depth int) {
-	if f == nil {
-		return
-	}
-	f.sampleDepth.Set(int64(depth))
 }
 
 // PQObs counts priority-queue operations. The callers (commit paths,
@@ -452,27 +314,20 @@ func (p *PQObs) Rescan() {
 	p.rescans.Add(0, 1)
 }
 
-// FaultObs observes the fault-injection and recovery machinery: faults
-// fired by the injector, flusher respawns and batch redistributions by
-// the self-healing pool, transient host-write retries, and watchdog
-// degradations to write-through.
+// FaultObs traces the fault-injection and recovery machinery: faults
+// fired by the injector, flusher respawns, and the watchdog's degradation
+// to write-through. The injector and the P²F controller count them.
 type FaultObs struct {
-	injected      Counter
-	respawns      Counter
-	redistributed Counter
-	writeRetries  Counter
-	degradations  Counter
-	tr            *Tracer
+	tr *Tracer
 }
 
 // Injected records one scheduled fault firing: src is the target flusher
-// slot or GPU (-1 for host-write failures), at the trigger ordinal, kind
-// the fault kind code.
+// slot or GPU (-1 for host-write failures), at the trigger ordinal (-1
+// for host-write failures), kind the fault kind code.
 func (f *FaultObs) Injected(src int, at int64, kind int64) {
 	if f == nil {
 		return
 	}
-	f.injected.Add(src, 1)
 	f.tr.Emit(EvFaultInject, src, at, 0, kind)
 }
 
@@ -482,25 +337,7 @@ func (f *FaultObs) Respawned(slot int, total int64) {
 	if f == nil {
 		return
 	}
-	f.respawns.Add(slot, 1)
 	f.tr.Emit(EvFlusherRespawn, slot, -1, 0, total)
-}
-
-// Redistributed records a dying flusher re-enqueueing the n g-entries of
-// its in-flight dequeue batch.
-func (f *FaultObs) Redistributed(slot int, n int) {
-	if f == nil || n == 0 {
-		return
-	}
-	f.redistributed.Add(slot, int64(n))
-}
-
-// WriteRetry records one retried host-memory write attempt.
-func (f *FaultObs) WriteRetry(writer int) {
-	if f == nil {
-		return
-	}
-	f.writeRetries.Add(writer, 1)
 }
 
 // Degraded records the gate watchdog switching the engine to
@@ -509,15 +346,13 @@ func (f *FaultObs) Degraded(step int64) {
 	if f == nil {
 		return
 	}
-	f.degradations.Add(0, 1)
 	f.tr.Emit(EvDegrade, -1, step, 0, 0)
 }
 
-// StepObs observes training-step completion.
+// StepObs observes each trainer's step wall time.
 type StepObs struct {
-	completed Counter // global steps fully committed by all trainers
-	wall      Histogram
-	tr        *Tracer
+	wall Histogram
+	tr   *Tracer
 }
 
 // WorkerStep records one trainer finishing its shard of a step.
@@ -527,14 +362,6 @@ func (s *StepObs) WorkerStep(gpu int, step int64, took time.Duration) {
 	}
 	s.wall.Observe(int64(took))
 	s.tr.Emit(EvStepDone, gpu, step, 0, int64(took))
-}
-
-// Completed records a globally completed step (all trainers committed).
-func (s *StepObs) Completed() {
-	if s == nil {
-		return
-	}
-	s.completed.Add(0, 1)
 }
 
 // ----------------------------------------------------------------------
@@ -555,13 +382,11 @@ type Options struct {
 // runtime's default.
 type Observer struct {
 	start  time.Time
-	cache  CacheObs
 	gate   GateObs
 	flush  FlushObs
 	pq     PQObs
 	step   StepObs
 	fault  FaultObs
-	tier   TierObs
 	tracer *Tracer
 }
 
@@ -575,48 +400,19 @@ func New(opt Options) *Observer {
 	if opt.TraceCapacity >= 0 {
 		o.tracer = NewTracer(opt.TraceCapacity)
 	}
-	o.cache = CacheObs{
-		lookups: newCounter(n), hits: newCounter(n), misses: newCounter(n),
-		stale: newCounter(n), inserts: newCounter(n), evictions: newCounter(n),
-		prefFills: newCounter(n), prefHits: newCounter(n),
-		prefLate: newCounter(n), prefWasted: newCounter(n),
-		tr: o.tracer,
-	}
-	o.gate = GateObs{
-		passes: newCounter(n), blocks: newCounter(n), stallNanos: newCounter(n),
-		stall: newHistogram(DurationBuckets), tr: o.tracer,
-	}
-	o.flush = FlushObs{
-		enqueued: newCounter(n), applied: newCounter(n), entries: newCounter(n),
-		deferredEntries: newCounter(n), urgentEntries: newCounter(n),
-		latency: newHistogram(DurationBuckets), tr: o.tracer,
-	}
+	o.gate = GateObs{passes: newCounter(n), blocks: newCounter(n), tr: o.tracer}
+	o.flush = FlushObs{enqueued: newCounter(n), tr: o.tracer}
 	o.pq = PQObs{
 		enqueues: newCounter(n), dequeues: newCounter(n),
 		adjusts: newCounter(n), stalePops: newCounter(n), rescans: newCounter(n),
 	}
-	o.step = StepObs{completed: newCounter(n), wall: newHistogram(DurationBuckets), tr: o.tracer}
-	o.fault = FaultObs{
-		injected: newCounter(n), respawns: newCounter(n), redistributed: newCounter(n),
-		writeRetries: newCounter(n), degradations: newCounter(n), tr: o.tracer,
-	}
-	o.tier = TierObs{
-		promotions: newCounter(n), demotions: newCounter(n), declined: newCounter(n),
-		coldWrites: newCounter(n), dequantReads: newCounter(n),
-	}
+	o.step = StepObs{tr: o.tracer}
+	o.fault = FaultObs{tr: o.tracer}
 	return o
 }
 
-// CacheSink returns the cache instrumentation surface (nil for a nil
+// GateSink returns the gate instrumentation surface (nil for a nil
 // Observer — the no-op default every package accepts).
-func (o *Observer) CacheSink() *CacheObs {
-	if o == nil {
-		return nil
-	}
-	return &o.cache
-}
-
-// GateSink returns the gate instrumentation surface.
 func (o *Observer) GateSink() *GateObs {
 	if o == nil {
 		return nil
@@ -656,14 +452,6 @@ func (o *Observer) FaultSink() *FaultObs {
 	return &o.fault
 }
 
-// TierSink returns the tiered-slab instrumentation surface.
-func (o *Observer) TierSink() *TierObs {
-	if o == nil {
-		return nil
-	}
-	return &o.tier
-}
-
 // TraceSink returns the event tracer (nil when tracing is disabled).
 func (o *Observer) TraceSink() *Tracer {
 	if o == nil {
@@ -675,13 +463,17 @@ func (o *Observer) TraceSink() *Tracer {
 // ----------------------------------------------------------------------
 // Snapshot
 
-// Snapshot is a point-in-time copy of every metric, safe to take while
-// the job runs. The zero Snapshot is what a nil Observer reports.
+// Snapshot is a point-in-time copy of a training job's metrics, safe to
+// take while the job runs. A job without an Observer reports the zero
+// Snapshot, apart from the live queue depths. Each field has one owner,
+// named below; the fields this package does not own are filled by the
+// runtime's Job.Snapshot, from the same reads that fill its Result.
 type Snapshot struct {
 	// Uptime is the time since the observer was created.
 	Uptime time.Duration `json:"uptimeNanos"`
 
-	// Cache traffic, summed across GPUs. CacheLookups ==
+	// Cache traffic, summed across GPUs — owned by each GPU's cache
+	// directory (cache.Stats; Result.CacheStats). CacheLookups ==
 	// CacheHits + CacheMisses; stale hits are a subset of misses.
 	CacheLookups   int64 `json:"cacheLookups"`
 	CacheHits      int64 `json:"cacheHits"`
@@ -690,24 +482,32 @@ type Snapshot struct {
 	CacheInserts   int64 `json:"cacheInserts"`
 	CacheEvictions int64 `json:"cacheEvictions"`
 
-	// Lookahead prefetch: fills issued by the prefetcher and their fate.
-	// CachePrefetchHits counts demand lookups served from prefetched rows
-	// (a subset of CacheHits); Late went stale before use, Wasted were
-	// evicted before use.
+	// Lookahead prefetch, also owned by the cache directories: fills
+	// made by the prefetcher and their fate. CachePrefetchHits counts
+	// demand lookups served from prefetched rows (a subset of
+	// CacheHits); Late went stale before use, Wasted were evicted before
+	// use.
 	CachePrefetchFills  int64 `json:"cachePrefetchFills"`
 	CachePrefetchHits   int64 `json:"cachePrefetchHits"`
 	CachePrefetchLate   int64 `json:"cachePrefetchLate"`
 	CachePrefetchWasted int64 `json:"cachePrefetchWasted"`
 
 	// Consistency gate: every gate wait is a pass; blocks are the waits
-	// that actually stalled, accumulating GateStallTime.
+	// that actually stalled (this package's GateObs). GateStallTime is
+	// the P²F controller's stall total (Result.StallTime).
 	GatePasses    int64         `json:"gatePasses"`
 	GateBlocks    int64         `json:"gateBlocks"`
 	GateStallTime time.Duration `json:"gateStallNanos"`
 	GateStall     HistSnapshot  `json:"gateStall"`
 
-	// P²F write path. FlushApplied ≤ FlushEnqueued always; they are equal
-	// once the epilogue has drained.
+	// P²F write path. FlushEnqueued is this package's count of updates
+	// trainers committed. FlushApplied (Result.Flushed) and the entry
+	// counts (DeferredEntries is Result.Deferred) are the controller's:
+	// every landing counts, from the flusher pool, a serving FlushKey or a
+	// degraded write-through commit alike. FlushApplied ≤ FlushEnqueued
+	// always; they are equal once the epilogue has drained, on served jobs
+	// too. FlushLatency observes every landing, so its Count equals
+	// FlushedEntries.
 	FlushEnqueued   int64        `json:"flushEnqueued"`
 	FlushApplied    int64        `json:"flushApplied"`
 	FlushedEntries  int64        `json:"flushedEntries"`
@@ -715,11 +515,11 @@ type Snapshot struct {
 	UrgentEntries   int64        `json:"urgentEntries"`
 	FlushLatency    HistSnapshot `json:"flushLatency"`
 
-	// Live queue depths (filled by the runtime at snapshot time).
+	// Live queue depths, read from the controller at snapshot time.
 	FlushBacklog     int64 `json:"flushBacklog"`
 	SampleQueueDepth int64 `json:"sampleQueueDepth"`
 
-	// Priority-queue operation counts.
+	// Priority-queue operation counts (this package's PQObs).
 	PQEnqueues  int64 `json:"pqEnqueues"`
 	PQDequeues  int64 `json:"pqDequeues"`
 	PQAdjusts   int64 `json:"pqAdjusts"`
@@ -728,18 +528,23 @@ type Snapshot struct {
 	// fallback; 0 unless an entry hid below the scan range.
 	PQRescans int64 `json:"pqRescans"`
 
-	// Steps.
+	// Steps. StepsCompleted is the job's completed-step count
+	// (Result.Steps); StepWall is this package's per-trainer histogram.
 	StepsCompleted int64        `json:"stepsCompleted"`
 	StepWall       HistSnapshot `json:"stepWall"`
 
-	// Fault injection and recovery. Zero throughout on fault-free runs.
+	// Fault injection and recovery (Result.Recovery), zero throughout on
+	// fault-free runs. FaultsInjected is the injector's count,
+	// HostWriteRetries the host slab's; the rest are the P²F controller's.
+	// Degradations is 0 or 1: the switch to write-through is one-way.
 	FaultsInjected       int64 `json:"faultsInjected"`
 	FlusherRespawns      int64 `json:"flusherRespawns"`
 	RedistributedEntries int64 `json:"redistributedEntries"`
 	HostWriteRetries     int64 `json:"hostWriteRetries"`
 	Degradations         int64 `json:"degradations"`
 
-	// Tiered-slab traffic. Zero throughout when the cold tier is off.
+	// Tiered-slab traffic, owned by the host slab (Host.TierStats). Zero
+	// throughout when the cold tier is off.
 	TierPromotions   int64 `json:"tierPromotions"`
 	TierDemotions    int64 `json:"tierDemotions"`
 	TierDeclined     int64 `json:"tierDeclined"`
@@ -752,38 +557,21 @@ type Snapshot struct {
 	TraceDropped int64 `json:"traceDropped"`
 }
 
-// Snapshot sums every counter. Safe to call concurrently with the job; a
-// nil Observer returns the zero Snapshot.
+// Snapshot fills the fields this package owns. Safe to call concurrently
+// with the job; a nil Observer returns the zero Snapshot.
 func (o *Observer) Snapshot() Snapshot {
 	if o == nil {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Uptime:         time.Since(o.start),
-		CacheLookups:   o.cache.lookups.Total(),
-		CacheHits:      o.cache.hits.Total(),
-		CacheMisses:    o.cache.misses.Total(),
-		CacheStaleHits: o.cache.stale.Total(),
-		CacheInserts:   o.cache.inserts.Total(),
-		CacheEvictions: o.cache.evictions.Total(),
+		Uptime: time.Since(o.start),
 
-		CachePrefetchFills:  o.cache.prefFills.Total(),
-		CachePrefetchHits:   o.cache.prefHits.Total(),
-		CachePrefetchLate:   o.cache.prefLate.Total(),
-		CachePrefetchWasted: o.cache.prefWasted.Total(),
+		GatePasses: o.gate.passes.Total(),
+		GateBlocks: o.gate.blocks.Total(),
+		GateStall:  o.gate.stall.snapshot(),
 
-		GatePasses:    o.gate.passes.Total(),
-		GateBlocks:    o.gate.blocks.Total(),
-		GateStallTime: time.Duration(o.gate.stallNanos.Total()),
-		GateStall:     o.gate.stall.snapshot(),
-
-		FlushEnqueued:    o.flush.enqueued.Total(),
-		FlushApplied:     o.flush.applied.Total(),
-		FlushedEntries:   o.flush.entries.Total(),
-		DeferredEntries:  o.flush.deferredEntries.Total(),
-		UrgentEntries:    o.flush.urgentEntries.Total(),
-		FlushLatency:     o.flush.latency.snapshot(),
-		SampleQueueDepth: o.flush.sampleDepth.Value(),
+		FlushEnqueued: o.flush.enqueued.Total(),
+		FlushLatency:  o.flush.latency.snapshot(),
 
 		PQEnqueues:  o.pq.enqueues.Total(),
 		PQDequeues:  o.pq.dequeues.Total(),
@@ -791,20 +579,7 @@ func (o *Observer) Snapshot() Snapshot {
 		PQStalePops: o.pq.stalePops.Total(),
 		PQRescans:   o.pq.rescans.Total(),
 
-		StepsCompleted: o.step.completed.Total(),
-		StepWall:       o.step.wall.snapshot(),
-
-		FaultsInjected:       o.fault.injected.Total(),
-		FlusherRespawns:      o.fault.respawns.Total(),
-		RedistributedEntries: o.fault.redistributed.Total(),
-		HostWriteRetries:     o.fault.writeRetries.Total(),
-		Degradations:         o.fault.degradations.Total(),
-
-		TierPromotions:   o.tier.promotions.Total(),
-		TierDemotions:    o.tier.demotions.Total(),
-		TierDeclined:     o.tier.declined.Total(),
-		TierColdWrites:   o.tier.coldWrites.Total(),
-		TierDequantReads: o.tier.dequantReads.Total(),
+		StepWall: o.step.wall.snapshot(),
 	}
 	if o.tracer != nil {
 		s.TraceEvents, s.TraceDropped = o.tracer.Stats()

@@ -11,20 +11,15 @@ import (
 // receivers — the runtime's default path must never dereference them.
 func TestNilObserverIsNoOp(t *testing.T) {
 	var o *Observer
-	o.CacheSink().Hit(0, 1)
-	o.CacheSink().Miss(0, 1, true)
-	o.CacheSink().Insert(0, 1, 2, true)
 	o.GateSink().Wait(0, 0, time.Millisecond)
 	o.FlushSink().Enqueued(0, 0, 4)
 	o.FlushSink().Dequeued(0, 1, 4)
-	o.FlushSink().Applied(0, 1, 4, true, time.Microsecond)
-	o.FlushSink().SampleDepth(3)
+	o.FlushSink().Applied(0, 1, time.Microsecond)
 	o.PQSink().Enqueue(1)
 	o.PQSink().Dequeue(1)
 	o.PQSink().Adjust(1)
 	o.PQSink().StalePop(1)
 	o.StepSink().WorkerStep(0, 0, time.Millisecond)
-	o.StepSink().Completed()
 	o.TraceSink().Emit(EvGatePass, 0, 0, 0, 0)
 	if s := o.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
 		t.Fatalf("nil observer snapshot not zero: %+v", s)
@@ -59,68 +54,115 @@ func TestCounterSharding(t *testing.T) {
 	}
 }
 
+// TestHistogramBuckets checks the shared log-linear layout: every value
+// lands in a bucket whose upper bound covers it within 1/16, the buckets
+// ascend, and values past the last finite bucket overflow.
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]int64{10, 100, 1000})
-	for _, v := range []int64{5, 10, 11, 100, 5000} {
+	var h Histogram
+	vals := []int64{0, 5, 10, 11, 100, 5000, 1 << 40}
+	var sum int64
+	for _, v := range vals {
 		h.Observe(v)
+		sum += v
 	}
 	s := h.snapshot()
-	if s.Count != 5 || s.Sum != time.Duration(5+10+11+100+5000) {
+	if s.Count != int64(len(vals)) || s.Sum != time.Duration(sum) {
 		t.Fatalf("count/sum = %d/%d", s.Count, s.Sum)
 	}
-	// 5,10 → ≤10; 11,100 → ≤100; nothing ≤1000; 5000 → overflow.
-	want := map[time.Duration]int64{10: 2, 100: 2, time.Duration(int64(^uint64(0) >> 1)): 1}
-	if len(s.Buckets) != len(want) {
+	if got := s.Mean(); got != time.Duration(sum/int64(len(vals))) {
+		t.Fatalf("mean = %d", got)
+	}
+	// Each finite value gets its own bucket here; 1<<40 ns overflows.
+	if len(s.Buckets) != len(vals) {
 		t.Fatalf("buckets = %+v", s.Buckets)
 	}
-	for _, b := range s.Buckets {
-		if want[b.Le] != b.Count {
-			t.Fatalf("bucket le=%d count=%d, want %d", b.Le, b.Count, want[b.Le])
+	for i, b := range s.Buckets[:len(vals)-1] {
+		v := time.Duration(vals[i])
+		if b.Count != 1 || b.Le < v || b.Le > v+v/16 {
+			t.Fatalf("value %d: bucket le=%d count=%d", v, b.Le, b.Count)
 		}
 	}
-	if got := s.Mean(); got != time.Duration(5126/5) {
-		t.Fatalf("mean = %d", got)
+	if last := s.Buckets[len(vals)-1]; last.Le != time.Duration(int64(^uint64(0)>>1)) || last.Count != 1 {
+		t.Fatalf("overflow bucket = %+v", last)
+	}
+	prev := int64(-1)
+	for i := 0; i < histBuckets; i++ {
+		le := bucketLe(i)
+		if le <= prev || bucketOf(le) != i || bucketOf(prev+1) != i {
+			t.Fatalf("bucket %d = (%d, %d] does not tile the range", i, prev, le)
+		}
+		prev = le
+	}
+	if bucketOf(prev+1) != histBuckets || bucketOf(-5) != 0 {
+		t.Fatal("out-of-range values must land in the edge buckets")
+	}
+}
+
+// TestQuantileRelativeError sweeps durations across 1µs–10s and checks
+// that Quantile over-reads each by at most 10%, for a single observation
+// and for the quantiles of the whole sweep; Observe allocates nothing.
+func TestQuantileRelativeError(t *testing.T) {
+	const lo, hi = int64(time.Microsecond), int64(10 * time.Second)
+	var sweep []int64
+	for v := float64(lo); int64(v) <= hi; v *= 1.013 {
+		sweep = append(sweep, int64(v))
+	}
+	sweep = append(sweep, hi)
+	relErr := func(got time.Duration, want int64) float64 {
+		return (float64(got) - float64(want)) / float64(want)
+	}
+	var all Histogram
+	for _, v := range sweep {
+		var one Histogram
+		one.Observe(v)
+		all.Observe(v)
+		for _, q := range []float64{0.5, 1} {
+			if e := relErr(one.snapshot().Quantile(q), v); e < 0 || e > 0.10 {
+				t.Fatalf("Quantile(%v) of {%d} off by %.3f", q, v, e)
+			}
+		}
+	}
+	s := all.snapshot()
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 1} {
+		rank := int(q*float64(len(sweep))+0.999999) - 1
+		if e := relErr(s.Quantile(q), sweep[rank]); e < 0 || e > 0.10 {
+			t.Fatalf("Quantile(%v) = %v, exact %d: off by %.3f", q, s.Quantile(q), sweep[rank], e)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { all.Observe(12345) }); n != 0 {
+		t.Fatalf("Observe allocates %v per call", n)
 	}
 }
 
 // TestSnapshotInvariants exercises a live observer the way the runtime
-// does and checks the cross-metric invariants Snapshot documents.
+// does and checks the cross-metric invariants Snapshot documents for the
+// fields obs owns. The fields other packages own stay zero here: the
+// runtime fills them from their owners.
 func TestSnapshotInvariants(t *testing.T) {
 	o := New(Options{Shards: 4, TraceCapacity: 1024})
-	cs, fs := o.CacheSink(), o.FlushSink()
+	gs, fs := o.GateSink(), o.FlushSink()
 	for gpu := 0; gpu < 4; gpu++ {
-		for i := 0; i < 100; i++ {
-			if i%3 == 0 {
-				cs.Miss(gpu, uint64(i), i%9 == 0)
-			} else {
-				cs.Hit(gpu, uint64(i))
-			}
+		for step := int64(0); step < 10; step++ {
+			gs.Wait(gpu, step, time.Duration(step%3)*time.Microsecond)
 		}
 		fs.Enqueued(gpu, int64(gpu), 25)
 	}
 	fs.Dequeued(0, 7, 25)
-	fs.Applied(0, 7, 25, true, 40*time.Microsecond)
-	fs.Applied(1, 9, 30, false, 2*time.Millisecond)
+	fs.Applied(0, 7, 40*time.Microsecond)
+	fs.Applied(-1, 9, 2*time.Millisecond)
 
 	s := o.Snapshot()
-	if s.CacheLookups != s.CacheHits+s.CacheMisses {
-		t.Fatalf("lookups %d != hits %d + misses %d", s.CacheLookups, s.CacheHits, s.CacheMisses)
+	if s.GatePasses != 40 || s.GateBlocks > s.GatePasses || s.GateStall.Count != s.GateBlocks {
+		t.Fatalf("gate passes/blocks/stalls = %d/%d/%d", s.GatePasses, s.GateBlocks, s.GateStall.Count)
 	}
-	if s.CacheLookups != 400 {
-		t.Fatalf("lookups = %d, want 400", s.CacheLookups)
-	}
-	if s.CacheStaleHits > s.CacheMisses {
-		t.Fatalf("stale %d > misses %d", s.CacheStaleHits, s.CacheMisses)
-	}
-	if s.FlushApplied > s.FlushEnqueued {
-		t.Fatalf("applied %d > enqueued %d", s.FlushApplied, s.FlushEnqueued)
-	}
-	if s.DeferredEntries+s.UrgentEntries != s.FlushedEntries {
-		t.Fatalf("deferred %d + urgent %d != entries %d",
-			s.DeferredEntries, s.UrgentEntries, s.FlushedEntries)
+	if s.FlushEnqueued != 100 {
+		t.Fatalf("enqueued = %d, want 100", s.FlushEnqueued)
 	}
 	if s.FlushLatency.Count != 2 {
 		t.Fatalf("latency count = %d", s.FlushLatency.Count)
+	}
+	if s.CacheLookups != 0 || s.FlushApplied != 0 || s.StepsCompleted != 0 || s.FaultsInjected != 0 {
+		t.Fatalf("obs filled a field another package owns: %+v", s)
 	}
 	if s.TraceEvents == 0 || s.TraceDropped != 0 {
 		t.Fatalf("trace events/dropped = %d/%d", s.TraceEvents, s.TraceDropped)

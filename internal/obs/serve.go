@@ -26,8 +26,6 @@ func NewServeObs(n int) *ServeObs {
 		lookups: newCounter(n), topks: newCounter(n),
 		rejected: newCounter(n), refreshed: newCounter(n),
 		shed: newCounter(n), canceled: newCounter(n),
-		lookupLat: newHistogram(DurationBuckets),
-		topkLat:   newHistogram(DurationBuckets),
 	}
 }
 

@@ -162,7 +162,9 @@ type Stats struct {
 	// priority slot — updates P²F successfully pushed off the critical
 	// path (the k₃ case of Fig 6).
 	DeferredFlushes int64
-	// UrgentFlushes counts g-entries flushed with a finite priority.
+	// UrgentFlushes counts g-entries flushed with a finite priority, plus
+	// every write set landed outside the flusher pool (FlushKey and
+	// degraded write-through commits).
 	UrgentFlushes int64
 	// CoalescedFlushes counts FlushKey callers that piggybacked on
 	// another caller's in-flight flush instead of running their own —
@@ -360,7 +362,6 @@ func (c *Controller) prefetchLoop() {
 		}
 		select {
 		case c.sample <- Batch{Step: step, Keys: keys}:
-			c.fl.SampleDepth(len(c.sample))
 		case <-c.stop:
 			return
 		}
@@ -648,7 +649,6 @@ func (c *Controller) flushKey(key uint64) bool {
 		return false
 	}
 	c.landWrites(g)
-	c.urgentFlushes.Add(1)
 	if g.InQueue && g.Priority != pq.Inf {
 		c.queue.AdjustPriority(g, g.Priority, pq.Inf)
 	}
@@ -675,11 +675,19 @@ func (c *Controller) lockLanded(g *pq.GEntry) {
 // urgent batch and runs the flush hooks. Caller holds g.Mu with nothing of
 // g in flight (see lockLanded).
 func (c *Controller) landWrites(g *pq.GEntry) {
+	var start time.Time
+	if c.fl != nil {
+		start = time.Now()
+	}
 	w := g.TakeWrites()
 	c.opt.Sink.FlushBatch([]pq.WriteSet{{Key: g.Key, Updates: w}})
 	c.notifyFlush(g.Key)
 	c.flushedUpdates.Add(int64(len(w)))
+	c.urgentFlushes.Add(1)
 	g.FlushedWrites(w) // the sink does not retain w
+	if c.fl != nil {
+		c.fl.Applied(-1, g.Key, time.Since(start))
+	}
 }
 
 // flushCall is one in-flight FlushKey execution. wm is the
@@ -762,7 +770,7 @@ func (c *Controller) flusherLoop(id int, gen int64) {
 		if act, dur := c.opt.Faults.Flusher(id, batch); act != fault.ActNone {
 			c.faultObs.Injected(id, batch, int64(actionKind(act)))
 			if act == fault.ActCrash {
-				c.crashFlusher(id, slot)
+				c.crashFlusher(slot)
 				return
 			}
 			// Stall: sleep without heartbeating. If the stall outlives
@@ -903,7 +911,7 @@ func (c *Controller) flushBatch(st *stage) (progress bool) {
 			}
 			g.Mu.Unlock()
 			c.flushedUpdates.Add(int64(len(ws.Updates)))
-			c.fl.Applied(st.id, g.Key, len(ws.Updates), ws.Deferred, took)
+			c.fl.Applied(st.id, g.Key, took)
 		}
 	}
 	c.staged.Add(-int64(len(st.entries)))

@@ -95,7 +95,7 @@ type flusherSlot struct {
 // its current priority, so a live queue node exists at every instant and
 // any surviving (or respawned) flusher picks the work up. Then it marks
 // its slot dead for the supervisor and exits.
-func (c *Controller) crashFlusher(id int, slot *flusherSlot) {
+func (c *Controller) crashFlusher(slot *flusherSlot) {
 	redistributed := 0
 	c.queue.ProcessBatch(c.opt.DequeueBatchSize, func(g *pq.GEntry, slotPriority int64) bool {
 		if !g.InQueue || g.Priority != slotPriority {
@@ -108,7 +108,6 @@ func (c *Controller) crashFlusher(id int, slot *flusherSlot) {
 	})
 	c.redistributed.Add(int64(redistributed))
 	c.crashes.Add(1)
-	c.faultObs.Redistributed(id, redistributed)
 	slot.dead.Store(true)
 	c.broadcast()
 }

@@ -78,9 +78,10 @@ type Config struct {
 	// Seed drives parameter initialisation.
 	Seed int64
 	// Observer attaches the observability layer (internal/obs): live
-	// metric counters threaded through the gate, the caches, the priority
-	// queue and the flusher pool, plus the step-event tracer. nil (the
-	// default) keeps every instrumentation point a no-op.
+	// metric counters threaded through the gate, the priority queue and
+	// the flusher pool, plus the step-event tracer, and turns on
+	// Job.Snapshot. nil (the default) keeps every instrumentation point a
+	// no-op.
 	Observer *obs.Observer
 	// OnStep, when set, is invoked once per globally completed training
 	// step — by the last trainer to commit it, outside the gate's critical
@@ -473,9 +474,6 @@ func newJob(cfg Config, steps int64, samplesPerStep int,
 		var err error
 		if cfg.ColdTier {
 			host, err = NewTieredHost(cfg.Rows, cfg.Dim, cfg.HotFraction)
-			if err == nil {
-				host.SetTierObserver(cfg.Observer.TierSink())
-			}
 		} else {
 			host, err = NewHost(cfg.Rows, cfg.Dim)
 		}
@@ -515,7 +513,7 @@ func newJob(cfg Config, steps int64, samplesPerStep int,
 			if !cfg.Faults.HostWriteFail() {
 				return false
 			}
-			faultObs.WriteRetry(0)
+			faultObs.Injected(-1, -1, int64(fault.KindHostWriteFail))
 			return true
 		})
 	}
@@ -529,7 +527,7 @@ func newJob(cfg Config, steps int64, samplesPerStep int,
 		}
 		for g := 0; g < cfg.NumGPUs; g++ {
 			c := cache.MustNew(rowsPerGPU, cfg.Dim)
-			c.SetObserver(cfg.Observer.CacheSink(), g)
+			c.SetTracer(j.tracer, g)
 			j.caches = append(j.caches, c)
 		}
 		if cfg.Prefetch {
@@ -662,47 +660,21 @@ func (j *Job) RunContext(ctx context.Context) (Result, error) {
 	// goroutines would otherwise still be mutating the directories.
 	j.stopPrefetchers()
 
-	var res Result
-	res.Recovery.DegradedStep = -1
 	if j.ctrl != nil {
 		j.ctrl.DrainAll()
-		st := j.ctrl.Stats()
-		res.StallTime = st.StallTime
-		res.Flushed = st.FlushedUpdates
-		res.Deferred = st.DeferredFlushes
-		rs := j.ctrl.RecoveryStats()
-		res.Recovery.FlusherCrashes = rs.FlusherCrashes
-		res.Recovery.StallsDetected = rs.StallsDetected
-		res.Recovery.FlusherRespawns = rs.Respawns
-		res.Recovery.Redistributed = rs.Redistributed
-		res.Recovery.Degraded = rs.Degraded
-		res.Recovery.DegradedStep = rs.DegradedStep
 	}
-	res.Recovery.FaultsInjected = j.cfg.Faults.Stats().Injected
-	if j.host != nil {
-		res.Recovery.HostWriteRetries = j.host.WriteRetries()
+	c := j.counts()
+	res := Result{
+		Steps:      c.steps,
+		Losses:     j.losses[:c.steps],
+		WallTime:   time.Since(start),
+		StallTime:  c.flush.StallTime,
+		CacheStats: c.cache,
+		Flushed:    c.flush.FlushedUpdates,
+		Deferred:   c.flush.DeferredFlushes,
+		Recovery:   c.recovery,
 	}
-	j.mu.Lock()
-	completed := j.completed
-	j.mu.Unlock()
-	res.WallTime = time.Since(start)
-	res.Steps = completed
-	res.Losses = j.losses[:completed]
-	for _, c := range j.caches {
-		s := c.Stats()
-		res.CacheStats.Hits += s.Hits
-		res.CacheStats.Misses += s.Misses
-		res.CacheStats.StaleHits += s.StaleHits
-		res.CacheStats.Inserted += s.Inserted
-		res.CacheStats.Evicted += s.Evicted
-		res.CacheStats.PrefetchFills += s.PrefetchFills
-		res.CacheStats.PrefetchHits += s.PrefetchHits
-		res.CacheStats.PrefetchLate += s.PrefetchLate
-		res.CacheStats.PrefetchWasted += s.PrefetchWasted
-		res.CacheStats.PinRejects += s.PinRejects
-		res.CacheStats.WindowPinRejects += s.WindowPinRejects
-	}
-	res.SamplesPerSec = float64(j.samples) * float64(completed) / res.WallTime.Seconds()
+	res.SamplesPerSec = float64(j.samples) * float64(c.steps) / res.WallTime.Seconds()
 	if len(j.preds) > 0 {
 		res.TrainAUC = stats.AUC(j.preds, j.labels)
 	}
@@ -739,7 +711,6 @@ func (j *Job) finishStep(gpu int, step int64, stall, wall time.Duration, release
 	loss := j.losses[step]
 	j.mu.Unlock()
 	release()
-	j.stepObs.Completed()
 	if j.cfg.OnStep != nil {
 		backlog := 0
 		if j.ctrl != nil {
@@ -749,13 +720,105 @@ func (j *Job) finishStep(gpu int, step int64, stall, wall time.Duration, release
 	}
 }
 
+// counts is every training counter, read from the component that keeps
+// it: the caches, the P²F controller, the fault injector, the host slab
+// and the job's completed-step count. RunContext builds Result from it
+// and Snapshot the owner-kept fields of obs.Snapshot, so the two report
+// one count of each event.
+type counts struct {
+	steps    int64
+	cache    cache.Stats
+	flush    p2f.Stats
+	recovery RecoveryStats
+	tier     TierStats
+}
+
+// counts reads the counters. Safe while the job runs: every counter it
+// reads is an atomic or lock-guarded.
+func (j *Job) counts() counts {
+	var c counts
+	j.mu.Lock()
+	c.steps = j.completed
+	j.mu.Unlock()
+	for _, ca := range j.caches {
+		s := ca.Stats()
+		c.cache.Hits += s.Hits
+		c.cache.Misses += s.Misses
+		c.cache.StaleHits += s.StaleHits
+		c.cache.Inserted += s.Inserted
+		c.cache.Evicted += s.Evicted
+		c.cache.PrefetchFills += s.PrefetchFills
+		c.cache.PrefetchHits += s.PrefetchHits
+		c.cache.PrefetchLate += s.PrefetchLate
+		c.cache.PrefetchWasted += s.PrefetchWasted
+		c.cache.PinRejects += s.PinRejects
+		c.cache.WindowPinRejects += s.WindowPinRejects
+	}
+	c.recovery.DegradedStep = -1
+	if j.ctrl != nil {
+		c.flush = j.ctrl.Stats()
+		rs := j.ctrl.RecoveryStats()
+		c.recovery.FlusherCrashes = rs.FlusherCrashes
+		c.recovery.StallsDetected = rs.StallsDetected
+		c.recovery.FlusherRespawns = rs.Respawns
+		c.recovery.Redistributed = rs.Redistributed
+		c.recovery.Degraded = rs.Degraded
+		c.recovery.DegradedStep = rs.DegradedStep
+	}
+	c.recovery.FaultsInjected = j.cfg.Faults.Stats().Injected
+	if j.host != nil {
+		c.recovery.HostWriteRetries = j.host.WriteRetries()
+		c.tier = j.host.TierStats()
+	}
+	return c
+}
+
 // Snapshot returns a live copy of the job's observability metrics, plus
 // the current flush backlog and sample-queue depth. Safe to call at any
-// time, including concurrently with RunContext; with observability
-// disabled it returns the zero Snapshot (live depths included — they need
-// no observer).
+// time, including concurrently with RunContext. With observability
+// disabled it returns the zero Snapshot, except the live depths (they
+// need no observer).
 func (j *Job) Snapshot() obs.Snapshot {
-	s := j.cfg.Observer.Snapshot()
+	var s obs.Snapshot
+	if j.cfg.Observer != nil {
+		// The owners' counters are read first: trainers count an update
+		// as enqueued before they commit it, so a live FlushApplied never
+		// exceeds the FlushEnqueued read after it.
+		c := j.counts()
+		s = j.cfg.Observer.Snapshot()
+		s.CacheLookups = c.cache.Hits + c.cache.Misses
+		s.CacheHits = c.cache.Hits
+		s.CacheMisses = c.cache.Misses
+		s.CacheStaleHits = c.cache.StaleHits
+		s.CacheInserts = c.cache.Inserted
+		s.CacheEvictions = c.cache.Evicted
+		s.CachePrefetchFills = c.cache.PrefetchFills
+		s.CachePrefetchHits = c.cache.PrefetchHits
+		s.CachePrefetchLate = c.cache.PrefetchLate
+		s.CachePrefetchWasted = c.cache.PrefetchWasted
+
+		s.GateStallTime = c.flush.StallTime
+		s.FlushApplied = c.flush.FlushedUpdates
+		s.FlushedEntries = c.flush.DeferredFlushes + c.flush.UrgentFlushes
+		s.DeferredEntries = c.flush.DeferredFlushes
+		s.UrgentEntries = c.flush.UrgentFlushes
+
+		s.StepsCompleted = c.steps
+
+		s.FaultsInjected = c.recovery.FaultsInjected
+		s.FlusherRespawns = c.recovery.FlusherRespawns
+		s.RedistributedEntries = c.recovery.Redistributed
+		s.HostWriteRetries = c.recovery.HostWriteRetries
+		if c.recovery.Degraded {
+			s.Degradations = 1
+		}
+
+		s.TierPromotions = c.tier.Promotions
+		s.TierDemotions = c.tier.Demotions
+		s.TierDeclined = c.tier.Declined
+		s.TierColdWrites = c.tier.ColdWrites
+		s.TierDequantReads = c.tier.DequantReads
+	}
 	if j.ctrl != nil {
 		s.FlushBacklog = int64(j.ctrl.Queue().Len())
 		s.SampleQueueDepth = int64(j.ctrl.SampleDepth())

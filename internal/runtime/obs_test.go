@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"frugal/internal/data"
 	"frugal/internal/obs"
@@ -101,6 +102,87 @@ func TestSnapshotInvariantsFrugal(t *testing.T) {
 	}
 	if s.TraceEvents == 0 {
 		t.Fatal("tracer saw no events")
+	}
+}
+
+// TestSnapshotWhileRunning polls Snapshot while a 2-GPU, prefetching,
+// cold-tier frugal job trains, so the caches', the tiered slab's and the
+// controller's counters are read live (make prefetch-stress runs it under
+// the race detector). Every poll must satisfy the live invariants, each
+// counter must only grow, and the final poll must agree with Result.
+func TestSnapshotWhileRunning(t *testing.T) {
+	const steps = 400
+	trace := data.NewSyntheticTrace(data.NewScrambledZipf(5, 4000, 0.9), 64, steps)
+	job, err := NewMicro(Config{
+		Engine: EngineFrugal, NumGPUs: 2, Rows: 4000, Dim: 8,
+		CacheRatio: 0.05, Seed: 5, FlushThreads: 2,
+		Prefetch: true, ColdTier: true, HotFraction: 0.1,
+		Observer: obs.New(obs.Options{Shards: 2, TraceCapacity: -1}),
+	}, trace, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type runOut struct {
+		res Result
+		err error
+	}
+	done := make(chan runOut, 1)
+	go func() {
+		res, err := job.Run()
+		done <- runOut{res, err}
+	}()
+	var prev obs.Snapshot
+	polls := 0
+	check := func(s obs.Snapshot) {
+		t.Helper()
+		if s.CacheLookups != s.CacheHits+s.CacheMisses {
+			t.Fatalf("poll %d: lookups %d != hits %d + misses %d", polls, s.CacheLookups, s.CacheHits, s.CacheMisses)
+		}
+		if s.FlushApplied > s.FlushEnqueued {
+			t.Fatalf("poll %d: applied %d > enqueued %d", polls, s.FlushApplied, s.FlushEnqueued)
+		}
+		for _, c := range []struct {
+			name      string
+			now, then int64
+		}{
+			{"cache lookups", s.CacheLookups, prev.CacheLookups},
+			{"prefetch fills", s.CachePrefetchFills, prev.CachePrefetchFills},
+			{"tier dequant reads", s.TierDequantReads, prev.TierDequantReads},
+			{"tier cold writes", s.TierColdWrites, prev.TierColdWrites},
+			{"flushed updates", s.FlushApplied, prev.FlushApplied},
+			{"flushed entries", s.FlushedEntries, prev.FlushedEntries},
+			{"steps", s.StepsCompleted, prev.StepsCompleted},
+		} {
+			if c.now < c.then {
+				t.Fatalf("poll %d: %s went back from %d to %d", polls, c.name, c.then, c.now)
+			}
+		}
+		prev = s
+		polls++
+	}
+	var out runOut
+	for running := true; running; {
+		select {
+		case out = <-done:
+			running = false
+		case <-time.After(100 * time.Microsecond):
+			check(job.Snapshot())
+		}
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	s := job.Snapshot()
+	check(s)
+	if polls < 2 {
+		t.Fatalf("only %d polls", polls)
+	}
+	if s.StepsCompleted != steps || s.CacheHits != out.res.CacheStats.Hits ||
+		s.CachePrefetchFills != out.res.CacheStats.PrefetchFills || s.FlushApplied != out.res.Flushed {
+		t.Fatalf("final snapshot disagrees with Result: %+v vs %+v", s, out.res)
+	}
+	if s.CachePrefetchFills == 0 || s.TierDequantReads == 0 || s.TierColdWrites == 0 {
+		t.Fatalf("run did not exercise prefetch and the cold tier: %+v", s)
 	}
 }
 

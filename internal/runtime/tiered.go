@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"frugal/internal/obs"
 	"frugal/internal/tensor"
 )
 
@@ -87,7 +86,6 @@ type coldTier struct {
 	coldWrites, dequantReads        atomic.Int64
 
 	onMove func(key uint64) // tier-move hook (ckpt dirtiness); set before training
-	obs    *obs.TierObs
 }
 
 // NewTieredHost allocates a host whose cold tail is quantized: the first
@@ -161,14 +159,6 @@ func (h *Host) SetTierMoveHook(fn func(key uint64)) {
 	}
 }
 
-// SetTierObserver attaches the tier counters' observability sink (nil
-// detaches). Call before traffic.
-func (h *Host) SetTierObserver(o *obs.TierObs) {
-	if h.tier != nil {
-		h.tier.obs = o
-	}
-}
-
 // TierStats is a point-in-time snapshot of tier movement and cold-path
 // traffic.
 type TierStats struct {
@@ -181,9 +171,7 @@ type TierStats struct {
 }
 
 // TierStats snapshots the tier counters (zero value on untiered hosts).
-// Production reads the same counters through the obs layer; this is the
-// observation hook for tests in other packages (ckpt, serve) that must
-// see tier movement on a bare Host.
+// They are the only count of tier traffic: Job.Snapshot reads them here.
 func (h *Host) TierStats() TierStats {
 	t := h.tier
 	if t == nil {
@@ -267,7 +255,6 @@ func (t *coldTier) readRow(key uint64, dst []float32) {
 	}
 	tensor.DequantizeRow(t.qrow(key), t.qscale[key], t.qzero[key], dst)
 	t.dequantReads.Add(1)
-	t.obs.DequantRead(key)
 }
 
 // writeRow replaces the row's content in its current tier, requantizing
@@ -366,7 +353,6 @@ func (t *coldTier) promote(h *Host, key uint64, f uint32) {
 	if slot < 0 {
 		t.mu.Unlock()
 		t.declined.Add(1)
-		t.obs.TierDeclined(key)
 		return
 	}
 	l := h.lock(key)
@@ -380,7 +366,6 @@ func (t *coldTier) promote(h *Host, key uint64, f uint32) {
 	t.owner[slot] = key
 	t.mu.Unlock()
 	t.promotions.Add(1)
-	t.obs.TierPromotion(key)
 }
 
 // sweepVictim advances the clock hand over the hot pool and returns the
@@ -420,7 +405,6 @@ func (t *coldTier) demoteLocked(h *Host, slot int32) {
 	}
 	l.Unlock()
 	t.demotions.Add(1)
-	t.obs.TierDemotion(vk)
 }
 
 // mutableRow returns a float32 view the caller may accumulate into:
@@ -446,7 +430,6 @@ func (t *coldTier) commitRow(key uint64, row []float32, cold bool) {
 	}
 	t.qscale[key], t.qzero[key] = tensor.QuantizeRow(row, t.qrow(key))
 	t.coldWrites.Add(1)
-	t.obs.ColdWrite(key)
 }
 
 // RowImage is a tier-tagged row capture: the full-precision image for a
@@ -578,5 +561,4 @@ func (t *coldTier) forcePromote(h *Host, key uint64) {
 	t.owner[slot] = key
 	t.mu.Unlock()
 	t.promotions.Add(1)
-	t.obs.TierPromotion(key)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestObservabilityFrugalEngine is the public acceptance check: an
@@ -63,6 +64,107 @@ func TestObservabilityFrugalEngine(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Fatal("trace dump is empty")
+	}
+}
+
+// TestSnapshotMatchesResult checks that a Snapshot taken after Run reads
+// the same counts as Result and the host slab: each event has one counter.
+// (a) is TestFaultedRunThroughPublicAPI's faulted run with the cold tier
+// on, where host-write faults must count as injected faults; (b) is a job
+// whose OnStep lands write sets with FlushKey, which the flush counters
+// and the latency histogram must include.
+func TestSnapshotMatchesResult(t *testing.T) {
+	micro := Microbenchmark{Options: MicroOptions{KeySpace: 600, Batch: 32, Steps: 20}}
+	t.Run("faulted", func(t *testing.T) {
+		plan, err := ParseFaultPlan("crash:flusher=0@batch=1;hostfail@write=5,count=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := New(Config{
+			CheckConsistency: true, Seed: 17, FlushThreads: 2, FaultPlan: plan,
+			Recovery: Recovery{HeartbeatInterval: time.Millisecond, StallTimeout: 50 * time.Millisecond},
+			ColdTier: true, Observability: ObsOptions{Enabled: true},
+		}, micro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Recovery.FaultsInjected != 4 {
+			t.Fatalf("FaultsInjected = %d, want 1 crash + 3 host-write failures", res.Recovery.FaultsInjected)
+		}
+		checkSnapshotMatchesResult(t, job, res)
+	})
+	t.Run("flushkey", func(t *testing.T) {
+		var job *TrainingJob
+		var landed atomic.Int64
+		job, err := New(Config{
+			NumGPUs: 2, CheckConsistency: true, Seed: 5, FlushThreads: 2,
+			Observability: ObsOptions{Enabled: true},
+			OnStep: func(StepStats) {
+				for k := uint64(0); k < 600; k += 7 {
+					if job.job.Controller().FlushKey(k) {
+						landed.Add(1)
+					}
+				}
+			},
+		}, micro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if landed.Load() == 0 {
+			t.Fatal("no FlushKey landed a write set")
+		}
+		checkSnapshotMatchesResult(t, job, res)
+	})
+}
+
+func checkSnapshotMatchesResult(t *testing.T, job *TrainingJob, res Result) {
+	t.Helper()
+	s := job.Snapshot()
+	cs := res.CacheStats
+	for _, c := range []struct {
+		name       string
+		snap, want int64
+	}{
+		{"CacheLookups", s.CacheLookups, cs.Hits + cs.Misses},
+		{"CacheHits", s.CacheHits, cs.Hits},
+		{"CacheMisses", s.CacheMisses, cs.Misses},
+		{"CacheStaleHits", s.CacheStaleHits, cs.StaleHits},
+		{"CacheInserts", s.CacheInserts, cs.Inserted},
+		{"CacheEvictions", s.CacheEvictions, cs.Evicted},
+		{"CachePrefetchFills", s.CachePrefetchFills, cs.PrefetchFills},
+		{"CachePrefetchHits", s.CachePrefetchHits, cs.PrefetchHits},
+		{"CachePrefetchLate", s.CachePrefetchLate, cs.PrefetchLate},
+		{"CachePrefetchWasted", s.CachePrefetchWasted, cs.PrefetchWasted},
+		{"FlushApplied", s.FlushApplied, res.Flushed},
+		{"FlushEnqueued", s.FlushEnqueued, res.Flushed},
+		{"DeferredEntries", s.DeferredEntries, res.Deferred},
+		{"GateStallTime", int64(s.GateStallTime), int64(res.StallTime)},
+		{"StepsCompleted", s.StepsCompleted, res.Steps},
+		{"FaultsInjected", s.FaultsInjected, res.Recovery.FaultsInjected},
+		{"FlusherRespawns", s.FlusherRespawns, res.Recovery.FlusherRespawns},
+		{"RedistributedEntries", s.RedistributedEntries, res.Recovery.Redistributed},
+		{"HostWriteRetries", s.HostWriteRetries, res.Recovery.HostWriteRetries},
+		{"FlushLatency.Count", s.FlushLatency.Count, s.FlushedEntries},
+	} {
+		if c.snap != c.want {
+			t.Errorf("Snapshot.%s = %d, want %d", c.name, c.snap, c.want)
+		}
+	}
+	if want := map[bool]int64{false: 0, true: 1}[res.Recovery.Degraded]; s.Degradations != want {
+		t.Errorf("Snapshot.Degradations = %d, Result.Recovery.Degraded = %v", s.Degradations, res.Recovery.Degraded)
+	}
+	ts := job.job.Host().TierStats()
+	if got := [5]int64{s.TierPromotions, s.TierDemotions, s.TierDeclined, s.TierColdWrites, s.TierDequantReads}; got !=
+		[5]int64{ts.Promotions, ts.Demotions, ts.Declined, ts.ColdWrites, ts.DequantReads} {
+		t.Errorf("Snapshot tier fields %v, Host.TierStats %+v", got, ts)
 	}
 }
 
